@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the embedding search with the numba and numpy kernels.
+"""Benchmark the embedding search.
 
-Runs a few representative enumerations with each backend and prints a timing
-table.  The first numba call includes JIT compilation, so every backend gets
-an untimed warmup pass.
+Runs a few representative enumerations and prints a timing table.  Each case
+gets an untimed warmup pass, so the first call's one-off costs (imports,
+caches) do not land in the best-of-N time.
 
     python benchmarks/bench_search.py [--repeats N]
 """
@@ -11,7 +11,6 @@ an untimed warmup pass.
 import argparse
 import time
 
-from ballobs.kernels import HAVE_NUMBA, available_backends
 from ballobs.lattice import (direct_sum, linear_lattice,
                              search_embedding_classes)
 
@@ -26,13 +25,13 @@ CASES = [
 ]
 
 
-def time_case(lat, m, backend, repeats):
-    search_embedding_classes(lat, m, backend=backend)  # warmup / JIT
+def time_case(lat, m, repeats):
+    search_embedding_classes(lat, m)  # warmup
     best = float("inf")
     result = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = search_embedding_classes(lat, m, backend=backend)
+        result = search_embedding_classes(lat, m)
         best = min(best, time.perf_counter() - t0)
     return best, result
 
@@ -42,20 +41,11 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    backends = available_backends()
-    if not HAVE_NUMBA:
-        print("numba not importable; benchmarking the numpy backend only")
-    print(f"{'case':<45} {'backend':<8} {'best (ms)':>10} {'nodes':>8} {'classes':>8}")
+    print(f"{'case':<50} {'best (ms)':>10} {'nodes':>8} {'classes':>8}")
     for label, lat, m in CASES:
-        timings = {}
-        for backend in backends:
-            best, result = time_case(lat, m, backend, args.repeats)
-            timings[backend] = best
-            print(f"{label:<45} {backend:<8} {best * 1e3:>10.2f} "
-                  f"{result.stats.nodes:>8} {len(result.classes):>8}")
-        if "numba" in timings and "numpy" in timings:
-            ratio = timings["numpy"] / timings["numba"]
-            print(f"{'':<45} numpy/numba = {ratio:.1f}x")
+        best, result = time_case(lat, m, args.repeats)
+        print(f"{label:<50} {best * 1e3:>10.2f} "
+              f"{result.stats.nodes:>8} {len(result.classes):>8}")
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ class RunConfig:
     time_budget: float | None
     fmt: str
     timings: bool
-    kernels: str | None
 
     def limits(self) -> SearchLimits:
         return SearchLimits(node_budget=self.node_budget, time_budget=self.time_budget)
@@ -63,7 +62,7 @@ def _resolve_config(args) -> RunConfig:
     if time_budget is not None and time_budget <= 0:
         raise UsageError("time budget must be positive")
     fmt = args.format or getattr(args, "default_format", "text")
-    return RunConfig(node, time_budget, fmt, args.timings, args.kernels)
+    return RunConfig(node, time_budget, fmt, args.timings)
 
 
 def _int(text: str, what: str) -> int:
@@ -209,8 +208,7 @@ def cmd_cf_fib_identities(args, cfg: RunConfig) -> int:
 def cmd_lattice_classes(args, cfg: RunConfig) -> int:
     weights = _int_list(args.weights, "weights")
     lat = linear_lattice(weights)
-    classes = enumerate_embedding_classes(lat, args.ambient, limits=cfg.limits(),
-                                          backend=cfg.kernels)
+    classes = enumerate_embedding_classes(lat, args.ambient, limits=cfg.limits())
     rows = []
     for cls in classes:
         sup = cls.support
@@ -288,13 +286,13 @@ def cmd_obstruct(args, cfg: RunConfig) -> int:
     balls = [markov.BallSpec(*_pair(s, "ball")) for s in args.balls]
     problem = obstruction.build_problem(balls)
     report = obstruction.check_obstruction(problem, limits=cfg.limits(),
-                                           strategy=args.strategy, backend=cfg.kernels)
+                                           strategy=args.strategy)
     _print_obstruction(report, cfg)
     return _obstruction_exit(report)
 
 
 def cmd_verify_example_b31(args, cfg: RunConfig) -> int:
-    report = obstruction.example_b31_report(limits=cfg.limits(), backend=cfg.kernels)
+    report = obstruction.example_b31_report(limits=cfg.limits())
     if cfg.fmt == "json":
         _emit_json(obstruction.example_b31_to_doc(report))
     else:
@@ -309,8 +307,7 @@ def cmd_verify_example_b31(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify_lemma_cemb(args, cfg: RunConfig) -> int:
-    report = obstruction.lemma_cemb_report(args.n, args.m, limits=cfg.limits(),
-                                           backend=cfg.kernels)
+    report = obstruction.lemma_cemb_report(args.n, args.m, limits=cfg.limits())
     if cfg.fmt == "json":
         _emit_json(obstruction.lemma_report_to_doc(report))
     else:
@@ -324,8 +321,7 @@ def cmd_verify_lemma_cemb(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify_theorem2(args, cfg: RunConfig) -> int:
-    report = obstruction.theorem2_suite([(args.k, args.n)], limits=cfg.limits(),
-                                        backend=cfg.kernels)[0]
+    report = obstruction.theorem2_suite([(args.k, args.n)], limits=cfg.limits())[0]
     _print_obstruction(report, cfg)
     if report.verdict == obstruction.NOT_OBSTRUCTED:
         print("unexpected witness for a pair of consecutive-Fibonacci balls",
@@ -351,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"search wall-clock budget (env {TIME_BUDGET_ENV})")
     parser.add_argument("--timings", action="store_true",
                         help="include elapsed times in JSON output (breaks byte determinism)")
-    parser.add_argument("--kernels", choices=("numba", "numpy"), default=None,
-                        help="search kernel backend (env BALLOBS_KERNELS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_markov = sub.add_parser("markov", help="Markov triple arithmetic")

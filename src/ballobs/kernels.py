@@ -1,34 +1,18 @@
-"""Vector-extension kernels for the lattice-embedding search.
+"""The vector-extension kernel of the lattice-embedding search.
 
 Every node of the embedding search asks the same question: which integer
 vectors x on the already-touched ambient coordinates have prescribed inner
 products with the rows placed so far and squared length at most the target
-norm?  Two interchangeable implementations answer it:
-
-* a numba-compiled depth-first scan (the default when numba imports), and
-* a vectorised numpy layer-by-layer scan.
-
-Both return the solutions in the same lexicographic order, as an (N, u+1)
-int64 array whose last column holds x.x.  Set BALLOBS_KERNELS=numpy to force
-the fallback; BALLOBS_KERNELS=numba insists on the compiled path.
+norm?  :func:`constrained_vectors` answers it with a vectorised numpy
+layer-by-layer scan, returning the solutions in lexicographic order as an
+(N, u+1) int64 array whose last column holds x.x.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-from .errors import UsageError
-
-ENV_VAR = "BALLOBS_KERNELS"
-
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
 
 
 def _suffix_square_sums(rows):
@@ -40,8 +24,8 @@ def _suffix_square_sums(rows):
     return suffix
 
 
-def constrained_vectors_numpy(rows, dots, norm):
-    """All integer x with rows @ x == dots and x.x <= norm (numpy backend).
+def constrained_vectors(rows, dots, norm):
+    """All integer x with rows @ x == dots and x.x <= norm.
 
     Builds the solution set one coordinate at a time, keeping every partial
     vector that still fits the norm budget and whose remaining inner-product
@@ -71,95 +55,3 @@ def constrained_vectors_numpy(rows, dots, norm):
         pd = nd[ii, jj]
     assert bool((pd == dots[None, :]).all())
     return np.concatenate([cand, qn[:, None]], axis=1)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _dfs_kernel(rows, dots, norm):  # pragma: no cover - compiled
-        k, u = rows.shape
-        suffix = np.zeros((k, u + 1), dtype=np.int64)
-        for j in range(k):
-            acc = 0
-            for c in range(u - 1, -1, -1):
-                acc += rows[j, c] * rows[j, c]
-                suffix[j, c] = acc
-        vmax = 0
-        while (vmax + 1) * (vmax + 1) <= norm:
-            vmax += 1
-        cap = 64
-        out = np.empty((cap, u + 1), dtype=np.int64)
-        count = 0
-        val = np.empty(u, dtype=np.int64)
-        qnorm = np.zeros(u + 1, dtype=np.int64)
-        pdots = np.zeros((u + 1, k), dtype=np.int64)
-        depth = 0
-        val[0] = -vmax - 1
-        while depth >= 0:
-            val[depth] += 1
-            v = val[depth]
-            if v > vmax:
-                depth -= 1
-                continue
-            q = qnorm[depth] + v * v
-            if q > norm:
-                continue
-            feasible = True
-            for j in range(k):
-                rem = dots[j] - pdots[depth, j] - v * rows[j, depth]
-                if rem * rem > (norm - q) * suffix[j, depth + 1]:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            qnorm[depth + 1] = q
-            for j in range(k):
-                pdots[depth + 1, j] = pdots[depth, j] + v * rows[j, depth]
-            if depth + 1 == u:
-                if count == cap:
-                    cap *= 2
-                    grown = np.empty((cap, u + 1), dtype=np.int64)
-                    grown[:count] = out[:count]
-                    out = grown
-                for c in range(u):
-                    out[count, c] = val[c]
-                out[count, u] = q
-                count += 1
-            else:
-                depth += 1
-                val[depth] = -vmax - 1
-        return out[:count]
-
-    def constrained_vectors_numba(rows, dots, norm):
-        """All integer x with rows @ x == dots and x.x <= norm (numba backend)."""
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        dots = np.ascontiguousarray(dots, dtype=np.int64)
-        return _dfs_kernel(rows, dots, np.int64(norm))
-
-else:  # pragma: no cover
-    constrained_vectors_numba = None
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-def default_backend() -> str:
-    env = os.environ.get(ENV_VAR, "").strip().lower()
-    if env:
-        return env
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def resolve_backend(name: str | None = None):
-    """Map a backend name (or None for the env/default choice) to a kernel."""
-    if name is None:
-        name = default_backend()
-    name = name.strip().lower()
-    if name == "numba":
-        if not HAVE_NUMBA:
-            raise UsageError("numba backend requested but numba is not importable")
-        return constrained_vectors_numba
-    if name == "numpy":
-        return constrained_vectors_numpy
-    raise UsageError(f"unknown kernel backend {name!r} (expected 'numba' or 'numpy')")

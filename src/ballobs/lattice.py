@@ -8,7 +8,7 @@ basis.
 
 The search places one vertex image at a time.  Candidates for the next row
 are integer vectors with the required inner products against the rows already
-placed, enumerated on the touched coordinates by the kernels in
+placed, enumerated on the touched coordinates by the kernel in
 :mod:`ballobs.kernels`, then padded with a weakly decreasing block of positive
 entries on fresh coordinates.  Insisting that fresh coordinates are consumed
 left to right with positive, sorted entries removes most of the
@@ -26,15 +26,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InternalCheckError, LimitExceeded, UsageError
-from .kernels import resolve_backend
+from .kernels import constrained_vectors
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
-# int64 overflow in the kernels is impossible while diagonal norms stay small;
+# int64 overflow in the kernel is impossible while diagonal norms stay small;
 # rank is capped where the exact minor check stays cheap.
 MAX_AMBIENT = 64
 MAX_DIAGONAL = 10 ** 6
-_MINOR_CHECK_MAX = 16
 
 
 def _as_int_rows(rows) -> tuple[tuple[int, ...], ...]:
@@ -158,12 +157,7 @@ def _bareiss_det(m) -> int:
 
 
 def is_positive_definite(l: GramLattice) -> bool:
-    """Positive-definiteness via leading principal minors (small ranks only;
-    beyond the cutoff just the diagonal is checked)."""
-    if any(l.gram[i][i] < 1 for i in range(l.rank)):
-        return False
-    if l.rank > _MINOR_CHECK_MAX:
-        return True
+    """Positive-definiteness via exact leading principal minors."""
     return all(d > 0 for d in leading_principal_minors(l.gram))
 
 
@@ -426,8 +420,8 @@ def _square_parts(n: int, max_parts: int, cap: int) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
-def search_embedding_classes(l: GramLattice, m: int, limits: SearchLimits | None = None,
-                             backend: str | None = None) -> EmbeddingSearchResult:
+def search_embedding_classes(l: GramLattice, m: int,
+                             limits: SearchLimits | None = None) -> EmbeddingSearchResult:
     """Exhaustively enumerate the embedding classes of ``l`` in Z^m.
 
     Returns the classes in lexicographic order of their canonical matrices,
@@ -443,7 +437,6 @@ def search_embedding_classes(l: GramLattice, m: int, limits: SearchLimits | None
     if max(l.gram[i][i] for i in range(l.rank)) > MAX_DIAGONAL:
         raise UsageError(f"diagonal entries above {MAX_DIAGONAL} are not supported")
     limits = limits or SearchLimits()
-    kernel = resolve_backend(backend)
     k = l.rank
     gram = l.to_array()
     rows = np.zeros((k, m), dtype=np.int64)
@@ -470,7 +463,7 @@ def search_embedding_classes(l: GramLattice, m: int, limits: SearchLimits | None
             return
         norm = int(gram[i, i])
         if used:
-            cands = kernel(rows[:i, :used], gram[i, :i], norm)
+            cands = constrained_vectors(rows[:i, :used], gram[i, :i], norm)
         else:
             # no coordinates touched yet: one empty old-part with x.x = 0
             cands = np.zeros((1, 1), dtype=np.int64)
@@ -496,15 +489,14 @@ def search_embedding_classes(l: GramLattice, m: int, limits: SearchLimits | None
     return EmbeddingSearchResult(classes, stats(False))
 
 
-def enumerate_embedding_classes(l: GramLattice, m: int, limits: SearchLimits | None = None,
-                                backend: str | None = None) -> list[EmbeddingClass]:
+def enumerate_embedding_classes(l: GramLattice, m: int,
+                                limits: SearchLimits | None = None) -> list[EmbeddingClass]:
     """The embedding classes of ``l`` in Z^m, in deterministic order."""
-    return list(search_embedding_classes(l, m, limits=limits, backend=backend).classes)
+    return list(search_embedding_classes(l, m, limits=limits).classes)
 
 
 def class_count_stabilization(l: GramLattice, m: int, extra: int = 2,
-                              limits: SearchLimits | None = None,
-                              backend: str | None = None):
+                              limits: SearchLimits | None = None):
     """Class counts at ambient ranks m .. m+extra, and whether they agree.
 
     Embedding classes of a fixed lattice stop changing once the ambient rank
@@ -513,7 +505,6 @@ def class_count_stabilization(l: GramLattice, m: int, extra: int = 2,
     """
     counts = []
     for mm in range(m, m + extra + 1):
-        counts.append((mm, len(enumerate_embedding_classes(l, mm, limits=limits,
-                                                           backend=backend))))
+        counts.append((mm, len(enumerate_embedding_classes(l, mm, limits=limits))))
     stable = len({c for _, c in counts}) == 1
     return tuple(counts), stable

@@ -25,7 +25,7 @@ INCONCLUSIVE, never as a verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .contfrac import lens_plumbing
 from .errors import InternalCheckError, LimitExceeded, UsageError
@@ -98,21 +98,12 @@ class Witness:
 
 
 @dataclass(frozen=True)
-class RunStatistics:
-    nodes: int
-    leaves: int
-    classes: int
-    limit_hit: bool
-    strategy: str
-    elapsed_ms: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True)
 class ObstructionReport:
     problem: ObstructionProblem
     verdict: str
     witnesses: tuple[Witness, ...]
-    statistics: RunStatistics
+    statistics: SearchStats
+    strategy: str
 
 
 def _normalize_sign(v) -> tuple[int, ...]:
@@ -146,18 +137,17 @@ def verify_witness(problem: ObstructionProblem, witness: Witness) -> None:
         raise InternalCheckError("witness fails the unit-pairing conditions")
 
 
-def _searched_classes(lat, m, limits, backend):
+def _searched_classes(lat, m, limits):
     """Run the class search, converting budget exhaustion into partial data."""
     try:
-        result = search_embedding_classes(lat, m, limits=limits, backend=backend)
+        result = search_embedding_classes(lat, m, limits=limits)
         return result.classes, result.stats
     except LimitExceeded as exc:
         return exc.partial_classes, exc.stats
 
 
 def check_obstruction(problem: ObstructionProblem, limits: SearchLimits | None = None,
-                      strategy: str = STRATEGY_COMPLEMENT,
-                      backend: str | None = None) -> ObstructionReport:
+                      strategy: str = STRATEGY_COMPLEMENT) -> ObstructionReport:
     """Decide the embedding obstruction for the given ball list.
 
     NOT_OBSTRUCTED requires an explicit witness (re-verified from scratch);
@@ -168,9 +158,9 @@ def check_obstruction(problem: ObstructionProblem, limits: SearchLimits | None =
     small sizes.
     """
     if strategy == STRATEGY_COMPLEMENT:
-        witnesses, stats = _witnesses_complement(problem, limits, backend)
+        witnesses, stats = _witnesses_complement(problem, limits)
     elif strategy == STRATEGY_DIRECT:
-        witnesses, stats = _witnesses_direct(problem, limits, backend)
+        witnesses, stats = _witnesses_direct(problem, limits)
     else:
         raise UsageError(f"unknown strategy {strategy!r}")
     for witness in witnesses:
@@ -181,12 +171,12 @@ def check_obstruction(problem: ObstructionProblem, limits: SearchLimits | None =
         verdict = INCONCLUSIVE
     else:
         verdict = OBSTRUCTED
-    return ObstructionReport(problem, verdict, witnesses, stats)
+    return ObstructionReport(problem, verdict, witnesses, stats, strategy)
 
 
-def _witnesses_complement(problem, limits, backend):
+def _witnesses_complement(problem, limits):
     m = problem.ambient
-    classes, stats = _searched_classes(problem.c_lattice, m, limits, backend)
+    classes, stats = _searched_classes(problem.c_lattice, m, limits)
     witnesses = []
     for cls in classes:
         comp = orthogonal_complement(cls.matrix, m)
@@ -201,16 +191,13 @@ def _witnesses_complement(problem, limits, backend):
             continue
         witnesses.append(Witness(cls.matrix, _normalize_sign(w)))
     witnesses.sort(key=lambda wit: (wit.embedding, wit.generator))
-    run = RunStatistics(nodes=stats.nodes, leaves=stats.leaves, classes=stats.classes,
-                        limit_hit=stats.limit_hit, strategy=STRATEGY_COMPLEMENT,
-                        elapsed_ms=stats.elapsed_ms)
-    return tuple(witnesses), run
+    return tuple(witnesses), stats
 
 
-def _witnesses_direct(problem, limits, backend):
+def _witnesses_direct(problem, limits):
     m = problem.ambient
     lat_full = direct_sum(linear_lattice((problem.m_norm,)), problem.c_lattice)
-    classes, stats = _searched_classes(lat_full, m, limits, backend)
+    classes, stats = _searched_classes(lat_full, m, limits)
     witnesses = set()
     for cls in classes:
         w = cls.matrix[0]
@@ -225,15 +212,11 @@ def _witnesses_direct(problem, limits, backend):
         gen = _normalize_sign(transform_vector(w, perm, signs))
         witnesses.add(Witness(canon, gen))
     ordered = tuple(sorted(witnesses, key=lambda wit: (wit.embedding, wit.generator)))
-    run = RunStatistics(nodes=stats.nodes, leaves=stats.leaves, classes=stats.classes,
-                        limit_hit=stats.limit_hit, strategy=STRATEGY_DIRECT,
-                        elapsed_ms=stats.elapsed_ms)
-    return ordered, run
+    return ordered, stats
 
 
 def full_embedding_classes(problem: ObstructionProblem, strategy: str = STRATEGY_COMPLEMENT,
-                           limits: SearchLimits | None = None,
-                           backend: str | None = None) -> tuple:
+                           limits: SearchLimits | None = None) -> tuple:
     """Canonical classes of full Lambda_M (+) Lambda_C embeddings in Z^m.
 
     The direct route enumerates the direct sum wholesale.  The complement
@@ -244,10 +227,10 @@ def full_embedding_classes(problem: ObstructionProblem, strategy: str = STRATEGY
     m = problem.ambient
     if strategy == STRATEGY_DIRECT:
         lat_full = direct_sum(linear_lattice((problem.m_norm,)), problem.c_lattice)
-        result = search_embedding_classes(lat_full, m, limits=limits, backend=backend)
+        result = search_embedding_classes(lat_full, m, limits=limits)
         return tuple(cls.matrix for cls in result.classes)
     if strategy == STRATEGY_COMPLEMENT:
-        result = search_embedding_classes(problem.c_lattice, m, limits=limits, backend=backend)
+        result = search_embedding_classes(problem.c_lattice, m, limits=limits)
         out = set()
         for cls in result.classes:
             comp = orthogonal_complement(cls.matrix, m)
@@ -265,7 +248,7 @@ def full_embedding_classes(problem: ObstructionProblem, strategy: str = STRATEGY
     raise UsageError(f"unknown strategy {strategy!r}")
 
 
-def theorem2_suite(pairs, limits: SearchLimits | None = None, backend: str | None = None,
+def theorem2_suite(pairs, limits: SearchLimits | None = None,
                    max_index: int = 3) -> list[ObstructionReport]:
     """Obstruction reports for disjoint pairs of consecutive-odd-Fibonacci balls.
 
@@ -281,7 +264,7 @@ def theorem2_suite(pairs, limits: SearchLimits | None = None, backend: str | Non
             raise UsageError(
                 f"index pair {(k, n)} above desk scale (max {max_index}); raise max_index to force")
         problem = build_problem([fibonacci_ball(k), fibonacci_ball(n)])
-        reports.append(check_obstruction(problem, limits=limits, backend=backend))
+        reports.append(check_obstruction(problem, limits=limits))
     return reports
 
 
@@ -307,8 +290,8 @@ class ChainClassificationReport:
     statistics: SearchStats
 
 
-def lemma_cemb_report(n: int, m: int, limits: SearchLimits | None = None,
-                      backend: str | None = None) -> ChainClassificationReport:
+def lemma_cemb_report(n: int, m: int,
+                      limits: SearchLimits | None = None) -> ChainClassificationReport:
     """Classify embeddings of the chain lattice (3^(n-1), 2, 2, 3^(n-1), 2) in Z^m.
 
     Reports, per class, the ambient support size and the complement data
@@ -325,7 +308,7 @@ def lemma_cemb_report(n: int, m: int, limits: SearchLimits | None = None,
         raise UsageError(f"need m >= 4n = {4 * n} to see all classes, got {m}")
     weights = (3,) * (n - 1) + (2, 2) + (3,) * (n - 1) + (2,)
     lat = linear_lattice(weights)
-    result = search_embedding_classes(lat, m, limits=limits, backend=backend)
+    result = search_embedding_classes(lat, m, limits=limits)
     summaries = []
     for cls in result.classes:
         sup = cls.support
@@ -352,8 +335,7 @@ class ExampleB31Report:
     passed: bool
 
 
-def example_b31_report(limits: SearchLimits | None = None,
-                       backend: str | None = None) -> ExampleB31Report:
+def example_b31_report(limits: SearchLimits | None = None) -> ExampleB31Report:
     """Check that B(3, 1) is obstructed, via the unique direct-sum embedding.
 
     The direct sum of the rank-one norm-9 lattice and the chain lattice
@@ -362,9 +344,8 @@ def example_b31_report(limits: SearchLimits | None = None,
     miss the rank-one factor and the remaining one misses the chain factor.
     """
     problem = build_problem([BallSpec(3, 1)])
-    fulls = full_embedding_classes(problem, strategy=STRATEGY_DIRECT, limits=limits,
-                                   backend=backend)
-    report = check_obstruction(problem, limits=limits, backend=backend)
+    fulls = full_embedding_classes(problem, strategy=STRATEGY_DIRECT, limits=limits)
+    report = check_obstruction(problem, limits=limits)
     m_zero: tuple[int, ...] = ()
     c_zero: tuple[int, ...] = ()
     if fulls:
@@ -395,7 +376,7 @@ def report_to_doc(report: ObstructionReport, include_timing: bool = False) -> di
         "leaves": _s(report.statistics.leaves),
         "classes": _s(report.statistics.classes),
         "limit_hit": report.statistics.limit_hit,
-        "strategy": report.statistics.strategy,
+        "strategy": report.strategy,
     }
     if include_timing:
         stats["elapsed_ms"] = _s(report.statistics.elapsed_ms)
@@ -434,12 +415,12 @@ def report_from_doc(doc: dict) -> ObstructionReport:
                 tuple(int(x) for x in w["generator"]))
         for w in doc["witnesses"])
     stats = doc["statistics"]
-    statistics = RunStatistics(nodes=int(stats["nodes"]), leaves=int(stats["leaves"]),
-                               classes=int(stats["classes"]),
-                               limit_hit=bool(stats["limit_hit"]),
-                               strategy=str(stats["strategy"]),
-                               elapsed_ms=int(stats.get("elapsed_ms", 0)))
-    return ObstructionReport(problem, str(doc["verdict"]), witnesses, statistics)
+    statistics = SearchStats(nodes=int(stats["nodes"]), leaves=int(stats["leaves"]),
+                             classes=int(stats["classes"]),
+                             limit_hit=bool(stats["limit_hit"]),
+                             elapsed_ms=int(stats.get("elapsed_ms", 0)))
+    return ObstructionReport(problem, str(doc["verdict"]), witnesses, statistics,
+                             str(stats["strategy"]))
 
 
 def lemma_report_to_doc(report: ChainClassificationReport) -> dict:

@@ -153,6 +153,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify", "theorem2", "1", "7")
         assert code == 1 and "desk scale" in err
 
+    def test_usage_error_not_positive_definite_rank17(self, capsys):
+        code, out, err = run(capsys, "lattice", "classes", "--weights", ",".join(["1"] * 17),
+                             "--ambient", "20")
+        assert code == 1 and out == "" and "positive-definite" in err
+
     def test_limit_exit_from_lattice_classes(self, capsys):
         code, _, err = run(capsys, "--node-budget", "1", "lattice", "classes",
                            "--weights", "3,2,2,3,2", "--ambient", "9")
@@ -186,19 +191,6 @@ class TestDeterminism:
         code, out, _ = run(capsys, "--node-budget", "100000", "obstruct", "2,1", "5,2")
         assert code == 0
         assert json.loads(out)["verdict"] == "OBSTRUCTED"
-
-    def test_kernel_backend_flag(self, capsys):
-        default = run(capsys, "obstruct", "3,1")
-        via_numpy = run(capsys, "--kernels", "numpy", "obstruct", "3,1")
-        assert via_numpy == default
-
-    def test_kernel_backend_env(self, capsys, monkeypatch):
-        default = run(capsys, "lattice", "classes", "--weights", "2,2,2",
-                      "--ambient", "5")
-        monkeypatch.setenv("BALLOBS_KERNELS", "numpy")
-        via_env = run(capsys, "lattice", "classes", "--weights", "2,2,2",
-                      "--ambient", "5")
-        assert via_env == default
 
     def test_malformed_env_budget_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("BALLOBS_NODE_BUDGET", "a-lot")

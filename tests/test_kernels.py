@@ -2,13 +2,8 @@ import random
 from itertools import product
 
 import numpy as np
-import pytest
 
-from ballobs.errors import UsageError
-from ballobs.kernels import (HAVE_NUMBA, available_backends,
-                             constrained_vectors_numpy, resolve_backend)
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
+from ballobs.kernels import constrained_vectors
 
 
 def brute_solutions(rows, dots, norm):
@@ -49,59 +44,17 @@ class TestNumpyKernel:
         for _ in range(300):
             rows, dots, norm = random_instance(rng)
             got = [tuple(int(v) for v in row)
-                   for row in constrained_vectors_numpy(rows, dots, norm)]
+                   for row in constrained_vectors(rows, dots, norm)]
             assert got == brute_solutions(rows, dots, norm)
 
     def test_lexicographic_order(self):
         rows = np.array([[1, 1, 0]], dtype=np.int64)
-        out = constrained_vectors_numpy(rows, np.array([0], dtype=np.int64), 2)
+        out = constrained_vectors(rows, np.array([0], dtype=np.int64), 2)
         vecs = [tuple(int(v) for v in row[:-1]) for row in out]
         assert vecs == sorted(vecs)
 
     def test_empty_result(self):
         rows = np.array([[2, 0]], dtype=np.int64)
-        out = constrained_vectors_numpy(rows, np.array([1], dtype=np.int64), 1)
+        out = constrained_vectors(rows, np.array([1], dtype=np.int64), 1)
         assert out.shape == (0, 3)
 
-
-@needs_numba
-class TestNumbaKernel:
-    def test_matches_numpy_backend(self):
-        numba_kernel = resolve_backend("numba")
-        rng = random.Random(23)
-        for _ in range(300):
-            rows, dots, norm = random_instance(rng)
-            a = numba_kernel(rows, dots, norm)
-            b = constrained_vectors_numpy(rows, dots, norm)
-            assert np.array_equal(a, b)
-
-    def test_matches_brute_force(self):
-        numba_kernel = resolve_backend("numba")
-        rng = random.Random(37)
-        for _ in range(100):
-            rows, dots, norm = random_instance(rng)
-            got = [tuple(int(v) for v in row) for row in numba_kernel(rows, dots, norm)]
-            assert got == brute_solutions(rows, dots, norm)
-
-
-class TestBackendSelection:
-    def test_available(self):
-        assert "numpy" in available_backends()
-
-    def test_env_flag(self, monkeypatch):
-        monkeypatch.setenv("BALLOBS_KERNELS", "numpy")
-        assert resolve_backend(None) is constrained_vectors_numpy
-
-    def test_unknown_rejected(self):
-        with pytest.raises(UsageError):
-            resolve_backend("fortran")
-
-    def test_without_numba_falls_back(self, monkeypatch):
-        import ballobs.kernels as kernels
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-        monkeypatch.delenv("BALLOBS_KERNELS", raising=False)
-        assert kernels.default_backend() == "numpy"
-        assert kernels.available_backends() == ("numpy",)
-        assert kernels.resolve_backend(None) is constrained_vectors_numpy
-        with pytest.raises(UsageError):
-            kernels.resolve_backend("numba")

@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 
 from ballobs.errors import LimitExceeded, UsageError
-from ballobs.kernels import HAVE_NUMBA
 from ballobs.lattice import (GramLattice, SearchLimits,
                              canonical_form, canonical_form_with_transform,
                              class_count_stabilization, direct_sum,
@@ -97,6 +96,8 @@ class TestDeterminant:
         assert is_positive_definite(CHAIN5)
         assert not is_positive_definite(linear_lattice((1, 1)))  # det 0
         assert not is_positive_definite(linear_lattice((-2, -2)))
+        # rank 17: the diagonal is positive but the second minor is 0
+        assert not is_positive_definite(linear_lattice((1,) * 17))
 
     def test_leading_minors(self):
         assert leading_principal_minors(L222.gram) == [2, 3, 4]
@@ -448,13 +449,6 @@ class TestEnumeration:
             for cls in enumerate_embedding_classes(lat, m):
                 assert is_isometric_embedding(lat, cls.matrix)
                 assert canonical_form(cls.matrix) == cls.matrix
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
-    def test_backends_agree(self):
-        for lat, m in [(CHAIN5, 9), (direct_sum(L9, linear_lattice((2, 2, 2, 3))), 5)]:
-            a = enumerate_embedding_classes(lat, m, backend="numba")
-            b = enumerate_embedding_classes(lat, m, backend="numpy")
-            assert a == b
 
     def test_node_budget_raises_with_partial_stats(self):
         with pytest.raises(LimitExceeded) as info:
