@@ -5,7 +5,9 @@ vectors x on the already-touched ambient coordinates have prescribed inner
 products with the rows placed so far and squared length at most the target
 norm?  :func:`constrained_vectors` answers it with a vectorised numpy
 layer-by-layer scan, returning the solutions in lexicographic order as an
-(N, u+1) int64 array whose last column holds x.x.
+(N, u+1) int64 array whose last column holds x.x.  Its ``ties`` mask
+applies the search's symmetry cut during the scan (see
+:func:`ballobs.lattice.search_embedding_classes`).
 """
 
 from __future__ import annotations
@@ -24,12 +26,16 @@ def _suffix_square_sums(rows):
     return suffix
 
 
-def constrained_vectors(rows, dots, norm):
+def constrained_vectors(rows, dots, norm, ties):
     """All integer x with rows @ x == dots and x.x <= norm.
 
     Builds the solution set one coordinate at a time, keeping every partial
     vector that still fits the norm budget and whose remaining inner-product
     deficits pass the Cauchy-Schwarz bound against the unscanned row tails.
+
+    ``ties`` (u - 1 booleans) marks adjacent columns: where ``ties[c]`` is
+    set, only x with x[c] >= x[c+1] are kept.  The cut is applied while
+    column c+1 is scanned, so pruned branches never grow.
     """
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     dots = np.asarray(dots, dtype=np.int64)
@@ -46,6 +52,8 @@ def constrained_vectors(rows, dots, norm):
         nd = pd[:, None, :] + vals[None, :, None] * rows[:, c][None, None, :]
         rem = dots[None, None, :] - nd                             # (N, V, k)
         ok = nq <= norm
+        if c and ties[c - 1]:
+            ok &= vals[None, :] <= cand[:, c - 1][:, None]
         ok &= (rem * rem <= (norm - nq)[:, :, None] * suffix[:, c + 1][None, None, :]).all(axis=2)
         ii, jj = np.nonzero(ok)
         if ii.size == 0:

@@ -11,9 +11,13 @@ are integer vectors with the required inner products against the rows already
 placed, enumerated on the touched coordinates by the kernel in
 :mod:`ballobs.kernels`, then padded with a weakly decreasing block of positive
 entries on fresh coordinates.  Insisting that fresh coordinates are consumed
-left to right with positive, sorted entries removes most of the
-signed-permutation redundancy during the search; a full canonical form
-deduplicates whatever survives at the leaves.
+left to right with positive, sorted entries removes the sign and
+permutation freedom of untouched coordinates.  The tie rule removes the
+rest: where two touched columns are identical over the rows placed so far,
+swapping them fixes those rows, so the kernel keeps only next rows whose
+entries on such a pair are weakly decreasing.  Every leaf is then already
+the canonical form of its class (see :func:`search_embedding_classes`); the
+canonical form at the leaves stays as a deduplicating check.
 """
 
 from __future__ import annotations
@@ -427,6 +431,33 @@ def search_embedding_classes(l: GramLattice, m: int,
     Returns the classes in lexicographic order of their canonical matrices,
     together with search statistics.  Raises LimitExceeded (carrying partial
     statistics and the classes found so far) if a budget runs out.
+
+    Row i is placed on the ``used`` touched columns by the kernel and then
+    padded with a positive, weakly decreasing block on fresh columns.  Two
+    symmetry cuts keep the search orderly (Read 1978; McKay 1998):
+
+    * Fresh columns are consumed left to right, positive and sorted.
+    * Tie rule: where touched columns c and c+1 are equal over
+      ``rows[:i]``, row i must have x[c] >= x[c+1].
+
+    Soundness.  Every touched column has a positive first nonzero entry, in
+    the row that first touched it.  So no column equals the negation of
+    another, and the stabiliser of the placed rows, restricted to touched
+    columns, is exactly the set of permutations within blocks of identical
+    columns.  Identical columns share their first-touch row.  Under both
+    cuts each first-touch block stays lexicographically descending: its
+    entries in the first-touch row are sorted, and the tie rule orders
+    every later row wherever the columns above still agree.  Hence
+    identical columns are adjacent, and comparing neighbours is enough.
+
+    Completeness.  ``canonical_form`` makes first nonzeros positive and
+    sorts columns in descending lexicographic order, so its columns are
+    grouped by first-touch row, each block descending, with the zero
+    columns last.  That matrix satisfies both cuts at every row, and the
+    kernel returns every solution of the row constraints, so the canonical
+    form of every class is a leaf.  Conversely every leaf satisfies the
+    same ordering, so it is its own canonical form: leaves and classes
+    correspond one to one.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise UsageError(f"ambient rank must be a positive integer, got {m!r}")
@@ -463,7 +494,9 @@ def search_embedding_classes(l: GramLattice, m: int,
             return
         norm = int(gram[i, i])
         if used:
-            cands = constrained_vectors(rows[:i, :used], gram[i, :i], norm)
+            placed = rows[:i, :used]
+            ties = (placed[:, 1:] == placed[:, :-1]).all(axis=0)
+            cands = constrained_vectors(placed, gram[i, :i], norm, ties)
         else:
             # no coordinates touched yet: one empty old-part with x.x = 0
             cands = np.zeros((1, 1), dtype=np.int64)

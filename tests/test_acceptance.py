@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines; the
-disjoint-pair (2,3) search carries the ``slow`` marker and can be skipped with
-``-m 'not slow'``.
+disjoint-pair (5,5) search (rank 23, about 1 s) carries the ``slow`` marker and
+can be skipped with ``-m 'not slow'``.
 """
 
 import random
@@ -154,12 +154,19 @@ def test_criterion_7_disjoint_pairs():
     assert _line(7, "disjoint pairs and positive controls", ok)
 
 
-@pytest.mark.slow
 def test_criterion_7_disjoint_pair_23_slow():
     rep = obstruction.theorem2_suite([(2, 3)])[0]
     ok = (rep.verdict == obstruction.OBSTRUCTED and not rep.statistics.limit_hit
           and rep.statistics.leaves > 0)
     assert _line("7-slow", "disjoint pair (2,3)", ok)
+
+
+@pytest.mark.slow
+def test_criterion_7_disjoint_pair_55_slow():
+    rep = obstruction.theorem2_suite([(5, 5)])[0]
+    ok = (rep.problem.ambient == 23 and rep.verdict == obstruction.OBSTRUCTED
+          and not rep.statistics.limit_hit and rep.statistics.leaves > 0)
+    assert _line("7-slow", "disjoint pair (5,5)", ok)
 
 
 def test_criterion_8_plumbing_certificates():

@@ -43,18 +43,34 @@ class TestNumpyKernel:
         rng = random.Random(11)
         for _ in range(300):
             rows, dots, norm = random_instance(rng)
+            no_ties = np.zeros(rows.shape[1] - 1, dtype=bool)
             got = [tuple(int(v) for v in row)
-                   for row in constrained_vectors(rows, dots, norm)]
+                   for row in constrained_vectors(rows, dots, norm, no_ties)]
             assert got == brute_solutions(rows, dots, norm)
+
+    def test_ties_match_filtered_brute_force(self):
+        # Where ties[c] is set, the kernel keeps only x with x[c] >= x[c+1].
+        rng = random.Random(23)
+        for _ in range(300):
+            rows, dots, norm = random_instance(rng)
+            u = rows.shape[1]
+            ties = np.array([rng.random() < 0.5 for _ in range(u - 1)], dtype=bool)
+            got = [tuple(int(v) for v in row)
+                   for row in constrained_vectors(rows, dots, norm, ties)]
+            expected = [x for x in brute_solutions(rows, dots, norm)
+                        if all(x[c] >= x[c + 1] for c in range(u - 1) if ties[c])]
+            assert got == expected
 
     def test_lexicographic_order(self):
         rows = np.array([[1, 1, 0]], dtype=np.int64)
-        out = constrained_vectors(rows, np.array([0], dtype=np.int64), 2)
+        out = constrained_vectors(rows, np.array([0], dtype=np.int64), 2,
+                                  np.zeros(2, dtype=bool))
         vecs = [tuple(int(v) for v in row[:-1]) for row in out]
         assert vecs == sorted(vecs)
 
     def test_empty_result(self):
         rows = np.array([[2, 0]], dtype=np.int64)
-        out = constrained_vectors(rows, np.array([1], dtype=np.int64), 1)
+        out = constrained_vectors(rows, np.array([1], dtype=np.int64), 1,
+                                  np.zeros(1, dtype=bool))
         assert out.shape == (0, 3)
 

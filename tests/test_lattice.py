@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
 
 from ballobs.errors import LimitExceeded, UsageError
@@ -478,3 +481,65 @@ class TestEnumeration:
         counts, stable = class_count_stabilization(L222, 4, extra=2)
         assert counts == ((4, 2), (5, 2), (6, 2))
         assert stable
+
+
+@lru_cache(maxsize=None)
+def shell(m, norm):
+    """Every x in Z^m with x.x == norm, by a product scan of the norm box."""
+    v = math.isqrt(norm)
+    return np.array([x for x in product(range(-v, v + 1), repeat=m)
+                     if sum(t * t for t in x) == norm], dtype=np.int64).reshape(-1, m)
+
+
+def brute_force_classes(lat, m):
+    """Canonical embedding matrices with no symmetry breaking in the search.
+
+    Each row is drawn from all of Z^m inside its norm box and kept when its
+    inner products with the rows above match the Gram matrix; partial
+    matrices are deduplicated by canonical form after every row.
+    """
+    gram = lat.to_array()
+    level = {()}
+    for i in range(lat.rank):
+        vecs = shell(m, int(gram[i, i]))
+        nxt = set()
+        for placed in level:
+            if placed:
+                vecs_i = vecs[(vecs @ np.array(placed).T == gram[i, :i]).all(axis=1)]
+            else:
+                vecs_i = vecs
+            for x in vecs_i:
+                nxt.add(canonical_form(placed + (tuple(int(t) for t in x),)))
+        level = nxt
+    return level
+
+
+def random_small_lattice(rng):
+    """A chain or a sum of two chains, with an ambient rank of at most 9."""
+    top = 5 if rng.random() < 0.3 else 3
+    w1 = tuple(rng.randrange(2, top + 1) for _ in range(rng.randrange(1, 5)))
+    lat = linear_lattice(w1)
+    if rng.random() < 0.5:
+        w2 = tuple(rng.randrange(2, 4) for _ in range(rng.randrange(1, 3)))
+        lat = direct_sum(lat, linear_lattice(w2))
+    # A norm box of radius 2 on more than 7 coordinates is a slow scan.
+    m_max = 7 if top > 3 else 9
+    return lat, rng.randrange(min(lat.rank, m_max), m_max + 1)
+
+
+class TestBruteForceOracle:
+    def test_class_sets_match_search(self):
+        rng = random.Random(2019)
+        nonempty = 0
+        for _ in range(40):
+            lat, m = random_small_lattice(rng)
+            expected = brute_force_classes(lat, m)
+            result = search_embedding_classes(lat, m)
+            assert {c.matrix for c in result.classes} == expected, (lat.gram, m)
+            assert result.stats.leaves == result.stats.classes
+            nonempty += bool(expected)
+        assert nonempty >= 20
+
+    def test_oracle_on_known_counts(self):
+        assert len(brute_force_classes(L222, 5)) == 2
+        assert len(brute_force_classes(CHAIN5, 8)) == 3

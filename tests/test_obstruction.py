@@ -6,7 +6,7 @@ from ballobs.errors import UsageError
 from ballobs.lattice import (SearchLimits, direct_sum, is_isometric_embedding,
                              lattice_determinant, linear_lattice,
                              matrix_determinant, unit_pairing_profile)
-from ballobs.markov import BallSpec
+from ballobs.markov import BallSpec, fibonacci_ball
 from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
                                  ball_boundary, ball_plumbing, build_problem,
                                  check_obstruction, example_b31_report,
@@ -144,8 +144,28 @@ class TestStrategyEquivalence:
         assert a.witnesses == b.witnesses
 
 
+class TestOrderlySearch:
+    """With the tie rule every search leaf is its own canonical form, so the
+    leaves and the classes of a completed search correspond one to one."""
+
+    @pytest.mark.parametrize("balls", [
+        [fibonacci_ball(k), fibonacci_ball(n)]
+        for k in range(1, 5) for n in range(k, 5)
+    ] + [[BallSpec(5, 2), BallSpec(13, 5), BallSpec(34, 13)]])
+    def test_leaves_equal_classes_obstruction(self, balls):
+        s = check_obstruction(build_problem(balls)).statistics
+        assert not s.limit_hit
+        assert s.leaves == s.classes > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_leaves_equal_classes_chain(self, n):
+        s = lemma_cemb_report(n, 4 * n).statistics
+        assert not s.limit_hit
+        assert s.leaves == s.classes > 0
+
+
 class TestTheorem2:
-    @pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 2), (3, 3), (4, 4)])
     def test_desk_scale_pairs_obstructed(self, pair):
         rep = theorem2_suite([pair])[0]
         assert rep.verdict == OBSTRUCTED
@@ -160,7 +180,7 @@ class TestTheorem2:
 
     def test_rejects_out_of_scale(self):
         with pytest.raises(UsageError):
-            theorem2_suite([(1, 4)])
+            theorem2_suite([(1, 6)])
         with pytest.raises(UsageError):
             theorem2_suite([(0, 1)])
 
