@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
-"""Benchmark the embedding search, and gate it on its class counts.
+"""Benchmark the embedding search.
 
 Runs a few representative enumerations and prints a timing table.  Each case
 gets an untimed warmup pass, so the first call's one-off costs (imports,
-caches) do not land in the best-of-N time.  Every case also asserts its class
-count; on any mismatch the script reports it and exits 1.
+caches) do not land in the best-of-N time.
 
     python benchmarks/bench_search.py [--repeats N]
 """
 
 import argparse
-import sys
 import time
 
 from ballobs.lattice import (direct_sum, linear_lattice,
@@ -20,17 +18,16 @@ from ballobs.obstruction import build_problem
 
 FIB44 = build_problem([fibonacci_ball(4), fibonacci_ball(4)])
 
-# (label, lattice, ambient rank, expected class count)
 CASES = [
-    ("chain (3,2,2,3,2) in Z^9", linear_lattice((3, 2, 2, 3, 2)), 9, 3),
-    ("chain (3,3,2,2,3,3,2) in Z^12", linear_lattice((3, 3, 2, 2, 3, 3, 2)), 12, 5),
+    ("chain (3,2,2,3,2) in Z^9", linear_lattice((3, 2, 2, 3, 2)), 9),
+    ("chain (3,3,2,2,3,3,2) in Z^12", linear_lattice((3, 3, 2, 2, 3, 3, 2)), 12),
     ("pair lattice (2,2,2)+(2,3,2,2,3) in Z^9",
-     direct_sum(linear_lattice((2, 2, 2)), linear_lattice((2, 3, 2, 2, 3))), 9, 3),
+     direct_sum(linear_lattice((2, 2, 2)), linear_lattice((2, 3, 2, 2, 3))), 9),
     ("pair lattice (2,3,2,2,3)+(2,3,3,2,2,3,3) in Z^13",
      direct_sum(linear_lattice((2, 3, 2, 2, 3)),
-                linear_lattice((2, 3, 3, 2, 2, 3, 3))), 13, 3),
+                linear_lattice((2, 3, 3, 2, 2, 3, 3))), 13),
     (f"Fibonacci pair (4,4), rank {FIB44.c_lattice.rank}, in Z^{FIB44.ambient}",
-     FIB44.c_lattice, FIB44.ambient, 3),
+     FIB44.c_lattice, FIB44.ambient),
 ]
 
 
@@ -50,19 +47,13 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    failures = []
     print(f"{'case':<50} {'best (ms)':>10} {'nodes':>8} {'leaves':>8} {'classes':>8}")
-    for label, lat, m, expected in CASES:
+    for label, lat, m in CASES:
         best, result = time_case(lat, m, args.repeats)
         s = result.stats
         print(f"{label:<50} {best * 1e3:>10.2f} "
               f"{s.nodes:>8} {s.leaves:>8} {len(result.classes):>8}")
-        if len(result.classes) != expected:
-            failures.append(f"{label}: {len(result.classes)} classes, expected {expected}")
-    for line in failures:
-        print(f"MISMATCH {line}", file=sys.stderr)
-    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -5,8 +5,9 @@ vectors x on the already-touched ambient coordinates have prescribed inner
 products with the rows placed so far and squared length at most the target
 norm?  :func:`constrained_vectors` answers it with a vectorised numpy
 layer-by-layer scan, returning the solutions in lexicographic order as an
-(N, u+1) int64 array whose last column holds x.x.  Its ``ties`` mask
-applies the search's symmetry cut during the scan (see
+(N, u+1) int64 array whose last column holds x.x.  Swapping two identical
+columns of the rows fixes every constraint, so the scan keeps one
+representative per such swap (the search's tie rule, see
 :func:`ballobs.lattice.search_embedding_classes`).
 """
 
@@ -26,20 +27,21 @@ def _suffix_square_sums(rows):
     return suffix
 
 
-def constrained_vectors(rows, dots, norm, ties):
-    """All integer x with rows @ x == dots and x.x <= norm.
+def constrained_vectors(rows, dots, norm):
+    """All integer x with rows @ x == dots and x.x <= norm, one per swap of
+    identical columns: where columns c and c+1 of rows are equal, only x with
+    x[c] >= x[c+1] are kept.
 
     Builds the solution set one coordinate at a time, keeping every partial
     vector that still fits the norm budget and whose remaining inner-product
     deficits pass the Cauchy-Schwarz bound against the unscanned row tails.
-
-    ``ties`` (u - 1 booleans) marks adjacent columns: where ``ties[c]`` is
-    set, only x with x[c] >= x[c+1] are kept.  The cut is applied while
-    column c+1 is scanned, so pruned branches never grow.
+    The tie cut is applied while column c+1 is scanned, so pruned branches
+    never grow.
     """
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     dots = np.asarray(dots, dtype=np.int64)
     k, u = rows.shape
+    ties = (rows[:, 1:] == rows[:, :-1]).all(axis=0)               # (u - 1,)
     norm = int(norm)
     suffix = _suffix_square_sums(rows)
     vmax = math.isqrt(norm)

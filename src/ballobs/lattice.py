@@ -438,7 +438,8 @@ def search_embedding_classes(l: GramLattice, m: int,
 
     * Fresh columns are consumed left to right, positive and sorted.
     * Tie rule: where touched columns c and c+1 are equal over
-      ``rows[:i]``, row i must have x[c] >= x[c+1].
+      ``rows[:i]``, row i must have x[c] >= x[c+1].  The kernel reads the
+      ties off the rows it is given and applies the rule during its scan.
 
     Soundness.  Every touched column has a positive first nonzero entry, in
     the row that first touched it.  So no column equals the negation of
@@ -454,10 +455,10 @@ def search_embedding_classes(l: GramLattice, m: int,
     sorts columns in descending lexicographic order, so its columns are
     grouped by first-touch row, each block descending, with the zero
     columns last.  That matrix satisfies both cuts at every row, and the
-    kernel returns every solution of the row constraints, so the canonical
-    form of every class is a leaf.  Conversely every leaf satisfies the
-    same ordering, so it is its own canonical form: leaves and classes
-    correspond one to one.
+    kernel returns every solution of the row constraints that obeys the tie
+    rule, so the canonical form of every class is a leaf.  Conversely every
+    leaf satisfies the same ordering, so it is its own canonical form:
+    leaves and classes correspond one to one.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise UsageError(f"ambient rank must be a positive integer, got {m!r}")
@@ -494,9 +495,7 @@ def search_embedding_classes(l: GramLattice, m: int,
             return
         norm = int(gram[i, i])
         if used:
-            placed = rows[:i, :used]
-            ties = (placed[:, 1:] == placed[:, :-1]).all(axis=0)
-            cands = constrained_vectors(placed, gram[i, :i], norm, ties)
+            cands = constrained_vectors(rows[:i, :used], gram[i, :i], norm)
         else:
             # no coordinates touched yet: one empty old-part with x.x = 0
             cands = np.zeros((1, 1), dtype=np.int64)

@@ -137,7 +137,8 @@ def test_criterion_6_chain_classification_n3_slow():
     expected = tuple(obstruction.ClassSummary(sup, rank, norm, False)
                      for sup, (rank, norm) in sorted({**family, **extras}.items()))
     ok = (not rep.statistics.limit_hit and rep.class_count == 5
-          and rep.classes == expected)
+          and rep.classes == expected
+          and rep.statistics.leaves == rep.statistics.classes)
     assert _line("6-slow", "chain classification n=3", ok), (
         f"{rep.class_count} classes {rep.classes}, {rep.statistics}")
 

@@ -6,7 +6,7 @@ from ballobs.errors import UsageError
 from ballobs.lattice import (SearchLimits, direct_sum, is_isometric_embedding,
                              lattice_determinant, linear_lattice,
                              matrix_determinant, unit_pairing_profile)
-from ballobs.markov import BallSpec, fibonacci_ball
+from ballobs.markov import BallSpec
 from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
                                  ball_boundary, ball_plumbing, build_problem,
                                  check_obstruction, example_b31_report,
@@ -71,6 +71,13 @@ class TestCheckObstruction:
         assert rep.witnesses == ()
         assert not rep.statistics.limit_hit
         assert rep.statistics.leaves > 0  # exhaustion certificate
+
+    def test_fibonacci_triple_obstructed(self):
+        rep = check_obstruction(build_problem(
+            [BallSpec(5, 2), BallSpec(13, 5), BallSpec(34, 13)]))
+        assert rep.verdict == OBSTRUCTED
+        assert not rep.statistics.limit_hit
+        assert rep.statistics.leaves == rep.statistics.classes > 0
 
     def test_b21_not_obstructed(self):
         rep = check_obstruction(build_problem([BallSpec(2, 1)]))
@@ -144,33 +151,15 @@ class TestStrategyEquivalence:
         assert a.witnesses == b.witnesses
 
 
-class TestOrderlySearch:
-    """With the tie rule every search leaf is its own canonical form, so the
-    leaves and the classes of a completed search correspond one to one."""
-
-    @pytest.mark.parametrize("balls", [
-        [fibonacci_ball(k), fibonacci_ball(n)]
-        for k in range(1, 5) for n in range(k, 5)
-    ] + [[BallSpec(5, 2), BallSpec(13, 5), BallSpec(34, 13)]])
-    def test_leaves_equal_classes_obstruction(self, balls):
-        s = check_obstruction(build_problem(balls)).statistics
-        assert not s.limit_hit
-        assert s.leaves == s.classes > 0
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_leaves_equal_classes_chain(self, n):
-        s = lemma_cemb_report(n, 4 * n).statistics
-        assert not s.limit_hit
-        assert s.leaves == s.classes > 0
-
-
 class TestTheorem2:
-    @pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 2), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 2), (3, 3), (4, 4),
+                                      (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
     def test_desk_scale_pairs_obstructed(self, pair):
         rep = theorem2_suite([pair])[0]
         assert rep.verdict == OBSTRUCTED
         assert not rep.statistics.limit_hit
-        assert rep.statistics.leaves > 0
+        # the search is orderly: every leaf is a distinct class
+        assert rep.statistics.leaves == rep.statistics.classes > 0
 
     def test_pair_problem_shape(self):
         rep = theorem2_suite([(1, 2)])[0]
@@ -220,6 +209,14 @@ class TestLemmaCembReport:
         rep = lemma_cemb_report(2, 8)
         assert rep.class_count == 3
         assert [c.support for c in rep.classes] == [5, 6, 8]
+        assert rep.statistics.leaves == rep.statistics.classes
+
+    def test_n4_m16(self):
+        # docs/decisions.md: 3, 5, 12 and 37 classes at m = 4n for n = 2..5
+        rep = lemma_cemb_report(4, 16)
+        assert not rep.statistics.limit_hit
+        assert rep.class_count == 12
+        assert rep.statistics.leaves == rep.statistics.classes
 
     def test_preconditions(self):
         with pytest.raises(UsageError):
