@@ -22,6 +22,7 @@ from . import contfrac, markov, obstruction, plumbing
 from .errors import InternalCheckError, LimitExceeded, UsageError
 from .lattice import (SearchLimits, enumerate_embedding_classes,
                       linear_lattice, orthogonal_complement)
+from .obstruction import _s
 
 NODE_BUDGET_ENV = "BALLOBS_NODE_BUDGET"
 TIME_BUDGET_ENV = "BALLOBS_TIME_BUDGET"
@@ -33,13 +34,9 @@ _NEGATIVE_NUMBER = re.compile(r"^-\d")
 class RunConfig:
     """Budgets and output options resolved from flags and environment."""
 
-    node_budget: int
-    time_budget: float | None
+    limits: SearchLimits
     fmt: str
     timings: bool
-
-    def limits(self) -> SearchLimits:
-        return SearchLimits(node_budget=self.node_budget, time_budget=self.time_budget)
 
 
 def _resolve_config(args) -> RunConfig:
@@ -57,12 +54,9 @@ def _resolve_config(args) -> RunConfig:
             time_budget = float(env) if env else None
         except ValueError:
             raise UsageError(f"{TIME_BUDGET_ENV} must be a number, got {env!r}") from None
-    if node < 1:
-        raise UsageError("node budget must be positive")
-    if time_budget is not None and time_budget <= 0:
-        raise UsageError("time budget must be positive")
+    limits = SearchLimits(node_budget=node, time_budget=time_budget)
     fmt = args.format or getattr(args, "default_format", "text")
-    return RunConfig(node, time_budget, fmt, args.timings)
+    return RunConfig(limits, fmt, args.timings)
 
 
 def _int(text: str, what: str) -> int:
@@ -92,10 +86,6 @@ def _emit_json(doc: dict) -> None:
 
 def _fmt_ints(values) -> str:
     return ",".join(str(v) for v in values)
-
-
-def _s(x) -> str:
-    return str(int(x))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +198,7 @@ def cmd_cf_fib_identities(args, cfg: RunConfig) -> int:
 def cmd_lattice_classes(args, cfg: RunConfig) -> int:
     weights = _int_list(args.weights, "weights")
     lat = linear_lattice(weights)
-    classes = enumerate_embedding_classes(lat, args.ambient, limits=cfg.limits())
+    classes = enumerate_embedding_classes(lat, args.ambient, limits=cfg.limits)
     rows = []
     for cls in classes:
         sup = cls.support
@@ -285,14 +275,13 @@ def _obstruction_exit(report) -> int:
 def cmd_obstruct(args, cfg: RunConfig) -> int:
     balls = [markov.BallSpec(*_pair(s, "ball")) for s in args.balls]
     problem = obstruction.build_problem(balls)
-    report = obstruction.check_obstruction(problem, limits=cfg.limits(),
-                                           strategy=args.strategy)
+    report = obstruction.check_obstruction(problem, limits=cfg.limits)
     _print_obstruction(report, cfg)
     return _obstruction_exit(report)
 
 
 def cmd_verify_example_b31(args, cfg: RunConfig) -> int:
-    report = obstruction.example_b31_report(limits=cfg.limits())
+    report = obstruction.example_b31_report(limits=cfg.limits)
     if cfg.fmt == "json":
         _emit_json(obstruction.example_b31_to_doc(report))
     else:
@@ -307,7 +296,7 @@ def cmd_verify_example_b31(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify_lemma_cemb(args, cfg: RunConfig) -> int:
-    report = obstruction.lemma_cemb_report(args.n, args.m, limits=cfg.limits())
+    report = obstruction.lemma_cemb_report(args.n, args.m, limits=cfg.limits)
     if cfg.fmt == "json":
         _emit_json(obstruction.lemma_report_to_doc(report))
     else:
@@ -321,7 +310,7 @@ def cmd_verify_lemma_cemb(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify_theorem2(args, cfg: RunConfig) -> int:
-    report = obstruction.theorem2_suite([(args.k, args.n)], limits=cfg.limits())[0]
+    report = obstruction.theorem2_suite([(args.k, args.n)], limits=cfg.limits)[0]
     _print_obstruction(report, cfg)
     if report.verdict == obstruction.NOT_OBSTRUCTED:
         print("unexpected witness for a pair of consecutive-Fibonacci balls",
@@ -407,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("obstruct", help="embedding obstruction for a list of balls")
     p.add_argument("balls", nargs="+", metavar="P,Q")
-    p.add_argument("--strategy", choices=("complement", "direct"), default="complement")
     p.set_defaults(func=cmd_obstruct, default_format="json")
 
     p_verify = sub.add_parser("verify", help="packaged verification runs")

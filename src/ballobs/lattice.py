@@ -16,8 +16,8 @@ permutation freedom of untouched coordinates.  The tie rule removes the
 rest: where two touched columns are identical over the rows placed so far,
 swapping them fixes those rows, so the kernel keeps only next rows whose
 entries on such a pair are weakly decreasing.  Every leaf is then already
-the canonical form of its class (see :func:`search_embedding_classes`); the
-canonical form at the leaves stays as a deduplicating check.
+the canonical form of its class (see :func:`search_embedding_classes`), and
+the search raises InternalCheckError at any leaf that is not.
 """
 
 from __future__ import annotations
@@ -458,7 +458,8 @@ def search_embedding_classes(l: GramLattice, m: int,
     kernel returns every solution of the row constraints that obeys the tie
     rule, so the canonical form of every class is a leaf.  Conversely every
     leaf satisfies the same ordering, so it is its own canonical form:
-    leaves and classes correspond one to one.
+    leaves and classes correspond one to one.  Each leaf is checked against
+    its canonical form, and InternalCheckError is raised if they differ.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise UsageError(f"ambient rank must be a positive integer, got {m!r}")
@@ -472,7 +473,7 @@ def search_embedding_classes(l: GramLattice, m: int,
     k = l.rank
     gram = l.to_array()
     rows = np.zeros((k, m), dtype=np.int64)
-    found: dict[tuple, None] = {}
+    found: list[tuple[tuple[int, ...], ...]] = []
     nodes = 0
     leaves = 0
     start = time.monotonic()
@@ -490,7 +491,10 @@ def search_embedding_classes(l: GramLattice, m: int,
         if i == k:
             if not np.array_equal(rows @ rows.T, gram):
                 raise InternalCheckError("search leaf is not an isometric embedding")
-            found.setdefault(canonical_form(rows))
+            leaf = _as_int_rows(rows)
+            if canonical_form(leaf) != leaf:
+                raise InternalCheckError("search leaf is not its own canonical form")
+            found.append(leaf)
             leaves += 1
             return
         norm = int(gram[i, i])

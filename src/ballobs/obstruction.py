@@ -30,19 +30,15 @@ from dataclasses import dataclass
 from .contfrac import lens_plumbing
 from .errors import InternalCheckError, LimitExceeded, UsageError
 from .lattice import (GramLattice, SearchLimits, SearchStats, canonical_form,
-                      canonical_form_with_transform, direct_sum,
-                      is_isometric_embedding, is_primitive_vector,
+                      direct_sum, is_isometric_embedding, is_primitive_vector,
                       lattice_determinant, linear_lattice, matrix_determinant,
                       orthogonal_complement, search_embedding_classes,
-                      transform_vector, unit_pairing_profile)
+                      unit_pairing_profile)
 from .markov import BallSpec, fibonacci_ball
 
 OBSTRUCTED = "OBSTRUCTED"
 NOT_OBSTRUCTED = "NOT_OBSTRUCTED"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-STRATEGY_COMPLEMENT = "complement"
-STRATEGY_DIRECT = "direct"
 
 
 def ball_boundary(b: BallSpec) -> tuple[int, int]:
@@ -103,7 +99,6 @@ class ObstructionReport:
     verdict: str
     witnesses: tuple[Witness, ...]
     statistics: SearchStats
-    strategy: str
 
 
 def _normalize_sign(v) -> tuple[int, ...]:
@@ -137,32 +132,16 @@ def verify_witness(problem: ObstructionProblem, witness: Witness) -> None:
         raise InternalCheckError("witness fails the unit-pairing conditions")
 
 
-def _searched_classes(lat, m, limits):
-    """Run the class search, converting budget exhaustion into partial data."""
-    try:
-        result = search_embedding_classes(lat, m, limits=limits)
-        return result.classes, result.stats
-    except LimitExceeded as exc:
-        return exc.partial_classes, exc.stats
-
-
-def check_obstruction(problem: ObstructionProblem, limits: SearchLimits | None = None,
-                      strategy: str = STRATEGY_COMPLEMENT) -> ObstructionReport:
+def check_obstruction(problem: ObstructionProblem,
+                      limits: SearchLimits | None = None) -> ObstructionReport:
     """Decide the embedding obstruction for the given ball list.
 
     NOT_OBSTRUCTED requires an explicit witness (re-verified from scratch);
     OBSTRUCTED requires the enumeration to have completed exhaustively;
-    INCONCLUSIVE reports budget exhaustion without a witness.  The default
-    complement strategy enumerates only Lambda_C; the direct strategy
-    enumerates the full direct sum and exists to cross-validate the former at
-    small sizes.
+    INCONCLUSIVE reports budget exhaustion without a witness.  Only Lambda_C
+    is enumerated; Lambda_M is read off the rank-one complement.
     """
-    if strategy == STRATEGY_COMPLEMENT:
-        witnesses, stats = _witnesses_complement(problem, limits)
-    elif strategy == STRATEGY_DIRECT:
-        witnesses, stats = _witnesses_direct(problem, limits)
-    else:
-        raise UsageError(f"unknown strategy {strategy!r}")
+    witnesses, stats = _witnesses_complement(problem, limits)
     for witness in witnesses:
         verify_witness(problem, witness)
     if witnesses:
@@ -171,12 +150,17 @@ def check_obstruction(problem: ObstructionProblem, limits: SearchLimits | None =
         verdict = INCONCLUSIVE
     else:
         verdict = OBSTRUCTED
-    return ObstructionReport(problem, verdict, witnesses, stats, strategy)
+    return ObstructionReport(problem, verdict, witnesses, stats)
 
 
 def _witnesses_complement(problem, limits):
     m = problem.ambient
-    classes, stats = _searched_classes(problem.c_lattice, m, limits)
+    try:
+        result = search_embedding_classes(problem.c_lattice, m, limits=limits)
+        classes, stats = result.classes, result.stats
+    except LimitExceeded as exc:
+        # budget exhaustion still yields the classes found so far
+        classes, stats = exc.partial_classes, exc.stats
     witnesses = []
     for cls in classes:
         comp = orthogonal_complement(cls.matrix, m)
@@ -194,58 +178,30 @@ def _witnesses_complement(problem, limits):
     return tuple(witnesses), stats
 
 
-def _witnesses_direct(problem, limits):
-    m = problem.ambient
-    lat_full = direct_sum(linear_lattice((problem.m_norm,)), problem.c_lattice)
-    classes, stats = _searched_classes(lat_full, m, limits)
-    witnesses = set()
-    for cls in classes:
-        w = cls.matrix[0]
-        c_rows = cls.matrix[1:]
-        if not all(w):
-            continue
-        if not all(any(row[j] for row in c_rows) for j in range(m)):
-            continue
-        if not is_primitive_vector(w):
-            continue
-        canon, perm, signs = canonical_form_with_transform(c_rows)
-        gen = _normalize_sign(transform_vector(w, perm, signs))
-        witnesses.add(Witness(canon, gen))
-    ordered = tuple(sorted(witnesses, key=lambda wit: (wit.embedding, wit.generator)))
-    return ordered, stats
-
-
-def full_embedding_classes(problem: ObstructionProblem, strategy: str = STRATEGY_COMPLEMENT,
+def full_embedding_classes(problem: ObstructionProblem,
                            limits: SearchLimits | None = None) -> tuple:
     """Canonical classes of full Lambda_M (+) Lambda_C embeddings in Z^m.
 
-    The direct route enumerates the direct sum wholesale.  The complement
-    route enumerates Lambda_C classes and stacks each admissible multiple
-    +-c w of the complement generator (c^2 w.w = m_norm) on top.  Both must
-    produce the same canonical set, which makes them oracles for each other.
+    Enumerates the Lambda_C classes and stacks each admissible multiple +-c w
+    of the complement generator (c^2 w.w = m_norm) on top.  The tests check
+    the result against a wholesale enumeration of the direct sum.
     """
     m = problem.ambient
-    if strategy == STRATEGY_DIRECT:
-        lat_full = direct_sum(linear_lattice((problem.m_norm,)), problem.c_lattice)
-        result = search_embedding_classes(lat_full, m, limits=limits)
-        return tuple(cls.matrix for cls in result.classes)
-    if strategy == STRATEGY_COMPLEMENT:
-        result = search_embedding_classes(problem.c_lattice, m, limits=limits)
-        out = set()
-        for cls in result.classes:
-            comp = orthogonal_complement(cls.matrix, m)
-            w = comp.generator
-            w2 = comp.generator_norm
-            if problem.m_norm % w2:
-                continue
-            c = math.isqrt(problem.m_norm // w2)
-            if c * c * w2 != problem.m_norm:
-                continue
-            for sign in (1, -1):
-                top = tuple(sign * c * x for x in w)
-                out.add(canonical_form((top,) + cls.matrix))
-        return tuple(sorted(out))
-    raise UsageError(f"unknown strategy {strategy!r}")
+    result = search_embedding_classes(problem.c_lattice, m, limits=limits)
+    out = set()
+    for cls in result.classes:
+        comp = orthogonal_complement(cls.matrix, m)
+        w = comp.generator
+        w2 = comp.generator_norm
+        if problem.m_norm % w2:
+            continue
+        c = math.isqrt(problem.m_norm // w2)
+        if c * c * w2 != problem.m_norm:
+            continue
+        for sign in (1, -1):
+            top = tuple(sign * c * x for x in w)
+            out.add(canonical_form((top,) + cls.matrix))
+    return tuple(sorted(out))
 
 
 def theorem2_suite(pairs, limits: SearchLimits | None = None,
@@ -345,7 +301,7 @@ def example_b31_report(limits: SearchLimits | None = None) -> ExampleB31Report:
     miss the rank-one factor and the remaining one misses the chain factor.
     """
     problem = build_problem([BallSpec(3, 1)])
-    fulls = full_embedding_classes(problem, strategy=STRATEGY_DIRECT, limits=limits)
+    fulls = full_embedding_classes(problem, limits=limits)
     report = check_obstruction(problem, limits=limits)
     m_zero: tuple[int, ...] = ()
     c_zero: tuple[int, ...] = ()
@@ -377,12 +333,11 @@ def report_to_doc(report: ObstructionReport, include_timing: bool = False) -> di
         "leaves": _s(report.statistics.leaves),
         "classes": _s(report.statistics.classes),
         "limit_hit": report.statistics.limit_hit,
-        "strategy": report.strategy,
     }
     if include_timing:
         stats["elapsed_ms"] = _s(report.statistics.elapsed_ms)
     return {
-        "schema": "obstruction-report@1",
+        "schema": "obstruction-report@2",
         "problem": {
             "balls": [{"p": _s(b.p), "q": _s(b.q)} for b in report.problem.balls],
             "m_norm": _s(report.problem.m_norm),
@@ -404,7 +359,7 @@ def report_to_doc(report: ObstructionReport, include_timing: bool = False) -> di
 
 def report_from_doc(doc: dict) -> ObstructionReport:
     """Rebuild a report from its document form; inverse of report_to_doc."""
-    if doc.get("schema") != "obstruction-report@1":
+    if doc.get("schema") != "obstruction-report@2":
         raise UsageError(f"unexpected schema {doc.get('schema')!r}")
     balls = [BallSpec(int(b["p"]), int(b["q"])) for b in doc["problem"]["balls"]]
     problem = build_problem(balls)
@@ -420,8 +375,7 @@ def report_from_doc(doc: dict) -> ObstructionReport:
                              classes=int(stats["classes"]),
                              limit_hit=bool(stats["limit_hit"]),
                              elapsed_ms=int(stats.get("elapsed_ms", 0)))
-    return ObstructionReport(problem, str(doc["verdict"]), witnesses, statistics,
-                             str(stats["strategy"]))
+    return ObstructionReport(problem, str(doc["verdict"]), witnesses, statistics)
 
 
 def lemma_report_to_doc(report: ChainClassificationReport) -> dict:

@@ -14,7 +14,8 @@ import pytest
 
 from ballobs import contfrac, markov, obstruction, plumbing
 from ballobs.lattice import (direct_sum, enumerate_embedding_classes,
-                             linear_lattice, orthogonal_complement)
+                             linear_lattice, orthogonal_complement,
+                             search_embedding_classes)
 
 
 def _line(num, label, ok):
@@ -189,6 +190,8 @@ def test_criterion_9_strategy_equivalence():
     ok = True
     for balls in ([markov.BallSpec(3, 1)], [markov.BallSpec(2, 1)]):
         pr = obstruction.build_problem(balls)
-        ok &= (obstruction.full_embedding_classes(pr, "complement")
-               == obstruction.full_embedding_classes(pr, "direct"))
-    assert _line(9, "complement vs direct strategy equivalence", ok)
+        lat_full = direct_sum(linear_lattice((pr.m_norm,)), pr.c_lattice)
+        by_direct = search_embedding_classes(lat_full, pr.ambient).classes
+        ok &= (obstruction.full_embedding_classes(pr)
+               == tuple(cls.matrix for cls in by_direct))
+    assert _line(9, "complement route vs direct-sum enumeration", ok)

@@ -75,9 +75,14 @@ class TestObstructCommand:
         code, out, _ = run(capsys, "obstruct", "3,1")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == "obstruction-report@1"
+        assert doc["schema"] == "obstruction-report@2"
+        assert "strategy" not in doc["statistics"]
         assert doc["verdict"] == "OBSTRUCTED"
         assert doc["problem"]["m_norm"] == "9"
+
+    def test_strategy_option_removed(self, capsys):
+        code, out, err = run(capsys, "obstruct", "--strategy", "direct", "3,1")
+        assert code == 1 and out == "" and "--strategy" in err
 
     def test_pair_obstructed(self, capsys):
         code, out, _ = run(capsys, "obstruct", "2,1", "5,2")
@@ -162,6 +167,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "--node-budget", "1", "lattice", "classes",
                            "--weights", "3,2,2,3,2", "--ambient", "9")
         assert code == 2 and "limit" in err.lower()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--node-budget", "0", "markov", "list", "--max", "30"),
+         "node budget must be positive"),
+        # a bare negative number is read as the start of the positionals
+        (("--time-budget", "-1", "obstruct", "3,1"), "--time-budget"),
+        (("--time-budget=-1", "obstruct", "3,1"), "time budget must be positive"),
+        (("--time-budget=0", "cf", "expand", "9", "7"), "time budget must be positive"),
+    ])
+    def test_usage_error_bad_budget(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and message in err
+
+    def test_bad_env_budget_rejected_without_search(self, capsys, monkeypatch):
+        monkeypatch.setenv("BALLOBS_TIME_BUDGET", "-1")
+        code, out, err = run(capsys, "markov", "list", "--max", "30")
+        assert code == 1 and out == "" and "time budget must be positive" in err
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

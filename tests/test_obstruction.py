@@ -3,16 +3,64 @@ import json
 import pytest
 
 from ballobs.errors import UsageError
-from ballobs.lattice import (SearchLimits, direct_sum, is_isometric_embedding,
-                             lattice_determinant, linear_lattice,
-                             matrix_determinant, unit_pairing_profile)
+from ballobs.lattice import (SearchLimits, canonical_form_with_transform,
+                             direct_sum, is_isometric_embedding,
+                             is_primitive_vector, lattice_determinant,
+                             linear_lattice, matrix_determinant,
+                             search_embedding_classes, transform_vector,
+                             unit_pairing_profile)
 from ballobs.markov import BallSpec
 from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
-                                 ball_boundary, ball_plumbing, build_problem,
-                                 check_obstruction, example_b31_report,
-                                 full_embedding_classes, lemma_cemb_report,
-                                 report_from_doc, report_to_doc,
-                                 theorem2_suite, verify_witness)
+                                 Witness, ball_boundary, ball_plumbing,
+                                 build_problem, check_obstruction,
+                                 example_b31_report, full_embedding_classes,
+                                 lemma_cemb_report, report_from_doc,
+                                 report_to_doc, theorem2_suite, verify_witness)
+
+
+def direct_sum_classes(problem):
+    """Oracle: enumerate Lambda_M (+) Lambda_C in Z^m wholesale.
+
+    Production never does this; it enumerates Lambda_C alone and reads
+    Lambda_M off the rank-one complement.  Cost grows fast with m_norm
+    (B(5,1)+B(13,2) exhausts memory), so keep the oracle to small problems.
+    """
+    lat_full = direct_sum(linear_lattice((problem.m_norm,)), problem.c_lattice)
+    return search_embedding_classes(lat_full, problem.ambient).classes
+
+
+def direct_sum_witnesses(problem):
+    """Oracle: the witnesses among the direct-sum classes, in the form
+    ``check_obstruction`` reports them (canonical Lambda_C rows, generator
+    carried into the same coordinates, first nonzero entry positive)."""
+    m = problem.ambient
+    witnesses = set()
+    for cls in direct_sum_classes(problem):
+        w = cls.matrix[0]
+        c_rows = cls.matrix[1:]
+        if not all(w):
+            continue
+        if not all(any(row[j] for row in c_rows) for j in range(m)):
+            continue
+        if not is_primitive_vector(w):
+            continue
+        canon, perm, signs = canonical_form_with_transform(c_rows)
+        gen = transform_vector(w, perm, signs)
+        if next(x for x in gen if x) < 0:
+            gen = tuple(-x for x in gen)
+        witnesses.add(Witness(canon, gen))
+    return tuple(sorted(witnesses, key=lambda wit: (wit.embedding, wit.generator)))
+
+
+# (p, q) of each ball -> (verdict, witness count); all within the oracle's reach
+ORACLE_PROBLEMS = {
+    ((3, 1),): (OBSTRUCTED, 0),
+    ((2, 1),): (NOT_OBSTRUCTED, 1),
+    ((5, 2),): (NOT_OBSTRUCTED, 1),
+    ((2, 1), (5, 2)): (OBSTRUCTED, 0),     # Fibonacci pair (1, 2)
+    ((2, 1), (5, 1)): (NOT_OBSTRUCTED, 2),  # Markov triple (1, 2, 5)
+}
+ORACLE_BALLS = [[BallSpec(p, q) for p, q in key] for key in ORACLE_PROBLEMS]
 
 
 class TestBallBoundary:
@@ -128,27 +176,26 @@ class TestCheckObstruction:
         assert starved.verdict == INCONCLUSIVE
         assert check_obstruction(pr).verdict == OBSTRUCTED
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(UsageError):
-            check_obstruction(build_problem([BallSpec(2, 1)]), strategy="guess")
-
 
 class TestStrategyEquivalence:
-    @pytest.mark.parametrize("balls", [[BallSpec(3, 1)], [BallSpec(2, 1)]])
+    """The complement route against the direct-sum oracle above."""
+
+    @pytest.mark.parametrize("balls", ORACLE_BALLS)
     def test_full_class_sets_match(self, balls):
         pr = build_problem(balls)
-        by_complement = full_embedding_classes(pr, "complement")
-        by_direct = full_embedding_classes(pr, "direct")
-        assert by_complement == by_direct
-        assert len(by_direct) >= 1
+        by_oracle = tuple(cls.matrix for cls in direct_sum_classes(pr))
+        assert full_embedding_classes(pr) == by_oracle
+        assert len(by_oracle) >= 1
 
-    @pytest.mark.parametrize("balls", [[BallSpec(3, 1)], [BallSpec(2, 1)]])
+    @pytest.mark.parametrize("balls", ORACLE_BALLS)
     def test_verdicts_match(self, balls):
         pr = build_problem(balls)
-        a = check_obstruction(pr, strategy="complement")
-        b = check_obstruction(pr, strategy="direct")
-        assert a.verdict == b.verdict
-        assert a.witnesses == b.witnesses
+        rep = check_obstruction(pr)
+        oracle = direct_sum_witnesses(pr)
+        assert rep.witnesses == oracle
+        assert rep.verdict == (NOT_OBSTRUCTED if oracle else OBSTRUCTED)
+        key = tuple((b.p, b.q) for b in balls)
+        assert (rep.verdict, len(rep.witnesses)) == ORACLE_PROBLEMS[key]
 
 
 class TestTheorem2:
@@ -266,3 +313,12 @@ class TestReportDocuments:
     def test_schema_guard(self):
         with pytest.raises(UsageError):
             report_from_doc({"schema": "something-else@9"})
+
+    def test_schema_1_rejected(self):
+        doc = report_to_doc(check_obstruction(build_problem([BallSpec(3, 1)])))
+        assert doc["schema"] == "obstruction-report@2"
+        assert "strategy" not in doc["statistics"]
+        doc["schema"] = "obstruction-report@1"
+        doc["statistics"]["strategy"] = "complement"
+        with pytest.raises(UsageError):
+            report_from_doc(doc)
