@@ -28,6 +28,7 @@ NODE_BUDGET_ENV = "BALLOBS_NODE_BUDGET"
 TIME_BUDGET_ENV = "BALLOBS_TIME_BUDGET"
 
 _NEGATIVE_NUMBER = re.compile(r"^-\d")
+_BUDGET_OPTIONS = ("--node-budget", "--time-budget")
 
 
 @dataclass(frozen=True)
@@ -420,14 +421,20 @@ def _protect_negative_numbers(argv: list[str]) -> list[str]:
     """Insert '--' before the first negative-number-like token.
 
     Lets ``plumbing reduce -3,-2,-1,-2`` parse without quoting; explicit '--'
-    is honoured as usual.
+    is honoured as usual.  A negative value of a budget option is joined to
+    it instead (``--time-budget=-1``), so that budget validation rejects it.
     """
     if "--" in argv:
         return argv
+    out: list[str] = []
     for i, tok in enumerate(argv):
         if _NEGATIVE_NUMBER.match(tok):
-            return argv[:i] + ["--"] + argv[i:]
-    return argv
+            if out and out[-1] in _BUDGET_OPTIONS:
+                out[-1] += "=" + tok
+                continue
+            return out + ["--"] + argv[i:]
+        out.append(tok)
+    return out
 
 
 def main(argv=None) -> int:

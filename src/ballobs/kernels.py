@@ -1,14 +1,19 @@
 """The vector-extension kernel of the lattice-embedding search.
 
 Every node of the embedding search asks the same question: which integer
-vectors x on the already-touched ambient coordinates have prescribed inner
-products with the rows placed so far and squared length at most the target
-norm?  :func:`constrained_vectors` answers it with a vectorised numpy
-layer-by-layer scan, returning the solutions in lexicographic order as an
-(N, u+1) int64 array whose last column holds x.x.  Swapping two identical
-columns of the rows fixes every constraint, so the scan keeps one
-representative per such swap (the search's tie rule, see
-:func:`ballobs.lattice.search_embedding_classes`).
+vectors x on the node's ``used`` touched ambient coordinates have prescribed
+inner products with the rows placed so far and squared length at most the
+target norm?  Nodes of one depth share the inner products and the norm, so
+:func:`constrained_vectors` answers a whole batch of such nodes with one
+vectorised numpy layer-by-layer scan.  The batch's rows are zero-padded to
+its widest node; columns at or past a node's own ``used`` are forced to 0,
+so padding never changes an answer.  Each solution comes back with its owner
+index (the node that asked), owners ascending and each owner's solutions in
+lexicographic order, as an (N, u+1) int64 array whose last column holds x.x.
+Swapping two identical columns of an owner's rows fixes every constraint, so
+the scan keeps one representative per such swap (the search's tie rule, see
+:func:`ballobs.lattice.search_embedding_classes`), reading the ties off each
+owner's own rows.  A single query is a batch of one.
 """
 
 from __future__ import annotations
@@ -18,50 +23,100 @@ import math
 import numpy as np
 
 
-def _suffix_square_sums(rows):
-    # suffix[j, c] = sum of rows[j, c:]**2; the Cauchy-Schwarz prune needs it.
-    k, u = rows.shape
-    suffix = np.zeros((k, u + 1), dtype=np.int64)
-    if u:
-        suffix[:, :u] = np.cumsum((rows * rows)[:, ::-1], axis=1)[:, ::-1]
-    return suffix
+# Largest (N, V, k) block the scan builds at once, in array entries.  Wider
+# layers are tested block by block, so the largest temporaries stay this size
+# however many partial vectors a layer holds.
+_BLOCK = 1 << 14
 
 
-def constrained_vectors(rows, dots, norm):
-    """All integer x with rows @ x == dots and x.x <= norm, one per swap of
-    identical columns: where columns c and c+1 of rows are equal, only x with
-    x[c] >= x[c+1] are kept.
+def _within_bounds(vals, rem, ns, col, kk):
+    # (N, V) mask: every deficit left after x[c] = v passes its bound,
+    # deficit^2 <= (norm left) * (squares left in the row).
+    big = vals[None, :, None] * col[:, None, :kk]                      # (N, V, kk)
+    np.subtract(rem[:, None, :], big, out=big)
+    np.square(big, out=big)
+    return (big <= ns[:, :, None] * col[:, None, kk:2 * kk]).all(axis=2)
+
+
+def constrained_vectors(rows, used, dots, norm):
+    """All x with rows[b] @ x == dots, x.x <= norm and x[c] == 0 for
+    c >= used[b], for every owner b of the batch, one per swap of identical
+    columns: where columns c and c+1 < used[b] of rows[b] are equal, only x
+    with x[c] >= x[c+1] are kept.
+
+    ``rows`` is (B, k, u), ``used`` is (B,) with entries <= u, ``dots`` is
+    (k,) and ``norm`` an int.  Returns ``(owner, solutions)``: ``owner`` (N,)
+    names the batch entry of each solution, and ``solutions`` (N, u+1) holds
+    x followed by x.x.
 
     Builds the solution set one coordinate at a time, keeping every partial
     vector that still fits the norm budget and whose remaining inner-product
-    deficits pass the Cauchy-Schwarz bound against the unscanned row tails.
-    The tie cut is applied while column c+1 is scanned, so pruned branches
-    never grow.
+    deficits pass the Cauchy-Schwarz bound against the unscanned tails of
+    its owner's rows.  The zero-forcing past ``used`` and the tie cut apply
+    while their column is scanned, so pruned branches never grow.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    used = np.asarray(used, dtype=np.int64)
     dots = np.asarray(dots, dtype=np.int64)
-    k, u = rows.shape
-    ties = (rows[:, 1:] == rows[:, :-1]).all(axis=0)               # (u - 1,)
+    b, k, u = rows.shape
     norm = int(norm)
-    suffix = _suffix_square_sums(rows)
+    if u == 0:  # nothing to scan: the empty vector, wherever dots allows it
+        owner = np.arange(0 if dots.any() else b, dtype=np.int64)
+        return owner, np.zeros((len(owner), 1), dtype=np.int64)
+    dead = np.arange(u)[None, :] >= used[:, None]                      # (B, u)
+    tie = np.zeros((b, u), dtype=bool)
+    tie[:, 1:] = (rows[:, :, 1:] == rows[:, :, :-1]).all(axis=1) & ~dead[:, 1:]
+    # Per column and owner, packed so that one gather per column serves every
+    # partial vector: the owner's k row entries and a pseudo-row entry, the
+    # matching Cauchy-Schwarz suffix square sums, and the tie flag.  The
+    # pseudo-row has dots 0, entry 1 and suffix 0 on dead columns, entry 0
+    # and suffix 1 on live ones, so its bound alone reads x[c] == 0 on dead
+    # columns and x.x <= norm on live ones.
+    kk = k + 1
+    packed = np.zeros((u, b, 2 * kk + 1), dtype=np.int64)
+    packed[:, :, :k] = rows.transpose(2, 0, 1)
+    packed[:, :, k] = dead.T
+    packed[:-1, :, kk:kk + k] = np.cumsum((rows * rows)[:, :, :0:-1],
+                                          axis=2)[:, :, ::-1].transpose(2, 0, 1)
+    packed[:, :, kk + k] = ~dead.T
+    packed[:, :, 2 * kk] = tie.T
+    tied = tie.any(axis=0).tolist()
     vmax = math.isqrt(norm)
     vals = np.arange(-vmax, vmax + 1, dtype=np.int64)
-    cand = np.zeros((1, 0), dtype=np.int64)
-    qn = np.zeros(1, dtype=np.int64)
-    pd = np.zeros((1, k), dtype=np.int64)
+    sq = vals * vals
+    owner = np.arange(b, dtype=np.int64)
+    last = np.zeros(b, dtype=np.int64)           # x[c - 1] of each partial vector
+    slack = np.full(b, norm, dtype=np.int64)     # norm - x.x so far
+    rem = np.zeros((b, kk), dtype=np.int64)      # dots - rows @ x so far
+    rem[:, :k] = dots
+    steps = []
+    step = max(1, _BLOCK // (len(vals) * kk))
     for c in range(u):
-        nq = qn[:, None] + vals[None, :] ** 2                      # (N, V)
-        nd = pd[:, None, :] + vals[None, :, None] * rows[:, c][None, None, :]
-        rem = dots[None, None, :] - nd                             # (N, V, k)
-        ok = nq <= norm
-        if c and ties[c - 1]:
-            ok &= vals[None, :] <= cand[:, c - 1][:, None]
-        ok &= (rem * rem <= (norm - nq)[:, :, None] * suffix[:, c + 1][None, None, :]).all(axis=2)
+        col = packed[c][owner]                                         # (N, 2kk+1)
+        ns = slack[:, None] - sq[None, :]                              # (N, V)
+        if len(owner) <= step:
+            ok = _within_bounds(vals, rem, ns, col, kk)
+        else:
+            ok = np.concatenate([_within_bounds(vals, rem[lo:lo + step], ns[lo:lo + step],
+                                                col[lo:lo + step], kk)
+                                 for lo in range(0, len(owner), step)])
+        if tied[c]:
+            ok &= vals[None, :] <= np.where(col[:, 2 * kk] != 0, last, vmax)[:, None]
         ii, jj = np.nonzero(ok)
         if ii.size == 0:
-            return np.zeros((0, u + 1), dtype=np.int64)
-        cand = np.concatenate([cand[ii], vals[jj][:, None]], axis=1)
-        qn = nq[ii, jj]
-        pd = nd[ii, jj]
-    assert bool((pd == dots[None, :]).all())
-    return np.concatenate([cand, qn[:, None]], axis=1)
+            return np.zeros(0, dtype=np.int64), np.zeros((0, u + 1), dtype=np.int64)
+        steps.append((ii, jj))
+        last = vals[jj]
+        slack = ns[ii, jj]
+        rem = rem[ii] - last[:, None] * col[ii, :kk]
+        owner = owner[ii]
+    assert not rem.any()
+    # Read each solution back along its chain of parent partial vectors.
+    out = np.empty((len(owner), u + 1), dtype=np.int64)
+    out[:, u] = norm - slack
+    idx = np.arange(len(owner))
+    for c in range(u - 1, -1, -1):
+        ii, jj = steps[c]
+        out[:, c] = vals[jj[idx]]
+        idx = ii[idx]
+    return owner, out

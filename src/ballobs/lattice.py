@@ -424,6 +424,30 @@ def _square_parts(n: int, max_parts: int, cap: int) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
+# Nodes of one depth answered by one kernel call.  Larger chunks save kernel
+# calls on bushy trees but hold more of the frontier in memory.
+_CHUNK = 16
+# Pending rows are stored compactly: an entry of a row of norm at most
+# MAX_DIAGONAL is at most isqrt(MAX_DIAGONAL) = 1000 in absolute value.
+_ROW_DTYPE = np.int16
+
+
+@dataclass
+class _Frame:
+    """The children of one expanded chunk, waiting to be expanded in turn.
+
+    Child j has the rows ``rows[parent[j]]`` followed by ``new[j]`` and
+    touches ``used[j]`` ambient columns; ``next`` is the first child not yet
+    expanded.
+    """
+
+    rows: np.ndarray
+    parent: np.ndarray
+    new: np.ndarray
+    used: list[int]
+    next: int = 0
+
+
 def search_embedding_classes(l: GramLattice, m: int,
                              limits: SearchLimits | None = None) -> EmbeddingSearchResult:
     """Exhaustively enumerate the embedding classes of ``l`` in Z^m.
@@ -460,6 +484,19 @@ def search_embedding_classes(l: GramLattice, m: int,
     leaf satisfies the same ordering, so it is its own canonical form:
     leaves and classes correspond one to one.  Each leaf is checked against
     its canonical form, and InternalCheckError is raised if they differ.
+
+    The walk.  Pending nodes wait in a stack of frames, one per depth, each
+    holding the children of one expanded chunk.  Each step takes up to
+    ``_CHUNK`` nodes from the top frame and answers all of them with one
+    kernel call; their children become the new top frame, so the walk goes
+    deep first and memory stays bounded by the depth times one chunk's
+    children.  A node's children depend only on the node, so the chunked
+    walk visits exactly the node set of a node-by-node depth-first search,
+    and the soundness and completeness argument above carries over.  Every
+    child is counted as a node, checked against both budgets, and, at full
+    depth, checked as a leaf, one at a time.  The order differs from a
+    node-by-node search: a run cut short by a budget may have walked a
+    different prefix of the tree, and so found different partial classes.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise UsageError(f"ambient rank must be a positive integer, got {m!r}")
@@ -472,7 +509,6 @@ def search_embedding_classes(l: GramLattice, m: int,
     limits = limits or SearchLimits()
     k = l.rank
     gram = l.to_array()
-    rows = np.zeros((k, m), dtype=np.int64)
     found: list[tuple[tuple[int, ...], ...]] = []
     nodes = 0
     leaves = 0
@@ -486,26 +522,21 @@ def search_embedding_classes(l: GramLattice, m: int,
     def partial() -> tuple[EmbeddingClass, ...]:
         return tuple(EmbeddingClass(mat) for mat in sorted(found))
 
-    def place(i: int, used: int):
+    stack: list[_Frame] = []
+
+    def expand(rows, used: list[int]) -> None:
+        # Place row i on every node of a chunk with one kernel call, count and
+        # check each child, file the leaves and push the rest as a frame.
         nonlocal nodes, leaves
-        if i == k:
-            if not np.array_equal(rows @ rows.T, gram):
-                raise InternalCheckError("search leaf is not an isometric embedding")
-            leaf = _as_int_rows(rows)
-            if canonical_form(leaf) != leaf:
-                raise InternalCheckError("search leaf is not its own canonical form")
-            found.append(leaf)
-            leaves += 1
-            return
+        i = rows.shape[1]
         norm = int(gram[i, i])
-        if used:
-            cands = constrained_vectors(rows[:i, :used], gram[i, :i], norm)
-        else:
-            # no coordinates touched yet: one empty old-part with x.x = 0
-            cands = np.zeros((1, 1), dtype=np.int64)
-        for cand in cands:
-            leftover = norm - int(cand[used])
-            for parts in _square_parts(leftover, m - used, math.isqrt(leftover)):
+        owner, cands = constrained_vectors(rows[:, :, :max(used)], used, gram[i, :i], norm)
+        u = cands.shape[1] - 1
+        src, child_used = [], []    # each child's candidate and touched columns
+        at, cols, vals = [], [], []  # its entries on fresh columns
+        for n, (b, leftover) in enumerate(zip(owner.tolist(), (norm - cands[:, u]).tolist())):
+            ub = used[b]
+            for parts in _square_parts(leftover, m - ub, math.isqrt(leftover)):
                 nodes += 1
                 if nodes > limits.node_budget:
                     raise LimitExceeded(f"node budget {limits.node_budget} exhausted",
@@ -514,13 +545,39 @@ def search_embedding_classes(l: GramLattice, m: int,
                     raise LimitExceeded(f"time budget {limits.time_budget}s exhausted",
                                         stats(True), partial())
                 s = len(parts)
-                rows[i, :used] = cand[:used]
-                for t, val in enumerate(parts):
-                    rows[i, used + t] = val
-                rows[i, used + s:] = 0
-                place(i + 1, used + s)
+                if i + 1 < k:
+                    at += [len(src)] * s
+                    cols += range(ub, ub + s)
+                    vals += parts
+                    src.append(n)
+                    child_used.append(ub + s)
+                    continue
+                row = cands[n, :ub].tolist() + list(parts) + [0] * (m - ub - s)
+                mat = np.array(rows[b].tolist() + [row], dtype=np.int64)
+                if not np.array_equal(mat @ mat.T, gram):
+                    raise InternalCheckError("search leaf is not an isometric embedding")
+                leaf = _as_int_rows(mat)
+                if canonical_form(leaf) != leaf:
+                    raise InternalCheckError("search leaf is not its own canonical form")
+                found.append(leaf)
+                leaves += 1
+        if src:
+            new = np.zeros((len(src), m), dtype=_ROW_DTYPE)
+            new[:, :u] = cands[src, :u]
+            new[at, cols] = vals
+            stack.append(_Frame(rows, owner[src], new, child_used))
 
-    place(0, 0)
+    # Depth-first over chunks: the top frame's next chunk is expanded, and
+    # its children, one depth further down, become the new top frame.
+    expand(np.zeros((1, 0, m), dtype=_ROW_DTYPE), [0])
+    while stack:
+        frame = stack[-1]
+        chunk = slice(frame.next, frame.next + _CHUNK)
+        frame.next += _CHUNK
+        if frame.next >= len(frame.used):
+            stack.pop()
+        expand(np.concatenate([frame.rows[frame.parent[chunk]], frame.new[chunk, None, :]],
+                              axis=1), frame.used[chunk])
     classes = tuple(EmbeddingClass(mat) for mat in sorted(found))
     return EmbeddingSearchResult(classes, stats(False))
 

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines; the
-disjoint-pair (5,5) search (rank 23, about 1 s) carries the ``slow`` marker and
-can be skipped with ``-m 'not slow'``.
+disjoint-pair (6,6) search (rank 26, 6,684 nodes, about 1 s), the longest
+search in the suite, carries the ``slow`` marker and can be skipped with
+``-m 'not slow'``.
 """
 
 import random
@@ -163,12 +164,20 @@ def test_criterion_7_disjoint_pair_23_slow():
     assert _line("7-slow", "disjoint pair (2,3)", ok)
 
 
-@pytest.mark.slow
 def test_criterion_7_disjoint_pair_55_slow():
     rep = obstruction.theorem2_suite([(5, 5)])[0]
     ok = (rep.problem.ambient == 23 and rep.verdict == obstruction.OBSTRUCTED
           and not rep.statistics.limit_hit and rep.statistics.leaves > 0)
     assert _line("7-slow", "disjoint pair (5,5)", ok)
+
+
+@pytest.mark.slow
+def test_criterion_7_disjoint_pair_66_slow():
+    rep = obstruction.theorem2_suite([(6, 6)], max_index=6)[0]
+    s = rep.statistics
+    ok = (rep.problem.ambient == 27 and rep.verdict == obstruction.OBSTRUCTED
+          and not s.limit_hit and s.nodes == 6684 and s.leaves == s.classes > 0)
+    assert _line("7-slow", "disjoint pair (6,6)", ok)
 
 
 def test_criterion_8_plumbing_certificates():

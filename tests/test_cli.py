@@ -171,10 +171,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (("--node-budget", "0", "markov", "list", "--max", "30"),
          "node budget must be positive"),
-        # a bare negative number is read as the start of the positionals
-        (("--time-budget", "-1", "obstruct", "3,1"), "--time-budget"),
+        (("--time-budget", "-1", "obstruct", "3,1"), "time budget must be positive"),
         (("--time-budget=-1", "obstruct", "3,1"), "time budget must be positive"),
         (("--time-budget=0", "cf", "expand", "9", "7"), "time budget must be positive"),
+        (("--node-budget", "-5", "markov", "list", "--max", "3"),
+         "node budget must be positive"),
     ])
     def test_usage_error_bad_budget(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -477,6 +477,15 @@ class TestEnumeration:
         assert r1.stats == r2.stats  # elapsed_ms excluded from equality
         assert r1.classes == r2.classes
 
+    @pytest.mark.parametrize("n, nodes, classes", [(2, 12, 3), (3, 23, 5), (4, 54, 12),
+                                                   (5, 183, 37)])
+    def test_chain_walk_counts(self, n, nodes, classes):
+        # The chunked walk visits the node set of a node-by-node search, so
+        # its counts are those of docs/decisions.md.
+        lat = linear_lattice((3,) * (n - 1) + (2, 2) + (3,) * (n - 1) + (2,))
+        stats = search_embedding_classes(lat, 4 * n).stats
+        assert (stats.nodes, stats.leaves, stats.classes) == (nodes, classes, classes)
+
     def test_stabilization_helper(self):
         counts, stable = class_count_stabilization(L222, 4, extra=2)
         assert counts == ((4, 2), (5, 2), (6, 2))

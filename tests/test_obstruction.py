@@ -2,14 +2,14 @@ import json
 
 import pytest
 
-from ballobs.errors import UsageError
+from ballobs.errors import LimitExceeded, UsageError
 from ballobs.lattice import (SearchLimits, canonical_form_with_transform,
                              direct_sum, is_isometric_embedding,
                              is_primitive_vector, lattice_determinant,
                              linear_lattice, matrix_determinant,
                              search_embedding_classes, transform_vector,
                              unit_pairing_profile)
-from ballobs.markov import BallSpec
+from ballobs.markov import BallSpec, fibonacci_ball
 from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
                                  Witness, ball_boundary, ball_plumbing,
                                  build_problem, check_obstruction,
@@ -175,6 +175,31 @@ class TestCheckObstruction:
         starved = check_obstruction(pr, limits=SearchLimits(node_budget=1))
         assert starved.verdict == INCONCLUSIVE
         assert check_obstruction(pr).verdict == OBSTRUCTED
+
+
+class TestWalkCounts:
+    """Node and leaf counts of completed searches, which the order of the
+    walk cannot change, and the node count at which a budget stops it."""
+
+    @pytest.mark.parametrize("balls, nodes, leaves", [
+        ([fibonacci_ball(4), fibonacci_ball(4)], 234, 3),
+        ([BallSpec(5, 2), BallSpec(13, 5), BallSpec(34, 13)], 404, 4),
+        ([BallSpec(2, 1), BallSpec(5, 1), BallSpec(29, 7)], 578, 14),  # triple (2,5,29)
+    ])
+    def test_completed_counts(self, balls, nodes, leaves):
+        stats = check_obstruction(build_problem(balls)).statistics
+        assert not stats.limit_hit
+        assert (stats.nodes, stats.leaves, stats.classes) == (nodes, leaves, leaves)
+
+    def test_budget_stops_at_one_past_it(self):
+        # triple (2,29,169): every frontier node is a counted node, so the
+        # walk holds no more than the node budget
+        pr = build_problem([BallSpec(2, 1), BallSpec(29, 7), BallSpec(169, 41)])
+        with pytest.raises(LimitExceeded) as info:
+            search_embedding_classes(pr.c_lattice, pr.ambient,
+                                     limits=SearchLimits(node_budget=1000))
+        assert info.value.stats.limit_hit
+        assert info.value.stats.nodes == 1001
 
 
 class TestStrategyEquivalence:
