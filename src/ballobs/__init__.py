@@ -16,12 +16,11 @@ from .plumbing import (BlowdownCertificate, blow_down, blow_up,
                        simple_embedding_certificate)
 from .lattice import (EmbeddingClass, EmbeddingSearchResult, GramLattice,
                       OrthogonalComplement, PairingProfile, SearchLimits,
-                      SearchStats, canonical_form, class_count_stabilization,
-                      direct_sum, enumerate_embedding_classes, integer_kernel,
+                      SearchStats, canonical_form, direct_sum, integer_kernel,
                       is_isometric_embedding, is_positive_definite,
-                      is_primitive_vector, lattice_determinant,
-                      linear_lattice, orthogonal_complement,
-                      search_embedding_classes, unit_pairing_profile)
+                      is_primitive_vector, linear_lattice,
+                      orthogonal_complement, search_embedding_classes,
+                      unit_pairing_profile)
 from .obstruction import (ObstructionProblem, ObstructionReport, Witness,
                           ball_boundary, ball_plumbing, build_problem,
                           check_obstruction, full_embedding_classes,

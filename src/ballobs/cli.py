@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from . import contfrac, markov, obstruction, plumbing
 from .errors import InternalCheckError, LimitExceeded, UsageError
-from .lattice import (SearchLimits, enumerate_embedding_classes,
-                      linear_lattice, orthogonal_complement)
+from .lattice import SearchLimits, linear_lattice, search_embedding_classes
 from .obstruction import _s
 
 NODE_BUDGET_ENV = "BALLOBS_NODE_BUDGET"
@@ -120,8 +119,7 @@ def cmd_markov_char(args, cfg: RunConfig) -> int:
 
 def cmd_ball_classify(args, cfg: RunConfig) -> int:
     ball = markov.BallSpec(args.p, args.q)
-    bound = args.search_bound if args.search_bound is not None else ball.p
-    verdict = markov.classify_symplectic(ball, bound)
+    verdict = markov.classify_symplectic(ball)
     if cfg.fmt == "json":
         doc = {"schema": "ball-classify@1", "p": _s(ball.p), "q": _s(ball.q),
                "symplectic": verdict.symplectic,
@@ -199,14 +197,8 @@ def cmd_cf_fib_identities(args, cfg: RunConfig) -> int:
 def cmd_lattice_classes(args, cfg: RunConfig) -> int:
     weights = _int_list(args.weights, "weights")
     lat = linear_lattice(weights)
-    classes = enumerate_embedding_classes(lat, args.ambient, limits=cfg.limits)
-    rows = []
-    for cls in classes:
-        sup = cls.support
-        restricted = tuple(tuple(row[j] for j in sup) for row in cls.matrix)
-        comp = orthogonal_complement(restricted, len(sup))
-        rows.append((cls, len(sup), comp.rank,
-                     comp.generator_norm if comp.rank == 1 else None))
+    classes = search_embedding_classes(lat, args.ambient, limits=cfg.limits).classes
+    rows = [(cls, obstruction.class_summary(cls)) for cls in classes]
     if cfg.fmt == "json":
         _emit_json({
             "schema": "lattice-classes@1",
@@ -215,17 +207,17 @@ def cmd_lattice_classes(args, cfg: RunConfig) -> int:
             "class_count": _s(len(classes)),
             "classes": [
                 {"matrix": [[_s(x) for x in row] for row in cls.matrix],
-                 "support": _s(sup),
-                 "complement_rank": _s(crank),
-                 "complement_norm": None if cnorm is None else _s(cnorm)}
-                for cls, sup, crank, cnorm in rows
+                 "support": _s(c.support),
+                 "complement_rank": _s(c.complement_rank),
+                 "complement_norm": None if c.complement_norm is None else _s(c.complement_norm)}
+                for cls, c in rows
             ],
         })
     else:
         print(f"{len(classes)} classes of Lambda({_fmt_ints(weights)}) in Z^{args.ambient}")
-        for i, (cls, sup, crank, cnorm) in enumerate(rows, start=1):
-            extra = f", generator norm {cnorm}" if cnorm is not None else ""
-            print(f"class {i}: support {sup}, complement rank {crank}{extra}")
+        for i, (_, c) in enumerate(rows, start=1):
+            extra = "" if c.complement_norm is None else f", generator norm {c.complement_norm}"
+            print(f"class {i}: support {c.support}, complement rank {c.complement_rank}{extra}")
     return 0
 
 
@@ -355,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = ball_sub.add_parser("classify", help="symplectic embeddability of B(p, q)")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
-    p.add_argument("--search-bound", type=int, default=None)
     p.set_defaults(func=cmd_ball_classify)
     p = ball_sub.add_parser("boundary", help="lens-space boundary of B(p, q)")
     p.add_argument("p", type=int)

@@ -56,6 +56,8 @@ class GramLattice:
 
     def __post_init__(self):
         g = _as_int_rows(self.gram)
+        if g != tuple(tuple(row) for row in self.gram):
+            raise UsageError("Gram matrix entries must be integers")
         if not g:
             raise UsageError("lattice must have rank >= 1")
         k = len(g)
@@ -68,15 +70,6 @@ class GramLattice:
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    def to_array(self):
-        return np.array(self.gram, dtype=np.int64)
-
-    def reversed(self) -> "GramLattice":
-        """The same lattice with the basis order reversed."""
-        k = self.rank
-        return GramLattice(tuple(tuple(self.gram[k - 1 - i][k - 1 - j]
-                                       for j in range(k)) for i in range(k)))
 
 
 def linear_lattice(weights) -> GramLattice:
@@ -123,24 +116,14 @@ def leading_principal_minors(gram) -> list[int]:
     return minors
 
 
-def lattice_determinant(l: GramLattice) -> int:
-    """Determinant of the Gram matrix, exact (Bareiss elimination)."""
-    return _bareiss_det([list(row) for row in l.gram])
-
-
 def matrix_determinant(rows) -> int:
-    """Exact determinant of any square integer matrix."""
-    a = [[int(x) for x in row] for row in rows]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    """Exact determinant of any square integer matrix (Bareiss elimination)."""
+    m = [[int(x) for x in row] for row in rows]
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise UsageError("determinant needs a square matrix")
     if n == 0:
         return 1
-    return _bareiss_det(a)
-
-
-def _bareiss_det(m) -> int:
-    n = len(m)
     sign = 1
     prev = 1
     for j in range(n - 1):
@@ -193,40 +176,14 @@ def canonical_form(rows) -> tuple[tuple[int, ...], ...]:
     matrices lie in the same orbit of the ambient automorphism group iff their
     canonical forms are equal.
     """
-    canon, _, _ = canonical_form_with_transform(rows)
-    return canon
-
-
-def canonical_form_with_transform(rows):
-    """As :func:`canonical_form`, also returning the column permutation and
-    signs used, so orthogonal data (e.g. a complement generator) can be
-    carried into the canonical coordinates."""
     a = _as_int_rows(rows)
-    k = len(a)
-    m = len(a[0]) if k else 0
-    normalized = []
-    for j in range(m):
-        col = tuple(a[i][j] for i in range(k))
-        sign = 1
-        for x in col:
-            if x:
-                sign = 1 if x > 0 else -1
-                break
-        if sign < 0:
+    cols = []
+    for col in zip(*a):
+        if next((x for x in col if x), 0) < 0:
             col = tuple(-x for x in col)
-        normalized.append((col, sign, j))
-    order = sorted(range(m),
-                   key=lambda j: (tuple(-x for x in normalized[j][0]), j))
-    perm = tuple(normalized[j][2] for j in order)
-    signs = tuple(normalized[j][1] for j in order)
-    canon = tuple(tuple(normalized[j][0][i] for j in order) for i in range(k))
-    return canon, perm, signs
-
-
-def transform_vector(v, perm, signs) -> tuple[int, ...]:
-    """Apply the column transform returned by canonical_form_with_transform."""
-    vv = tuple(int(x) for x in v)
-    return tuple(s * vv[p] for p, s in zip(perm, signs))
+        cols.append(col)
+    cols.sort(reverse=True)
+    return tuple(tuple(col[i] for col in cols) for i in range(len(a)))
 
 
 def is_primitive_vector(v) -> bool:
@@ -290,7 +247,6 @@ class OrthogonalComplement:
     """Saturated orthogonal complement of an embedded sublattice in Z^m."""
 
     basis: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -309,13 +265,11 @@ class OrthogonalComplement:
 
 
 def orthogonal_complement(rows, m: int) -> OrthogonalComplement:
-    """Saturated complement of the row span in Z^m, with its Gram matrix.
+    """Saturated complement of the row span in Z^m.
 
     For a corank-one embedding the basis is a single primitive generator.
     """
-    basis = integer_kernel(rows, m)
-    gram = tuple(tuple(sum(x * y for x, y in zip(u, v)) for v in basis) for u in basis)
-    return OrthogonalComplement(basis, gram)
+    return OrthogonalComplement(integer_kernel(rows, m))
 
 
 @dataclass(frozen=True)
@@ -363,9 +317,12 @@ class SearchLimits:
     time_budget: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.node_budget, int) or isinstance(self.node_budget, bool):
+            raise UsageError(f"node budget must be an integer, got {self.node_budget!r}")
         if self.node_budget < 1:
             raise UsageError("node budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        # Written so that NaN, which compares false both ways, is rejected.
+        if self.time_budget is not None and not self.time_budget > 0:
             raise UsageError("time budget must be positive")
 
 
@@ -397,9 +354,6 @@ class EmbeddingClass:
         """Indices (0-based) of the ambient coordinates the image touches."""
         return tuple(j for j in range(self.ambient)
                      if any(row[j] for row in self.matrix))
-
-    def to_array(self):
-        return np.array(self.matrix, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -508,7 +462,7 @@ def search_embedding_classes(l: GramLattice, m: int,
         raise UsageError(f"diagonal entries above {MAX_DIAGONAL} are not supported")
     limits = limits or SearchLimits()
     k = l.rank
-    gram = l.to_array()
+    gram = np.array(l.gram, dtype=np.int64)
     found: list[tuple[tuple[int, ...], ...]] = []
     nodes = 0
     leaves = 0
@@ -580,24 +534,3 @@ def search_embedding_classes(l: GramLattice, m: int,
                               axis=1), frame.used[chunk])
     classes = tuple(EmbeddingClass(mat) for mat in sorted(found))
     return EmbeddingSearchResult(classes, stats(False))
-
-
-def enumerate_embedding_classes(l: GramLattice, m: int,
-                                limits: SearchLimits | None = None) -> list[EmbeddingClass]:
-    """The embedding classes of ``l`` in Z^m, in deterministic order."""
-    return list(search_embedding_classes(l, m, limits=limits).classes)
-
-
-def class_count_stabilization(l: GramLattice, m: int, extra: int = 2,
-                              limits: SearchLimits | None = None):
-    """Class counts at ambient ranks m .. m+extra, and whether they agree.
-
-    Embedding classes of a fixed lattice stop changing once the ambient rank
-    passes a lattice-dependent threshold; this reruns the count to exhibit
-    that stabilization rather than asserting a formula for the threshold.
-    """
-    counts = []
-    for mm in range(m, m + extra + 1):
-        counts.append((mm, len(enumerate_embedding_classes(l, mm, limits=limits))))
-    stable = len({c for _, c in counts}) == 1
-    return tuple(counts), stable

@@ -187,7 +187,7 @@ class SymplecticVerdict:
     witness: MarkovTriple | None = None
 
 
-def classify_symplectic(ball: BallSpec, search_bound: int) -> SymplecticVerdict:
+def classify_symplectic(ball: BallSpec) -> SymplecticVerdict:
     """Decide whether B(p, q) embeds symplectically in the projective plane.
 
     The criterion: p must be the maximum of a Markov triple whose
@@ -195,9 +195,6 @@ def classify_symplectic(ball: BallSpec, search_bound: int) -> SymplecticVerdict:
     maximum exactly p is examined; uniqueness of that triple is not assumed.
     The witness triple is returned when the answer is yes.
     """
-    if search_bound < ball.p:
-        raise UsageError(
-            f"search bound {search_bound} below p = {ball.p}; cannot reach candidate triples")
     p = ball.p
     if p == 2:
         # The only ball with p = 2 is B(2, 1), realised by the triple (1, 1, 2).
@@ -228,8 +225,4 @@ def fibonacci_symplectic_table(n_max: int) -> list[tuple[int, SymplecticVerdict]
     """
     if n_max < 1:
         raise UsageError(f"need n_max >= 1, got {n_max!r}")
-    table = []
-    for n in range(1, n_max + 1):
-        ball = fibonacci_ball(n)
-        table.append((n, classify_symplectic(ball, ball.p)))
-    return table
+    return [(n, classify_symplectic(fibonacci_ball(n))) for n in range(1, n_max + 1)]

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 from .contfrac import lens_plumbing
 from .errors import InternalCheckError, LimitExceeded, UsageError
-from .lattice import (GramLattice, SearchLimits, SearchStats, canonical_form,
-                      direct_sum, is_isometric_embedding, is_primitive_vector,
-                      lattice_determinant, linear_lattice, matrix_determinant,
+from .lattice import (EmbeddingClass, GramLattice, SearchLimits, SearchStats,
+                      canonical_form, direct_sum, is_isometric_embedding,
+                      is_primitive_vector, linear_lattice, matrix_determinant,
                       orthogonal_complement, search_embedding_classes,
                       unit_pairing_profile)
 from .markov import BallSpec, fibonacci_ball
@@ -101,14 +101,6 @@ class ObstructionReport:
     statistics: SearchStats
 
 
-def _normalize_sign(v) -> tuple[int, ...]:
-    v = tuple(int(x) for x in v)
-    for x in v:
-        if x:
-            return v if x > 0 else tuple(-y for y in v)
-    return v
-
-
 def verify_witness(problem: ObstructionProblem, witness: Witness) -> None:
     """Re-derive every witness condition from scratch; raise on any failure.
 
@@ -124,7 +116,7 @@ def verify_witness(problem: ObstructionProblem, witness: Witness) -> None:
     if not is_isometric_embedding(lat_full, full):
         raise InternalCheckError("witness rows do not realise the direct-sum Gram matrix")
     det = matrix_determinant(full)
-    if det * det != problem.m_norm * lattice_determinant(lat_c):
+    if det * det != problem.m_norm * matrix_determinant(lat_c.gram):
         raise InternalCheckError("witness determinant does not square to the lattice determinant")
     if not is_primitive_vector(witness.generator):
         raise InternalCheckError("witness generator is not primitive")
@@ -139,21 +131,10 @@ def check_obstruction(problem: ObstructionProblem,
     NOT_OBSTRUCTED requires an explicit witness (re-verified from scratch);
     OBSTRUCTED requires the enumeration to have completed exhaustively;
     INCONCLUSIVE reports budget exhaustion without a witness.  Only Lambda_C
-    is enumerated; Lambda_M is read off the rank-one complement.
+    is enumerated; Lambda_M is read off the rank-one complement, whose
+    generator ``integer_kernel`` returns with its first nonzero entry
+    positive.
     """
-    witnesses, stats = _witnesses_complement(problem, limits)
-    for witness in witnesses:
-        verify_witness(problem, witness)
-    if witnesses:
-        verdict = NOT_OBSTRUCTED
-    elif stats.limit_hit:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = OBSTRUCTED
-    return ObstructionReport(problem, verdict, witnesses, stats)
-
-
-def _witnesses_complement(problem, limits):
     m = problem.ambient
     try:
         result = search_embedding_classes(problem.c_lattice, m, limits=limits)
@@ -161,21 +142,25 @@ def _witnesses_complement(problem, limits):
     except LimitExceeded as exc:
         # budget exhaustion still yields the classes found so far
         classes, stats = exc.partial_classes, exc.stats
+    # Classes arrive sorted and each gives at most one witness, so the
+    # witnesses come out sorted too.
     witnesses = []
     for cls in classes:
         comp = orthogonal_complement(cls.matrix, m)
         if comp.rank != 1:
             raise InternalCheckError("corank-one embedding with complement rank != 1")
         w = comp.generator
-        if comp.generator_norm != problem.m_norm:
-            continue
-        if not all(w):
-            continue
-        if len(cls.support) != m:
-            continue
-        witnesses.append(Witness(cls.matrix, _normalize_sign(w)))
-    witnesses.sort(key=lambda wit: (wit.embedding, wit.generator))
-    return tuple(witnesses), stats
+        if comp.generator_norm == problem.m_norm and all(w) and len(cls.support) == m:
+            witness = Witness(cls.matrix, w)
+            verify_witness(problem, witness)
+            witnesses.append(witness)
+    if witnesses:
+        verdict = NOT_OBSTRUCTED
+    elif stats.limit_hit:
+        verdict = INCONCLUSIVE
+    else:
+        verdict = OBSTRUCTED
+    return ObstructionReport(problem, verdict, tuple(witnesses), stats)
 
 
 def full_embedding_classes(problem: ObstructionProblem,
@@ -238,6 +223,20 @@ class ClassSummary:
     has_unit_vectors: bool
 
 
+def class_summary(cls: EmbeddingClass) -> ClassSummary:
+    """The support size of a class and its complement data inside the
+    coordinate sublattice spanned by the support: rank, generator norm when
+    the rank is one, and whether the complement contains unit vectors."""
+    sup = cls.support
+    restricted = tuple(tuple(row[j] for j in sup) for row in cls.matrix)
+    comp = orthogonal_complement(restricted, len(sup))
+    norm1 = comp.generator_norm if comp.rank == 1 else None
+    # A unit vector of the support sublattice lying in the complement is a
+    # +-e_i, i.e. a zero column of the restricted matrix.
+    has_unit = any(all(row[j] == 0 for row in restricted) for j in range(len(sup)))
+    return ClassSummary(len(sup), comp.rank, norm1, has_unit)
+
+
 @dataclass(frozen=True)
 class ChainClassificationReport:
     n: int
@@ -252,13 +251,10 @@ def lemma_cemb_report(n: int, m: int,
                       limits: SearchLimits | None = None) -> ChainClassificationReport:
     """Classify embeddings of the chain lattice (3^(n-1), 2, 2, 3^(n-1), 2) in Z^m.
 
-    Reports, per class, the ambient support size and the complement data
-    inside the coordinate sublattice spanned by the support: its rank, its
-    generator norm when the rank is one, and whether it contains unit
-    vectors.  For n = 2 there are exactly three classes, with supports r,
-    r+1 and 4n (r = 2n+1) and a corank-one complement of norm F(2n+1)^2 in
-    the middle one; from n = 3 on, further classes appear alongside those
-    three.
+    Reports the :func:`class_summary` of each class.  For n = 2 there are
+    exactly three classes, with supports r, r+1 and 4n (r = 2n+1) and a
+    corank-one complement of norm F(2n+1)^2 in the middle one; from n = 3 on,
+    further classes appear alongside those three.
     """
     if n < 2:
         raise UsageError(f"need n >= 2, got {n!r}")
@@ -267,16 +263,7 @@ def lemma_cemb_report(n: int, m: int,
     weights = (3,) * (n - 1) + (2, 2) + (3,) * (n - 1) + (2,)
     lat = linear_lattice(weights)
     result = search_embedding_classes(lat, m, limits=limits)
-    summaries = []
-    for cls in result.classes:
-        sup = cls.support
-        restricted = tuple(tuple(row[j] for j in sup) for row in cls.matrix)
-        comp = orthogonal_complement(restricted, len(sup))
-        norm1 = comp.generator_norm if comp.rank == 1 else None
-        # A unit vector of the support sublattice lying in the complement is a
-        # +-e_i, i.e. a zero column of the restricted matrix.
-        has_unit = any(all(row[j] == 0 for row in restricted) for j in range(len(sup)))
-        summaries.append(ClassSummary(len(sup), comp.rank, norm1, has_unit))
+    summaries = [class_summary(cls) for cls in result.classes]
     summaries.sort(key=lambda s: (s.support, s.complement_rank, s.complement_norm or 0))
     return ChainClassificationReport(n, m, weights, len(summaries), tuple(summaries),
                                      result.stats)

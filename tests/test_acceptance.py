@@ -14,8 +14,7 @@ from math import gcd, isqrt
 import pytest
 
 from ballobs import contfrac, markov, obstruction, plumbing
-from ballobs.lattice import (direct_sum, enumerate_embedding_classes,
-                             linear_lattice, orthogonal_complement,
+from ballobs.lattice import (direct_sum, linear_lattice, orthogonal_complement,
                              search_embedding_classes)
 
 
@@ -70,8 +69,7 @@ def test_criterion_3_symplectic_classification():
     main_ok = all(v.symplectic == (n == 1) for n, v in table)
     companions_ok = all(
         markov.classify_symplectic(
-            markov.BallSpec(markov.odd_fibonacci(n + 1), markov.odd_fibonacci(n - 1)),
-            markov.odd_fibonacci(n + 1)).symplectic
+            markov.BallSpec(markov.odd_fibonacci(n + 1), markov.odd_fibonacci(n - 1))).symplectic
         for n in range(2, 9))
     elapsed = time.monotonic() - start
     ok = main_ok and companions_ok and elapsed < 30
@@ -98,7 +96,7 @@ def test_criterion_4_continued_fraction_identities():
 def test_criterion_5_single_ball_b31():
     start = time.monotonic()
     lat = direct_sum(linear_lattice((9,)), linear_lattice((2, 2, 2, 3)))
-    classes = enumerate_embedding_classes(lat, 5)
+    classes = search_embedding_classes(lat, 5).classes
     report = obstruction.check_obstruction(
         obstruction.build_problem([markov.BallSpec(3, 1)]))
     elapsed = time.monotonic() - start
@@ -110,7 +108,7 @@ def test_criterion_6_chain_classification():
     l222 = linear_lattice((2, 2, 2))
     ok = True
     for m in (4, 5, 6, 7):
-        classes = enumerate_embedding_classes(l222, m)
+        classes = search_embedding_classes(l222, m).classes
         ok &= len(classes) == 2
         rank4 = [c for c in classes if len(c.support) == 4]
         ok &= len(rank4) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -176,8 +177,16 @@ class TestExitCodes:
         (("--time-budget=0", "cf", "expand", "9", "7"), "time budget must be positive"),
         (("--node-budget", "-5", "markov", "list", "--max", "3"),
          "node budget must be positive"),
+        (("--time-budget", "nan", "obstruct", "5,1", "13,2", "194,31"),
+         "time budget must be positive"),
+        (("BALLOBS_TIME_BUDGET=nan", "obstruct", "5,1", "13,2", "194,31"),
+         "time budget must be positive"),
     ])
-    def test_usage_error_bad_budget(self, capsys, argv, message):
+    def test_usage_error_bad_budget(self, capsys, monkeypatch, argv, message):
+        # A leading NAME=value sets an environment variable, as in a shell.
+        if "=" in argv[0] and not argv[0].startswith("-"):
+            monkeypatch.setenv(*argv[0].split("=", 1))
+            argv = argv[1:]
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and message in err
 
@@ -188,6 +197,25 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+class TestGoldenBytes:
+    """Exact stdout, recorded before the test-only lattice API was removed."""
+
+    @pytest.mark.parametrize("argv, size, sha256", [
+        (("obstruct", "2,1", "5,1"), 4053,  # two witnesses
+         "9c47fb8eab6e7ee88edfcd1f720458d4a429991d134cb1484ce63bd13917b21c"),
+        (("--format", "json", "lattice", "classes", "--weights", "3,2,2,3,2",
+          "--ambient", "9"), 2859,
+         "d56e8cb9b771f238d8c52abc48614cf1264c1fe82ca593c2801bde5cd78a5eb1"),
+        (("verify", "lemma-cemb", "3", "12"), 838,
+         "d3577327f7def721d8edf2a95795b4723cdcc5a12582deb28faec0ea67727ff6"),
+    ])
+    def test_stdout(self, capsys, argv, size, sha256):
+        code, out, _ = run(capsys, *argv)
+        data = out.encode()
+        assert code == 0
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha256)
 
 
 class TestDeterminism:

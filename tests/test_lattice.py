@@ -8,15 +8,12 @@ import numpy as np
 import pytest
 
 from ballobs.errors import LimitExceeded, UsageError
-from ballobs.lattice import (GramLattice, SearchLimits,
-                             canonical_form, canonical_form_with_transform,
-                             class_count_stabilization, direct_sum,
-                             enumerate_embedding_classes, integer_kernel,
+from ballobs.lattice import (GramLattice, SearchLimits, canonical_form,
+                             direct_sum, integer_kernel,
                              is_isometric_embedding, is_positive_definite,
-                             is_primitive_vector, lattice_determinant,
-                             leading_principal_minors, linear_lattice,
-                             matrix_determinant, orthogonal_complement,
-                             search_embedding_classes, transform_vector,
+                             is_primitive_vector, leading_principal_minors,
+                             linear_lattice, matrix_determinant,
+                             orthogonal_complement, search_embedding_classes,
                              unit_pairing_profile)
 
 L222 = linear_lattice((2, 2, 2))
@@ -31,6 +28,13 @@ def pad(rows, m):
 def apply_signed_permutation(rows, perm, signs):
     return tuple(tuple(signs[j] * row[perm[j]] for j in range(len(perm)))
                  for row in rows)
+
+
+def reverse_basis(lat):
+    """The same lattice with the basis order reversed."""
+    k = lat.rank
+    return GramLattice(tuple(tuple(lat.gram[k - 1 - i][k - 1 - j] for j in range(k))
+                             for i in range(k)))
 
 
 def continuant_determinant(weights):
@@ -69,8 +73,15 @@ class TestConstruction:
             GramLattice(((1, 2), (3, 1)))
 
     def test_reversed(self):
-        rev = CHAIN5.reversed()
+        rev = reverse_basis(CHAIN5)
         assert rev.gram == linear_lattice((2, 3, 2, 2, 3)).gram
+
+    def test_non_integral_rejected(self):
+        with pytest.raises(UsageError, match="integers"):
+            GramLattice(((2.7,),))
+        with pytest.raises(UsageError, match="integers"):
+            GramLattice(((2, 0.5), (0.5, 2)))
+        assert GramLattice(((2.0,),)).gram == ((2,),)
 
 
 class TestDeterminant:
@@ -81,13 +92,13 @@ class TestDeterminant:
         ((3, 2, 2, 3), 16),
     ])
     def test_known_values(self, weights, expected):
-        assert lattice_determinant(linear_lattice(weights)) == expected
+        assert matrix_determinant(linear_lattice(weights).gram) == expected
 
     def test_matches_continuant(self):
         rng = random.Random(5)
         for _ in range(100):
             weights = tuple(rng.randrange(-4, 7) for _ in range(rng.randrange(1, 8)))
-            assert lattice_determinant(linear_lattice(weights)) == \
+            assert matrix_determinant(linear_lattice(weights).gram) == \
                 continuant_determinant(weights)
 
     def test_matrix_determinant_square_only(self):
@@ -147,12 +158,6 @@ class TestCanonicalForm:
             moved = apply_signed_permutation(rows, perm, signs)
             assert canonical_form(moved) == canon
 
-    def test_transform_consistency(self):
-        rows = ((0, 3, 0, -1), (1, 0, -2, 0))
-        canon, perm, signs = canonical_form_with_transform(rows)
-        rebuilt = tuple(transform_vector(row, perm, signs) for row in rows)
-        assert rebuilt == canon
-
     def test_complete_invariant_by_brute_force(self):
         # All embeddings of the rank-3 chain of 2s into Z^4, grouped both by
         # canonical form and by explicit orbit under the 384-element signed
@@ -186,7 +191,7 @@ class TestCanonicalForm:
                     orbit_seen.add(tuple(tuple(s * x for s, x in zip(signs, row))
                                          for row in moved))
         assert canon_count == orbit_count
-        classes = enumerate_embedding_classes(L222, 4)
+        classes = search_embedding_classes(L222, 4).classes
         assert len(classes) == orbit_count == 2
 
 
@@ -282,14 +287,14 @@ class TestOrthogonalComplement:
         assert comp.rank == 0 and comp.basis == ()
 
     def test_second_class_norm_equals_lattice_determinant(self):
-        classes = enumerate_embedding_classes(CHAIN5, 6)
+        classes = search_embedding_classes(CHAIN5, 6).classes
         norms = []
         for cls in classes:
             comp = orthogonal_complement(cls.matrix, 6)
             if comp.rank == 1:
                 norms.append(comp.generator_norm)
                 assert is_primitive_vector(comp.generator)
-        assert lattice_determinant(CHAIN5) == 25
+        assert matrix_determinant(CHAIN5.gram) == 25
         assert 25 in norms
 
 
@@ -353,12 +358,12 @@ EXTRA_N3_SUPPORT11 = (
 class TestEnumeration:
     @pytest.mark.parametrize("m", [4, 5, 6, 7])
     def test_chain222_two_classes(self, m):
-        classes = enumerate_embedding_classes(L222, m)
+        classes = search_embedding_classes(L222, m).classes
         assert len(classes) == 2
         assert sorted(len(c.support) for c in classes) == [3, 4]
 
     def test_chain222_rank4_complement(self):
-        classes = enumerate_embedding_classes(L222, 4)
+        classes = search_embedding_classes(L222, 4).classes
         rank4 = [c for c in classes if len(c.support) == 4]
         assert len(rank4) == 1
         comp = orthogonal_complement(rank4[0].matrix, 4)
@@ -367,7 +372,7 @@ class TestEnumeration:
 
     def test_example_direct_sum_unique(self):
         lat = direct_sum(L9, linear_lattice((2, 2, 2, 3)))
-        classes = enumerate_embedding_classes(lat, 5)
+        classes = search_embedding_classes(lat, 5).classes
         assert len(classes) == 1
         # the explicit embedding 3e1; -e_i+e_(i+1); e2+e3+e4 lands in it
         explicit = ((3, 0, 0, 0, 0), (0, -1, 1, 0, 0), (0, 0, -1, 1, 0),
@@ -380,7 +385,7 @@ class TestEnumeration:
         # are among them.  The remaining two do not extend to the rank-5
         # chain, which the rank-5 counts below confirm independently.
         lat = linear_lattice((3, 2, 2, 3))
-        classes = {c.matrix for c in enumerate_embedding_classes(lat, 8)}
+        classes = {c.matrix for c in search_embedding_classes(lat, 8).classes}
         assert len(classes) == 5
         for rows in RANK4_EXTENDING_CLASSES:
             padded = pad(rows, 8)
@@ -389,7 +394,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("m", [8, 9])
     def test_rank5_chain_three_classes(self, m):
-        classes = enumerate_embedding_classes(CHAIN5, m)
+        classes = search_embedding_classes(CHAIN5, m).classes
         assert len(classes) == 3
         assert sorted(len(c.support) for c in classes) == [5, 6, 8]
         for cls in classes:
@@ -400,7 +405,7 @@ class TestEnumeration:
                 assert comp.rank == 1 and comp.generator_norm == 25
 
     def test_rank5_chain_full_support_class_is_the_known_one(self):
-        classes = enumerate_embedding_classes(CHAIN5, 8)
+        classes = search_embedding_classes(CHAIN5, 8).classes
         full = [c for c in classes if len(c.support) == 8]
         assert len(full) == 1
         assert is_isometric_embedding(CHAIN5, RANK5_FULL_SUPPORT_CLASS)
@@ -411,7 +416,7 @@ class TestEnumeration:
         # m=12 on.  Two of them fall outside the three-support family; their
         # representatives above are verified as embeddings from scratch.
         lat = linear_lattice((3, 3, 2, 2, 3, 3, 2))
-        classes = enumerate_embedding_classes(lat, 12)
+        classes = search_embedding_classes(lat, 12).classes
         assert len(classes) == 5
         assert sorted(len(c.support) for c in classes) == [7, 8, 9, 11, 12]
         class_set = {c.matrix for c in classes}
@@ -433,23 +438,24 @@ class TestEnumeration:
 
     def test_counts_independent_of_vertex_order(self):
         for lat, m in [(CHAIN5, 8), (linear_lattice((3, 2, 2, 3)), 7),
-                       (direct_sum(L9, linear_lattice((2, 2, 2, 3))), 5)]:
-            fwd = enumerate_embedding_classes(lat, m)
-            rev = enumerate_embedding_classes(lat.reversed(), m)
+                       (direct_sum(L9, linear_lattice((2, 2, 2, 3))), 5),
+                       (linear_lattice((3, 3, 2, 2, 3, 3, 2)), 12)]:
+            fwd = search_embedding_classes(lat, m).classes
+            rev = search_embedding_classes(reverse_basis(lat), m).classes
             assert len(fwd) == len(rev)
             flipped = {canonical_form(tuple(reversed(c.matrix))) for c in rev}
             assert flipped == {c.matrix for c in fwd}
 
     def test_empty_when_ambient_too_small(self):
-        assert enumerate_embedding_classes(L222, 2) == []
+        assert search_embedding_classes(L222, 2).classes == ()
 
     def test_not_positive_definite_rejected(self):
         with pytest.raises(UsageError):
-            enumerate_embedding_classes(linear_lattice((1, 1)), 4)
+            search_embedding_classes(linear_lattice((1, 1)), 4)
 
     def test_every_class_is_isometric(self):
         for lat, m in [(CHAIN5, 9), (direct_sum(L222, L222), 7)]:
-            for cls in enumerate_embedding_classes(lat, m):
+            for cls in search_embedding_classes(lat, m).classes:
                 assert is_isometric_embedding(lat, cls.matrix)
                 assert canonical_form(cls.matrix) == cls.matrix
 
@@ -470,6 +476,11 @@ class TestEnumeration:
             SearchLimits(node_budget=0)
         with pytest.raises(UsageError):
             SearchLimits(time_budget=-1)
+        with pytest.raises(UsageError, match="time budget must be positive"):
+            SearchLimits(time_budget=float("nan"))
+        for bad in (2.5, True, "10"):
+            with pytest.raises(UsageError, match="node budget must be an integer"):
+                SearchLimits(node_budget=bad)
 
     def test_stats_deterministic(self):
         r1 = search_embedding_classes(CHAIN5, 9)
@@ -487,9 +498,10 @@ class TestEnumeration:
         assert (stats.nodes, stats.leaves, stats.classes) == (nodes, classes, classes)
 
     def test_stabilization_helper(self):
-        counts, stable = class_count_stabilization(L222, 4, extra=2)
-        assert counts == ((4, 2), (5, 2), (6, 2))
-        assert stable
+        # docs/decisions.md: the n=3 chain has five classes at m = 12, 13, 14
+        lat = linear_lattice((3, 3, 2, 2, 3, 3, 2))
+        counts = [len(search_embedding_classes(lat, m).classes) for m in (12, 13, 14)]
+        assert counts == [5, 5, 5]
 
 
 @lru_cache(maxsize=None)
@@ -507,7 +519,7 @@ def brute_force_classes(lat, m):
     inner products with the rows above match the Gram matrix; partial
     matrices are deduplicated by canonical form after every row.
     """
-    gram = lat.to_array()
+    gram = np.array(lat.gram, dtype=np.int64)
     level = {()}
     for i in range(lat.rank):
         vecs = shell(m, int(gram[i, i]))

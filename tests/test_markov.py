@@ -218,25 +218,21 @@ class TestBallParams:
 
 class TestClassifySymplectic:
     def test_b21(self):
-        v = classify_symplectic(BallSpec(2, 1), 2)
+        v = classify_symplectic(BallSpec(2, 1))
         assert v.symplectic and v.witness == MarkovTriple(1, 1, 2)
 
     def test_b52(self):
-        assert not classify_symplectic(BallSpec(5, 2), 5).symplectic
+        assert not classify_symplectic(BallSpec(5, 2)).symplectic
 
     def test_b51(self):
-        v = classify_symplectic(BallSpec(5, 1), 5)
+        v = classify_symplectic(BallSpec(5, 1))
         assert v.symplectic and v.witness == MarkovTriple(1, 2, 5)
-
-    def test_bound_too_small(self):
-        with pytest.raises(UsageError):
-            classify_symplectic(BallSpec(5, 1), 4)
 
     def test_invariant_under_q_reflection(self):
         # B(p, q) and B(p, p-q) are the same ball, so verdicts agree.
         for p, q in [(5, 2), (5, 3), (13, 5), (13, 8), (29, 12), (29, 17)]:
-            a = classify_symplectic(BallSpec(p, q), p)
-            b = classify_symplectic(BallSpec(p, p - q), p)
+            a = classify_symplectic(BallSpec(p, q))
+            b = classify_symplectic(BallSpec(p, p - q))
             assert a == b
 
     def test_triple_balls_are_symplectic(self):
@@ -244,7 +240,7 @@ class TestClassifySymplectic:
         # must agree on each of them.
         for t in enumerate_triples(1000):
             for ball in ball_params(t):
-                assert classify_symplectic(ball, ball.p).symplectic
+                assert classify_symplectic(ball).symplectic
 
 
 class TestFibonacciTable:
@@ -259,7 +255,7 @@ class TestFibonacciTable:
         assert (fibonacci_ball(5).p, fibonacci_ball(5).q) == (89, 34)
         for n in (4, 5):
             ball = fibonacci_ball(n)
-            assert not classify_symplectic(ball, ball.p).symplectic
+            assert not classify_symplectic(ball).symplectic
             assert pow(ball.q, 2, ball.p) == ball.p - 1  # q^2 = -1 mod p
             assert 8 % ball.p != 0
 
@@ -267,4 +263,4 @@ class TestFibonacciTable:
         # B(F(2n+1), F(2n-3)) embeds for n >= 2.
         for n in range(2, 9):
             ball = BallSpec(odd_fibonacci(n + 1), odd_fibonacci(n - 1))
-            assert classify_symplectic(ball, ball.p).symplectic
+            assert classify_symplectic(ball).symplectic

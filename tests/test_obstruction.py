@@ -1,14 +1,13 @@
 import json
+import math
 
 import pytest
 
 from ballobs.errors import LimitExceeded, UsageError
-from ballobs.lattice import (SearchLimits, canonical_form_with_transform,
-                             direct_sum, is_isometric_embedding,
-                             is_primitive_vector, lattice_determinant,
-                             linear_lattice, matrix_determinant,
-                             search_embedding_classes, transform_vector,
-                             unit_pairing_profile)
+from ballobs.lattice import (SearchLimits, direct_sum, is_isometric_embedding,
+                             is_primitive_vector, linear_lattice,
+                             matrix_determinant, orthogonal_complement,
+                             search_embedding_classes, unit_pairing_profile)
 from ballobs.markov import BallSpec, fibonacci_ball
 from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
                                  Witness, ball_boundary, ball_plumbing,
@@ -29,6 +28,20 @@ def direct_sum_classes(problem):
     return search_embedding_classes(lat_full, problem.ambient).classes
 
 
+def canonical_with_vector(rows, w):
+    """Canonical form of ``rows`` with ``w`` carried through the same column
+    signs and permutation.  The sort is stable, so identical columns keep
+    their order."""
+    cols = []
+    for col, x in zip(zip(*rows), w):
+        if next((y for y in col if y), 0) < 0:
+            col, x = tuple(-y for y in col), -x
+        cols.append((col, x))
+    cols.sort(key=lambda c: c[0], reverse=True)
+    canon = tuple(tuple(col[i] for col, _ in cols) for i in range(len(rows)))
+    return canon, tuple(x for _, x in cols)
+
+
 def direct_sum_witnesses(problem):
     """Oracle: the witnesses among the direct-sum classes, in the form
     ``check_obstruction`` reports them (canonical Lambda_C rows, generator
@@ -44,8 +57,7 @@ def direct_sum_witnesses(problem):
             continue
         if not is_primitive_vector(w):
             continue
-        canon, perm, signs = canonical_form_with_transform(c_rows)
-        gen = transform_vector(w, perm, signs)
+        canon, gen = canonical_with_vector(c_rows, w)
         if next(x for x in gen if x) < 0:
             gen = tuple(-x for x in gen)
         witnesses.add(Witness(canon, gen))
@@ -153,7 +165,7 @@ class TestCheckObstruction:
             full = (w.generator,) + w.embedding
             assert is_isometric_embedding(lat_full, full)
             det = matrix_determinant(full)
-            assert det * det == pr.m_norm * lattice_determinant(lat_c)
+            assert det * det == pr.m_norm * matrix_determinant(lat_c.gram)
             assert unit_pairing_profile((w.generator,), w.embedding, pr.ambient).passes
 
     def test_inconclusive_on_tiny_budget(self):
@@ -221,6 +233,29 @@ class TestStrategyEquivalence:
         assert rep.verdict == (NOT_OBSTRUCTED if oracle else OBSTRUCTED)
         key = tuple((b.p, b.q) for b in balls)
         assert (rep.verdict, len(rep.witnesses)) == ORACLE_PROBLEMS[key]
+
+
+class TestPrimitivity:
+    """The generator norm equals m_norm exactly when the Lambda_C image is
+    primitive, checked against the gcd of its maximal minors."""
+
+    @pytest.mark.parametrize("balls", ORACLE_BALLS + [
+        [BallSpec(5, 2), BallSpec(13, 5), BallSpec(34, 13)],
+        [BallSpec(2, 1), BallSpec(5, 1), BallSpec(29, 7)],  # triple (2,5,29)
+    ])
+    def test_norm_matches_maximal_minors(self, balls):
+        pr = build_problem(balls)
+        m = pr.ambient
+        classes = search_embedding_classes(pr.c_lattice, m).classes
+        assert classes
+        for cls in classes:
+            # k x (k+1) matrix: its maximal minors delete one column each
+            minors = [matrix_determinant([row[:j] + row[j + 1:] for row in cls.matrix])
+                      for j in range(m)]
+            index = math.gcd(*minors)
+            norm = orthogonal_complement(cls.matrix, m).generator_norm
+            assert (index == 1) == (norm == pr.m_norm), cls.matrix
+            assert norm * index * index == pr.m_norm, cls.matrix
 
 
 class TestTheorem2:
