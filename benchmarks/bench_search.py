@@ -13,6 +13,10 @@ Rungs, each searched to completion (no budget):
   with 3, 5, 12 and 37 classes (docs/decisions.md).
 * Single Markov balls up to B(610, 89): the ball of the largest entry of each
   Markov triple with maximum <= 610.  NOT_OBSTRUCTED.
+* Cold CLI: fresh ``python -m ballobs.cli --format json`` processes for
+  ``markov list --max 1000`` and then ``obstruct 3,1``, timed together from
+  start to exit.  Both must exit 0, and ``obstruct`` must say OBSTRUCTED with
+  1 class.  The children run the ballobs source that this script imports.
 
 Each rung asserts its verdict and its class count; the script runs the whole
 ladder, then exits 1 if any rung missed.  It prints best-of-N wall time with
@@ -30,12 +34,14 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 
 import numpy as np
 
 from ballobs import markov, obstruction
+from ballobs.lattice import SearchStats
 
 FIB_PAIRS = ((1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6), (6, 6))
 TRIPLE_MAX = 200
@@ -45,6 +51,7 @@ TRIPLE_CLASSES = {(1, 1, 2): 2, (1, 2, 5): 5, (1, 5, 13): 5, (1, 13, 34): 5, (1,
 CHAIN_CLASSES = {2: 3, 3: 5, 4: 12, 5: 37}
 SINGLE_BALL_MAX = 610
 SINGLE_BALL_CLASSES = 2
+COLD_COMMANDS = (("markov", "list", "--max", "1000"), ("obstruct", "3,1"))
 
 
 def obstruction_rung(label, balls, verdict, classes):
@@ -61,6 +68,25 @@ def chain_rung(n):
         report = obstruction.lemma_cemb_report(n, 4 * n)
         return ("COMPLETE" if not report.statistics.limit_hit else "LIMIT"), report.statistics
     return f"chain n={n} in Z^{4 * n}", run, ("COMPLETE", CHAIN_CLASSES[n])
+
+
+def cold_cli_rung():
+    src = os.path.dirname(os.path.dirname(obstruction.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run():
+        for argv in COLD_COMMANDS:
+            proc = subprocess.run([sys.executable, "-m", "ballobs.cli", "--format", "json", *argv],
+                                  env=env, capture_output=True, text=True)
+            if proc.returncode:
+                return f"EXIT {proc.returncode}", SearchStats(0, 0, 0)
+        # The last command is obstruct: its verdict and counts stand for the rung.
+        doc = json.loads(proc.stdout)
+        s = doc["statistics"]
+        return doc["verdict"], SearchStats(int(s["nodes"]), int(s["leaves"]),
+                                           int(s["classes"]), s["limit_hit"])
+    return "cold CLI markov list+obstruct 3,1", run, (obstruction.OBSTRUCTED, 1)
 
 
 def ladder():
@@ -83,6 +109,7 @@ def ladder():
     for ball in sorted(singles, key=lambda b: b.p):
         rungs.append(obstruction_rung(f"single ball {ball}", [ball],
                                       obstruction.NOT_OBSTRUCTED, SINGLE_BALL_CLASSES))
+    rungs.append(cold_cli_rung())
     return rungs
 
 

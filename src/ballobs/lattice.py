@@ -27,10 +27,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import InternalCheckError, LimitExceeded, UsageError
-from .kernels import constrained_vectors
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -383,7 +380,7 @@ def _square_parts(n: int, max_parts: int, cap: int) -> tuple[tuple[int, ...], ..
 _CHUNK = 16
 # Pending rows are stored compactly: an entry of a row of norm at most
 # MAX_DIAGONAL is at most isqrt(MAX_DIAGONAL) = 1000 in absolute value.
-_ROW_DTYPE = np.int16
+_ROW_DTYPE = "int16"
 
 
 @dataclass
@@ -452,6 +449,12 @@ def search_embedding_classes(l: GramLattice, m: int,
     node-by-node search: a run cut short by a budget may have walked a
     different prefix of the tree, and so found different partial classes.
     """
+    # numpy loads here, on the first search, so that commands which never
+    # search do not pay for importing it.
+    import numpy as np
+
+    from .kernels import constrained_vectors
+
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise UsageError(f"ambient rank must be a positive integer, got {m!r}")
     if m > MAX_AMBIENT:

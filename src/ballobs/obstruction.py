@@ -60,13 +60,7 @@ class ObstructionProblem:
     m_norm: int
     components: tuple[GramLattice, ...]
     ambient: int
-
-    @property
-    def c_lattice(self) -> GramLattice:
-        lat = self.components[0]
-        for extra in self.components[1:]:
-            lat = direct_sum(lat, extra)
-        return lat
+    c_lattice: GramLattice  # the direct sum of the components, in order
 
 
 def build_problem(balls) -> ObstructionProblem:
@@ -76,8 +70,10 @@ def build_problem(balls) -> ObstructionProblem:
         raise UsageError("at least one ball is required")
     m_norm = math.prod(b.p * b.p for b in balls)
     components = tuple(linear_lattice(ball_plumbing(b)) for b in balls)
-    ambient = 1 + sum(c.rank for c in components)
-    return ObstructionProblem(balls, m_norm, components, ambient)
+    c_lattice = components[0]
+    for extra in components[1:]:
+        c_lattice = direct_sum(c_lattice, extra)
+    return ObstructionProblem(balls, m_norm, components, 1 + c_lattice.rank, c_lattice)
 
 
 @dataclass(frozen=True)

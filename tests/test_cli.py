@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +220,40 @@ class TestGoldenBytes:
         data = out.encode()
         assert code == 0
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha256)
+
+
+# Run in a fresh interpreter: import ballobs, run the CLI on the arguments, if
+# any, then report the exit code and whether numpy and the kernel got loaded.
+COLD_PROBE = """
+import json, sys
+import ballobs
+code = 0
+if sys.argv[1:]:
+    from ballobs.cli import main
+    code = main(["--format", "json", *sys.argv[1:]])
+print(json.dumps([code, "numpy" in sys.modules, "ballobs.kernels" in sys.modules]))
+"""
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestColdImports:
+    """Commands that never search must not load numpy or the search kernel."""
+
+    @pytest.mark.parametrize("argv, searches", [
+        ((), False),
+        (("markov", "list", "--max", "1000"), False),
+        (("ball", "classify", "5", "2"), False),
+        (("cf", "expand", "9", "7"), False),
+        (("plumbing", "certify", "5"), False),
+        (("obstruct", "3,1"), True),  # shows that the probe does see numpy
+    ])
+    def test_numpy_loaded_only_by_search(self, argv, searches):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", COLD_PROBE, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        code, numpy_loaded, kernels_loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert (code, numpy_loaded, kernels_loaded) == (0, searches, searches)
 
 
 class TestDeterminism:

@@ -112,6 +112,8 @@ class TestBuildProblem:
         assert pr.m_norm == 100
         assert [c.rank for c in pr.components] == [3, 5]
         assert pr.ambient == 9
+        assert pr.c_lattice == direct_sum(*pr.components)
+        assert pr.c_lattice is pr.c_lattice  # built once, not on every read
 
     def test_single_b21(self):
         pr = build_problem([BallSpec(2, 1)])
