@@ -14,6 +14,11 @@ Swapping two identical columns of an owner's rows fixes every constraint, so
 the scan keeps one representative per such swap (the search's tie rule, see
 :func:`ballobs.lattice.search_embedding_classes`), reading the ties off each
 owner's own rows.  A single query is a batch of one.
+
+A call costs mostly numpy's per-operation overhead, paid once per scanned
+column, so each layer does its work in few operations: it builds the
+inner-product deficits that every (partial vector, value) pair would leave,
+tests their bounds, and keeps the survivors' deficits as the next layer's.
 """
 
 from __future__ import annotations
@@ -24,18 +29,23 @@ import numpy as np
 
 
 # Largest (N, V, k) block the scan builds at once, in array entries.  Wider
-# layers are tested block by block, so the largest temporaries stay this size
-# however many partial vectors a layer holds.
+# layers are tested block by block and keep only each block's survivors, so
+# no temporary kept past its block exceeds this size however many partial
+# vectors a layer holds.
 _BLOCK = 1 << 14
 
 
-def _within_bounds(vals, rem, ns, col, kk):
-    # (N, V) mask: every deficit left after x[c] = v passes its bound,
-    # deficit^2 <= (norm left) * (squares left in the row).
-    big = vals[None, :, None] * col[:, None, :kk]                      # (N, V, kk)
-    np.subtract(rem[:, None, :], big, out=big)
-    np.square(big, out=big)
-    return (big <= ns[:, :, None] * col[:, None, kk:2 * kk]).all(axis=2)
+def _survivors(vals, rem, ns, col, cap, kk):
+    # The (i, j) for which x[c] = vals[j] keeps partial vector i within every
+    # bound, deficit^2 <= (norm left) * (squares left in the row), and x[c]
+    # at most cap[i] (the tie rule), with the deficits each of them leaves.
+    d = vals[None, :, None] * col[:, None, :kk]                        # (N, V, kk)
+    np.subtract(rem[:, None, :], d, out=d)
+    ok = (d * d <= ns[:, :, None] * col[:, None, kk:2 * kk]).all(axis=2)
+    if cap is not None:
+        ok &= vals[None, :] <= cap[:, None]
+    ii, jj = np.nonzero(ok)
+    return ii, jj, d[ii, jj]
 
 
 def constrained_vectors(rows, used, dots, norm):
@@ -94,21 +104,22 @@ def constrained_vectors(rows, used, dots, norm):
     for c in range(u):
         col = packed[c][owner]                                         # (N, 2kk+1)
         ns = slack[:, None] - sq[None, :]                              # (N, V)
+        cap = np.where(col[:, 2 * kk] != 0, last, vmax) if tied[c] else None
         if len(owner) <= step:
-            ok = _within_bounds(vals, rem, ns, col, kk)
+            ii, jj, rem = _survivors(vals, rem, ns, col, cap, kk)
         else:
-            ok = np.concatenate([_within_bounds(vals, rem[lo:lo + step], ns[lo:lo + step],
-                                                col[lo:lo + step], kk)
-                                 for lo in range(0, len(owner), step)])
-        if tied[c]:
-            ok &= vals[None, :] <= np.where(col[:, 2 * kk] != 0, last, vmax)[:, None]
-        ii, jj = np.nonzero(ok)
+            parts = []
+            for lo in range(0, len(owner), step):
+                s = slice(lo, lo + step)
+                bii, bjj, brem = _survivors(vals, rem[s], ns[s], col[s],
+                                            None if cap is None else cap[s], kk)
+                parts.append((bii + lo, bjj, brem))
+            ii, jj, rem = (np.concatenate(p) for p in zip(*parts))
         if ii.size == 0:
             return np.zeros(0, dtype=np.int64), np.zeros((0, u + 1), dtype=np.int64)
         steps.append((ii, jj))
         last = vals[jj]
         slack = ns[ii, jj]
-        rem = rem[ii] - last[:, None] * col[ii, :kk]
         owner = owner[ii]
     assert not rem.any()
     # Read each solution back along its chain of parent partial vectors.

@@ -193,7 +193,7 @@ def theorem2_suite(pairs, limits: SearchLimits | None = None,
     Indices above ``max_index`` are refused by default: every pair up to
     (5, 5) (ambient rank 23) decides in well under a second, while each
     further index multiplies the search nodes by about five, (6, 6) taking
-    6,684 nodes and about 1 s.
+    6,684 nodes and about 0.6 s.
     """
     reports = []
     for k, n in pairs:

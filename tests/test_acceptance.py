@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines; the
-disjoint-pair (6,6) search (rank 26, 6,684 nodes, about 1 s), the longest
+disjoint-pair (6,6) search (rank 26, 6,684 nodes, about 0.6 s), the longest
 search in the suite, carries the ``slow`` marker and can be skipped with
 ``-m 'not slow'``.
 """

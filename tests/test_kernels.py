@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import numpy as np
+import pytest
 
 from ballobs import kernels
 from ballobs.kernels import constrained_vectors
@@ -107,9 +108,13 @@ class TestNumpyKernel:
     def test_batch_matches_brute_force_per_query(self):
         check_batches(random.Random(12))
 
-    def test_blockwise_bound_test(self, monkeypatch):
-        # with tiny blocks every layer of the scan is tested block by block
-        monkeypatch.setattr(kernels, "_BLOCK", 8)
+    @pytest.mark.parametrize("block", [8, 64])
+    def test_blockwise_bound_test(self, monkeypatch, block):
+        # with 8-entry blocks every layer of the scan is tested block by
+        # block; with 64 some layers are split and others are not, so the
+        # survivors of split layers, tie cut included, meet the unsplit path
+        # in one call
+        monkeypatch.setattr(kernels, "_BLOCK", block)
         check_batches(random.Random(13))
 
     def test_no_columns(self):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ballobs import kernels, lattice
 from ballobs.errors import LimitExceeded, UsageError
 from ballobs.lattice import (SearchLimits, direct_sum, is_isometric_embedding,
                              is_primitive_vector, linear_lattice,
@@ -191,6 +192,21 @@ class TestCheckObstruction:
         assert check_obstruction(pr).verdict == OBSTRUCTED
 
 
+def _ball_problem(*balls):
+    pr = build_problem(list(balls))
+    return pr.c_lattice, pr.ambient
+
+
+CHUNK_PROBLEMS = [
+    pytest.param(*_ball_problem(fibonacci_ball(4), fibonacci_ball(4)), id="fib44"),
+    pytest.param(*_ball_problem(BallSpec(5, 2), BallSpec(13, 5), BallSpec(34, 13)),
+                 id="three-balls"),
+    pytest.param(*_ball_problem(BallSpec(2, 1), BallSpec(5, 1), BallSpec(29, 7)),
+                 id="triple-2-5-29"),
+    pytest.param(linear_lattice((3, 3, 3, 2, 2, 3, 3, 3, 2)), 16, id="chain4"),
+]
+
+
 class TestWalkCounts:
     """Node and leaf counts of completed searches, which the order of the
     walk cannot change, and the node count at which a budget stops it."""
@@ -204,6 +220,33 @@ class TestWalkCounts:
         stats = check_obstruction(build_problem(balls)).statistics
         assert not stats.limit_hit
         assert (stats.nodes, stats.leaves, stats.classes) == (nodes, leaves, leaves)
+
+    @pytest.mark.parametrize("chunk", [1, 5])
+    @pytest.mark.parametrize("lat, m", CHUNK_PROBLEMS)
+    def test_node_set_independent_of_chunk(self, monkeypatch, lat, m, chunk):
+        # wider chunks save kernel calls only because the node set, and with
+        # it the classes, does not depend on the chunk size
+        default = search_embedding_classes(lat, m)
+        monkeypatch.setattr(lattice, "_CHUNK", chunk)
+        chunked = search_embedding_classes(lat, m)
+        assert chunked.classes == default.classes
+        assert chunked.stats == default.stats  # nodes, leaves, classes, limit_hit
+
+    def test_kernel_calls(self, monkeypatch):
+        # triple (2,5,29): 578 nodes answered by 51 calls of 32-node chunks
+        # (82 with 16-node chunks)
+        calls = []
+        constrained_vectors = kernels.constrained_vectors
+
+        def counted(*args):
+            calls.append(args)
+            return constrained_vectors(*args)
+
+        monkeypatch.setattr(kernels, "constrained_vectors", counted)
+        pr = build_problem([BallSpec(2, 1), BallSpec(5, 1), BallSpec(29, 7)])
+        stats = search_embedding_classes(pr.c_lattice, pr.ambient).stats
+        assert (stats.nodes, stats.limit_hit) == (578, False)
+        assert len(calls) == 51
 
     def test_budget_stops_at_one_past_it(self):
         # triple (2,29,169): every frontier node is a counted node, so the
