@@ -202,9 +202,71 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+_NO_OUTPUT = (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+
+# argv: (exit code, (length, sha256) of stdout under --format text, the same
+# under --format json), recorded before the handlers stopped printing.
+SUBCOMMAND_GOLDEN = {
+    ("markov", "list", "--max", "1000"): (0,
+        (130, "b7cf9727d29890d5c36434644b251759d1b839e90b292c4cbd0ab974fc5c26e1"),
+        (681, "0a57a5e7762d476f7d8f9f9657d47b06cfb397e92ea0ea6a8e3a2ae12ebc3f70")),
+    ("markov", "char", "29", "2", "5"): (0,
+        (3, "a1fb50e6c86fae1679ef3351296fd6713411a08cf8dd1790a4fd05fae8688164"),
+        (91, "0ed60949143a096351ae2dd6234fe51fdc274b187ce2794a26ea483af9feba31")),
+    ("ball", "classify", "5", "1"): (0,
+        (36, "c735ec5bf31f5d2a25aa1ed84bbb1688136243b7a0d3f111ceaae6f8f43885d4"),
+        (126, "f444d05a1fc3091cd9b0da553b3051f2eab5d19c97cde6e2b99ef98231ad83c9")),
+    ("ball", "classify", "5", "2"): (0,
+        (23, "2f75d1f02baaeb8225b239a3a895927bc2374908e8f9f85c2237526f59c7229c"),
+        (100, "91d86f2f56e5aef0456babae481f2786a24c425da2a6c606c436f6f931ac3ffe")),
+    ("ball", "boundary", "3", "1"): (0,
+        (7, "2739cf58a8727d71d95381ad6426093c5575f50d657c65f2c358a0cb0cb64724"),
+        (55, "95d1c69c492f6dc4dce224f70f595e7de23b16c8363156d77b26a06f4ca03d19")),
+    ("ball", "plumbing", "5", "2"): (0,
+        (12, "e037591bec9ff979536044c3ba89c5d67c3076a95959d46798cf4d00c230b0b4"),
+        (101, "66103183218644d6eed89dc64f0273f53f82644a94536a712c1d848afa776877")),
+    ("cf", "expand", "9", "7"): (0,
+        (10, "0c062eb67a129a530da68f753c82027c6ec3bdbbe8564cf479858008a99738db"),
+        (93, "29e256a12c42502c8e9f9b8d89fd6636e65f037a74b89301201dd3fa0741f058")),
+    ("cf", "eval", "3,5,2"): (0,
+        (5, "d19823cd6fb5533b457f8d7011c7c719847b6666531bd262cc2179d9109f38ba"),
+        (72, "bd57e6e04ee997a04b9197af5c52c71c2d9cbe216652437d067ce94684fe50b9")),
+    ("cf", "fib-identities", "3"): (0,
+        (71, "f33f10eeb4e8c03ef87b4c8cbfe35a24d6887390eaf6e6b343f9e8b21f0ed949"),
+        (328, "c9798583cf85c98c2b387958b6c6a655664d50b23ebe9fa3959c82a4792e6f14")),
+    ("lattice", "classes", "--weights", "3,2,2,3,2", "--ambient", "9"): (0,
+        (171, "1cb865ca1a86d300f946551690c47dbc8ec9f486e7b8eb72c1d3fbba46e8b62e"),
+        (2859, "d56e8cb9b771f238d8c52abc48614cf1264c1fe82ca593c2801bde5cd78a5eb1")),
+    ("plumbing", "reduce", "-3,-2,-1,-2"): (0,
+        (25, "825ca1101047e133b41456a1b1de5c012b347bdec9953670f7521a6f3f41f389"),
+        (142, "4be4a09bf0d761af5d8b92bee7837afc5a5a11f37d39293c20120b2224cc46cc")),
+    ("plumbing", "certify", "5"): (0,
+        (81, "8079865a47b9edc9f979099fb74971892ba6d1c4f8090229f5d8f31dc03e09d7"),
+        (240, "9e6497cb10475af4769432365498b64eb89294fd3bb577943efcd5e4a41db99f")),
+    ("obstruct", "2,1", "5,1"): (0,
+        (158, "de4d9970986965bf8075d5253cc9b0afac53e522b6b3594457159b2a9ee45eb6"),
+        (4053, "9c47fb8eab6e7ee88edfcd1f720458d4a429991d134cb1484ce63bd13917b21c")),
+    ("--node-budget", "2", "obstruct", "2,1", "5,2"): (2,
+        (59, "16dcd593f6aa9af1b3fce9cb76f43e3ebbc82f89a05535afe8a3338a1e2b9cac"),
+        (543, "81c596b3ab432815d853405f18f73b77edd9299dd380c41bfa8d4292428d9404")),
+    ("verify", "example-b31"): (0,
+        (147, "b59b1d5cdf1b697349370b36672148242fb8ab428a28c111d16d1b7b4df28ba5"),
+        (233, "8a2ec63eef1cd6e0a894355ddb2c29922afb11c9be3a36df540c083d37a9b3b8")),
+    ("verify", "lemma-cemb", "3", "12"): (0,
+        (325, "a7cff7b3425f2c630a19edb25900a6d81aa03023a6d670a3103d16180210a28d"),
+        (838, "d3577327f7def721d8edf2a95795b4723cdcc5a12582deb28faec0ea67727ff6")),
+    ("verify", "theorem2", "1", "2"): (0,
+        (58, "0b136ec832e4d49cc0a0faa65c9ef03c5958f9344c2b78d723c8d97ae58beb3f"),
+        (543, "3bb8e9c640aada12d0d27b19221a81e60ec49c79a4ab8cffbfa88c821ab84470")),
+    ("verify", "theorem2", "1", "7"): (1, _NO_OUTPUT, _NO_OUTPUT),
+    ("cf", "expand", "7", "9"): (1, _NO_OUTPUT, _NO_OUTPUT),
+}
+
 
 class TestGoldenBytes:
-    """Exact stdout, recorded before the test-only lattice API was removed."""
+    """Exact stdout: ``test_stdout`` was recorded before the test-only lattice
+    API was removed, ``test_every_subcommand`` before the handlers stopped
+    printing."""
 
     @pytest.mark.parametrize("argv, size, sha256", [
         (("obstruct", "2,1", "5,1"), 4053,  # two witnesses
@@ -220,6 +282,15 @@ class TestGoldenBytes:
         data = out.encode()
         assert code == 0
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha256)
+
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    @pytest.mark.parametrize("argv", SUBCOMMAND_GOLDEN, ids=" ".join)
+    def test_every_subcommand(self, capsys, argv, fmt):
+        code, text, doc = SUBCOMMAND_GOLDEN[argv]
+        got_code, out, _ = run(capsys, "--format", fmt, *argv)
+        data = out.encode()
+        assert got_code == code
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (text if fmt == "text" else doc)
 
 
 # Run in a fresh interpreter: import ballobs, run the CLI on the arguments, if
