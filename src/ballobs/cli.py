@@ -2,8 +2,9 @@
 
 Subcommands mirror the library: Markov-tree queries, continued fractions,
 plumbing reduction, lattice class enumeration, and obstruction reports.
-Structured output is a single JSON document on stdout with every integer
-rendered as a decimal string; diagnostics go to stderr.
+Each handler returns (JSON document, text lines, exit code); ``main`` alone
+writes stdout: the document, every integer a decimal string, or the lines,
+as ``--format`` asks.  Diagnostics go to stderr.
 
 Exit codes: 0 computed, 1 usage error, 2 budget exhausted (INCONCLUSIVE),
 3 internal consistency failure.
@@ -73,17 +74,6 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
     return tuple(_int(s, what) for s in items)
 
 
-def _pair(text: str, what: str) -> tuple[int, int]:
-    vals = _int_list(text, what)
-    if len(vals) != 2:
-        raise UsageError(f"{what} must be two comma-separated integers, got {text!r}")
-    return vals
-
-
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
-
-
 def _fmt_ints(values) -> str:
     return ",".join(str(v) for v in values)
 
@@ -92,224 +82,196 @@ def _fmt_ints(values) -> str:
 # Subcommand handlers
 
 
-def cmd_markov_list(args, cfg: RunConfig) -> int:
+def cmd_markov_list(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     triples = markov.enumerate_triples(args.max)
-    if cfg.fmt == "json":
-        _emit_json({
-            "schema": "markov-list@1",
-            "bound": _s(args.max),
-            "triples": [[_s(t.a), _s(t.b), _s(t.c)] for t in triples],
-        })
-    else:
-        for t in triples:
-            print(t)
-    return 0
+    doc = {
+        "schema": "markov-list@1",
+        "bound": _s(args.max),
+        "triples": [[_s(t.a), _s(t.b), _s(t.c)] for t in triples],
+    }
+    return doc, [str(t) for t in triples], 0
 
 
-def cmd_markov_char(args, cfg: RunConfig) -> int:
+def cmd_markov_char(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     t = markov.triple(args.p, args.a, args.b)
     u = markov.characteristic_number(t)
-    if cfg.fmt == "json":
-        _emit_json({"schema": "markov-char@1",
-                    "triple": [_s(t.a), _s(t.b), _s(t.c)], "u": _s(u)})
-    else:
-        print(u)
-    return 0
+    doc = {"schema": "markov-char@1", "triple": [_s(t.a), _s(t.b), _s(t.c)], "u": _s(u)}
+    return doc, [str(u)], 0
 
 
-def cmd_ball_classify(args, cfg: RunConfig) -> int:
+def cmd_ball_classify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     ball = markov.BallSpec(args.p, args.q)
     verdict = markov.classify_symplectic(ball)
-    if cfg.fmt == "json":
-        doc = {"schema": "ball-classify@1", "p": _s(ball.p), "q": _s(ball.q),
-               "symplectic": verdict.symplectic,
-               "witness": None if verdict.witness is None else
-               [_s(verdict.witness.a), _s(verdict.witness.b), _s(verdict.witness.c)]}
-        _emit_json(doc)
-    elif verdict.symplectic:
-        print(f"{ball}: symplectic, witness {verdict.witness}")
-    else:
-        print(f"{ball}: not symplectic")
-    return 0
+    w = verdict.witness
+    doc = {"schema": "ball-classify@1", "p": _s(ball.p), "q": _s(ball.q),
+           "symplectic": verdict.symplectic,
+           "witness": None if w is None else [_s(w.a), _s(w.b), _s(w.c)]}
+    text = f"symplectic, witness {w}" if verdict.symplectic else "not symplectic"
+    return doc, [f"{ball}: {text}"], 0
 
 
-def cmd_ball_boundary(args, cfg: RunConfig) -> int:
-    ball = markov.BallSpec(args.p, args.q)
-    big_p, big_q = obstruction.ball_boundary(ball)
-    if cfg.fmt == "json":
-        _emit_json({"schema": "lens-space@1", "p": _s(big_p), "q": _s(big_q)})
-    else:
-        print(f"L({big_p},{big_q})")
-    return 0
+def cmd_ball_boundary(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+    big_p, big_q = obstruction.ball_boundary(markov.BallSpec(args.p, args.q))
+    doc = {"schema": "lens-space@1", "p": _s(big_p), "q": _s(big_q)}
+    return doc, [f"L({big_p},{big_q})"], 0
 
 
-def cmd_ball_plumbing(args, cfg: RunConfig) -> int:
-    ball = markov.BallSpec(args.p, args.q)
-    weights = obstruction.ball_plumbing(ball)
-    if cfg.fmt == "json":
-        _emit_json({"schema": "plumbing-weights@1", "weights": [_s(w) for w in weights]})
-    else:
-        print(f"[{_fmt_ints(weights)}]")
-    return 0
+def cmd_ball_plumbing(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+    weights = obstruction.ball_plumbing(markov.BallSpec(args.p, args.q))
+    doc = {"schema": "plumbing-weights@1", "weights": [_s(w) for w in weights]}
+    return doc, [f"[{_fmt_ints(weights)}]"], 0
 
 
-def cmd_cf_expand(args, cfg: RunConfig) -> int:
+def cmd_cf_expand(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     e = contfrac.hj_expand(args.p, args.q)
-    if cfg.fmt == "json":
-        _emit_json({"schema": "hj-expansion@1", "coefficients": [_s(a) for a in e]})
-    else:
-        print(f"[{_fmt_ints(e)}]")
-    return 0
+    doc = {"schema": "hj-expansion@1", "coefficients": [_s(a) for a in e]}
+    return doc, [f"[{_fmt_ints(e)}]"], 0
 
 
-def cmd_cf_eval(args, cfg: RunConfig) -> int:
+def cmd_cf_eval(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     frac = contfrac.hj_eval(_int_list(args.coefficients, "coefficients"))
-    if cfg.fmt == "json":
-        _emit_json({"schema": "fraction@1",
-                    "numerator": _s(frac.numerator), "denominator": _s(frac.denominator)})
-    else:
-        print(f"{frac.numerator}/{frac.denominator}")
-    return 0
+    doc = {"schema": "fraction@1",
+           "numerator": _s(frac.numerator), "denominator": _s(frac.denominator)}
+    return doc, [f"{frac.numerator}/{frac.denominator}"], 0
 
 
-def cmd_cf_fib_identities(args, cfg: RunConfig) -> int:
-    n = args.n
-    first, second = contfrac.fibonacci_identities(n)
+def cmd_cf_fib_identities(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+    first, second = contfrac.fibonacci_identities(args.n)
     v1 = contfrac.hj_eval(first)
     v2 = contfrac.hj_eval(second)
-    if cfg.fmt == "json":
-        _emit_json({
-            "schema": "fibonacci-identities@1",
-            "n": _s(n),
-            "first": {"coefficients": [_s(a) for a in first],
-                      "numerator": _s(v1.numerator), "denominator": _s(v1.denominator)},
-            "second": {"coefficients": [_s(a) for a in second],
-                       "numerator": _s(v2.numerator), "denominator": _s(v2.denominator)},
-        })
-    else:
-        hi, lo = 2 * n + 1, 2 * n - 1
-        print(f"F({hi})/F({lo}) = {v1.numerator}/{v1.denominator} = [{_fmt_ints(first)}]")
-        print(f"F({hi})^2/(F({hi})*F({lo})-1) = {v2.numerator}/{v2.denominator} "
-              f"= [{_fmt_ints(second)}]")
-    return 0
+    doc = {
+        "schema": "fibonacci-identities@1",
+        "n": _s(args.n),
+        "first": {"coefficients": [_s(a) for a in first],
+                  "numerator": _s(v1.numerator), "denominator": _s(v1.denominator)},
+        "second": {"coefficients": [_s(a) for a in second],
+                   "numerator": _s(v2.numerator), "denominator": _s(v2.denominator)},
+    }
+    hi, lo = 2 * args.n + 1, 2 * args.n - 1
+    lines = [f"F({hi})/F({lo}) = {v1.numerator}/{v1.denominator} = [{_fmt_ints(first)}]",
+             f"F({hi})^2/(F({hi})*F({lo})-1) = {v2.numerator}/{v2.denominator} "
+             f"= [{_fmt_ints(second)}]"]
+    return doc, lines, 0
 
 
-def cmd_lattice_classes(args, cfg: RunConfig) -> int:
+def cmd_lattice_classes(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     weights = _int_list(args.weights, "weights")
     lat = linear_lattice(weights)
     classes = search_embedding_classes(lat, args.ambient, limits=cfg.limits).classes
     rows = [(cls, obstruction.class_summary(cls)) for cls in classes]
-    if cfg.fmt == "json":
-        _emit_json({
-            "schema": "lattice-classes@1",
-            "weights": [_s(w) for w in weights],
-            "ambient": _s(args.ambient),
-            "class_count": _s(len(classes)),
-            "classes": [
-                {"matrix": [[_s(x) for x in row] for row in cls.matrix],
-                 "support": _s(c.support),
-                 "complement_rank": _s(c.complement_rank),
-                 "complement_norm": None if c.complement_norm is None else _s(c.complement_norm)}
-                for cls, c in rows
-            ],
-        })
-    else:
-        print(f"{len(classes)} classes of Lambda({_fmt_ints(weights)}) in Z^{args.ambient}")
-        for i, (_, c) in enumerate(rows, start=1):
-            extra = "" if c.complement_norm is None else f", generator norm {c.complement_norm}"
-            print(f"class {i}: support {c.support}, complement rank {c.complement_rank}{extra}")
-    return 0
+    doc = {
+        "schema": "lattice-classes@1",
+        "weights": [_s(w) for w in weights],
+        "ambient": _s(args.ambient),
+        "class_count": _s(len(classes)),
+        "classes": [
+            {"matrix": [[_s(x) for x in row] for row in cls.matrix],
+             "support": _s(c.support),
+             "complement_rank": _s(c.complement_rank),
+             "complement_norm": None if c.complement_norm is None else _s(c.complement_norm)}
+            for cls, c in rows
+        ],
+    }
+    lines = [f"{len(classes)} classes of Lambda({_fmt_ints(weights)}) in Z^{args.ambient}"]
+    for i, (_, c) in enumerate(rows, start=1):
+        extra = "" if c.complement_norm is None else f", generator norm {c.complement_norm}"
+        lines.append(f"class {i}: support {c.support}, complement rank {c.complement_rank}{extra}")
+    return doc, lines, 0
 
 
-def cmd_plumbing_reduce(args, cfg: RunConfig) -> int:
+def cmd_plumbing_reduce(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     chain = _int_list(args.weights, "weights")
     final, count = plumbing.reduce(chain)
-    if cfg.fmt == "json":
-        _emit_json({"schema": "blowdown@1",
-                    "start": [_s(w) for w in chain],
-                    "final": [_s(w) for w in final],
-                    "blowdowns": _s(count)})
-    else:
-        print(f"({_fmt_ints(final)}) after {count} blowdowns")
-    return 0
+    doc = {"schema": "blowdown@1",
+           "start": [_s(w) for w in chain],
+           "final": [_s(w) for w in final],
+           "blowdowns": _s(count)}
+    return doc, [f"({_fmt_ints(final)}) after {count} blowdowns"], 0
 
 
-def cmd_plumbing_certify(args, cfg: RunConfig) -> int:
+def cmd_plumbing_certify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     cert = plumbing.simple_embedding_certificate(args.n)
-    if cfg.fmt == "json":
-        _emit_json({"schema": "blowdown-certificate@1",
-                    "n": _s(args.n),
-                    "start": [_s(w) for w in cert.start],
-                    "final": [_s(w) for w in cert.final],
-                    "blowdowns": _s(cert.blowdowns),
-                    "b2": _s(cert.b2)})
-    else:
-        print(f"chain ({_fmt_ints(cert.start)}) reduces to ({_fmt_ints(cert.final)}) "
-              f"after {cert.blowdowns} blowdowns; b2={cert.b2}")
-    return 0
+    doc = {"schema": "blowdown-certificate@1",
+           "n": _s(args.n),
+           "start": [_s(w) for w in cert.start],
+           "final": [_s(w) for w in cert.final],
+           "blowdowns": _s(cert.blowdowns),
+           "b2": _s(cert.b2)}
+    return doc, [f"chain ({_fmt_ints(cert.start)}) reduces to ({_fmt_ints(cert.final)}) "
+                 f"after {cert.blowdowns} blowdowns; b2={cert.b2}"], 0
 
 
-def _print_obstruction(report, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
-        _emit_json(obstruction.report_to_doc(report, include_timing=cfg.timings))
-        return
+def _obstruction_output(report, cfg: RunConfig) -> tuple[dict, list[str], int]:
     balls = " ".join(str(b) for b in report.problem.balls)
     s = report.statistics
-    print(f"{balls}: {report.verdict} "
-          f"(classes={s.classes}, leaves={s.leaves}, nodes={s.nodes})")
-    for w in report.witnesses:
-        print(f"  witness generator ({_fmt_ints(w.generator)})")
+    lines = [f"{balls}: {report.verdict} "
+             f"(classes={s.classes}, leaves={s.leaves}, nodes={s.nodes})"]
+    lines += [f"  witness generator ({_fmt_ints(w.generator)})" for w in report.witnesses]
+    code = 2 if report.verdict == obstruction.INCONCLUSIVE else 0
+    return obstruction.report_to_doc(report, include_timing=cfg.timings), lines, code
 
 
-def _obstruction_exit(report) -> int:
-    return 2 if report.verdict == obstruction.INCONCLUSIVE else 0
+def cmd_obstruct(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+    balls = []
+    for text in args.balls:
+        pq = _int_list(text, "ball")
+        if len(pq) != 2:
+            raise UsageError(f"ball must be two comma-separated integers, got {text!r}")
+        balls.append(markov.BallSpec(*pq))
+    report = obstruction.check_obstruction(obstruction.build_problem(balls), limits=cfg.limits)
+    return _obstruction_output(report, cfg)
 
 
-def cmd_obstruct(args, cfg: RunConfig) -> int:
-    balls = [markov.BallSpec(*_pair(s, "ball")) for s in args.balls]
-    problem = obstruction.build_problem(balls)
-    report = obstruction.check_obstruction(problem, limits=cfg.limits)
-    _print_obstruction(report, cfg)
-    return _obstruction_exit(report)
-
-
-def cmd_verify_example_b31(args, cfg: RunConfig) -> int:
+def cmd_verify_example_b31(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     report = obstruction.example_b31_report(limits=cfg.limits)
-    if cfg.fmt == "json":
-        _emit_json(obstruction.example_b31_to_doc(report))
-    else:
-        print(f"direct-sum classes in Z^5: {report.class_count}")
-        print(f"verdict: {report.verdict}")
-        print(f"unit vectors missing the rank-one factor: "
-              f"{_fmt_ints(report.m_zero_pairings)}")
-        print(f"unit vectors missing the chain factor: "
-              f"{_fmt_ints(report.c_zero_pairings)}")
-        print("passed" if report.passed else "FAILED")
-    return 0 if report.passed else 3
+    doc = {
+        "schema": "verify-example-b31@1",
+        "class_count": _s(report.class_count),
+        "verdict": report.verdict,
+        "unit_vectors_missing_m_factor": [_s(i) for i in report.m_zero_pairings],
+        "unit_vectors_missing_c_factor": [_s(i) for i in report.c_zero_pairings],
+        "passed": report.passed,
+    }
+    lines = [f"direct-sum classes in Z^5: {report.class_count}",
+             f"verdict: {report.verdict}",
+             f"unit vectors missing the rank-one factor: {_fmt_ints(report.m_zero_pairings)}",
+             f"unit vectors missing the chain factor: {_fmt_ints(report.c_zero_pairings)}",
+             "passed" if report.passed else "FAILED"]
+    return doc, lines, 0 if report.passed else 3
 
 
-def cmd_verify_lemma_cemb(args, cfg: RunConfig) -> int:
+def cmd_verify_lemma_cemb(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     report = obstruction.lemma_cemb_report(args.n, args.m, limits=cfg.limits)
-    if cfg.fmt == "json":
-        _emit_json(obstruction.lemma_report_to_doc(report))
-    else:
-        print(f"Lambda({_fmt_ints(report.weights)}) in Z^{report.ambient}: "
-              f"{report.class_count} classes")
-        for c in report.classes:
-            norm = "-" if c.complement_norm is None else str(c.complement_norm)
-            print(f"  support {c.support}: complement rank {c.complement_rank}, "
-                  f"norm {norm}, unit vectors {'yes' if c.has_unit_vectors else 'no'}")
-    return 0
+    doc = {
+        "schema": "chain-classification@1",
+        "n": _s(report.n),
+        "ambient": _s(report.ambient),
+        "weights": [_s(w) for w in report.weights],
+        "class_count": _s(report.class_count),
+        "classes": [
+            {"support": _s(c.support),
+             "complement_rank": _s(c.complement_rank),
+             "complement_norm": None if c.complement_norm is None else _s(c.complement_norm),
+             "has_unit_vectors": c.has_unit_vectors}
+            for c in report.classes
+        ],
+    }
+    lines = [f"Lambda({_fmt_ints(report.weights)}) in Z^{report.ambient}: "
+             f"{report.class_count} classes"]
+    for c in report.classes:
+        norm = "-" if c.complement_norm is None else str(c.complement_norm)
+        lines.append(f"  support {c.support}: complement rank {c.complement_rank}, "
+                     f"norm {norm}, unit vectors {'yes' if c.has_unit_vectors else 'no'}")
+    return doc, lines, 0
 
 
-def cmd_verify_theorem2(args, cfg: RunConfig) -> int:
+def cmd_verify_theorem2(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     report = obstruction.theorem2_suite([(args.k, args.n)], limits=cfg.limits)[0]
-    _print_obstruction(report, cfg)
+    doc, lines, code = _obstruction_output(report, cfg)
     if report.verdict == obstruction.NOT_OBSTRUCTED:
-        print("unexpected witness for a pair of consecutive-Fibonacci balls",
-              file=sys.stderr)
-        return 3
-    return _obstruction_exit(report)
+        print("unexpected witness for a pair of consecutive-Fibonacci balls", file=sys.stderr)
+        code = 3
+    return doc, lines, code
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ball = sub.add_parser("ball", help="rational ball B(p, q) queries")
     ball_sub = p_ball.add_subparsers(dest="subcommand", required=True)
-    p = ball_sub.add_parser("classify", help="symplectic embeddability of B(p, q)")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(func=cmd_ball_classify)
-    p = ball_sub.add_parser("boundary", help="lens-space boundary of B(p, q)")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(func=cmd_ball_boundary)
-    p = ball_sub.add_parser("plumbing", help="positive plumbing weights for B(p, q)")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(func=cmd_ball_plumbing)
+    for name, func, text in (
+            ("classify", cmd_ball_classify, "symplectic embeddability of B(p, q)"),
+            ("boundary", cmd_ball_boundary, "lens-space boundary of B(p, q)"),
+            ("plumbing", cmd_ball_plumbing, "positive plumbing weights for B(p, q)")):
+        p = ball_sub.add_parser(name, help=text)
+        p.add_argument("p", type=int)
+        p.add_argument("q", type=int)
+        p.set_defaults(func=func)
 
     p_cf = sub.add_parser("cf", help="Hirzebruch-Jung continued fractions")
     cf_sub = p_cf.add_subparsers(dest="subcommand", required=True)
@@ -429,16 +387,14 @@ def _protect_negative_numbers(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _protect_negative_numbers(argv)
-    parser = build_parser()
+    argv = _protect_negative_numbers(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
         cfg = _resolve_config(args)
-        return args.func(args, cfg)
+        doc, lines, code = args.func(args, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -448,6 +404,8 @@ def main(argv=None) -> int:
     except (InternalCheckError, AssertionError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
+    print(json.dumps(doc, indent=2) if cfg.fmt == "json" else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import InternalCheckError, LimitExceeded, UsageError
 
@@ -359,20 +359,20 @@ class EmbeddingSearchResult:
     stats: SearchStats
 
 
-@lru_cache(maxsize=None)
-def _square_parts(n: int, max_parts: int, cap: int) -> tuple[tuple[int, ...], ...]:
+def _square_parts(n: int, max_parts: int, cap: int) -> Iterator[tuple[int, ...]]:
     # Weakly decreasing positive integers, each <= cap, whose squares sum to n,
-    # using at most max_parts of them.
+    # using at most max_parts of them, in descending order.  Lazy, so that the
+    # search checks its budgets between parts: the parts of a large norm can
+    # be too many to hold.  The bound skips branches where even max_parts
+    # parts equal to cap fall short of n.
     if n == 0:
-        return ((),)
-    if max_parts <= 0:
-        return ()
-    out = []
-    top = min(cap, math.isqrt(n))
-    for c in range(top, 0, -1):
+        yield ()
+        return
+    if n > max_parts * cap * cap:
+        return
+    for c in range(min(cap, math.isqrt(n)), 0, -1):
         for rest in _square_parts(n - c * c, max_parts - 1, c):
-            out.append((c,) + rest)
-    return tuple(out)
+            yield (c,) + rest
 
 
 # Nodes of one depth answered by one kernel call.  Larger chunks save kernel

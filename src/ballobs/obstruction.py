@@ -31,9 +31,8 @@ from .contfrac import lens_plumbing
 from .errors import InternalCheckError, LimitExceeded, UsageError
 from .lattice import (EmbeddingClass, GramLattice, SearchLimits, SearchStats,
                       canonical_form, direct_sum, is_isometric_embedding,
-                      is_primitive_vector, linear_lattice, matrix_determinant,
-                      orthogonal_complement, search_embedding_classes,
-                      unit_pairing_profile)
+                      is_primitive_vector, linear_lattice, orthogonal_complement,
+                      search_embedding_classes, unit_pairing_profile)
 from .markov import BallSpec, fibonacci_ball
 
 OBSTRUCTED = "OBSTRUCTED"
@@ -100,24 +99,29 @@ class ObstructionReport:
 def verify_witness(problem: ObstructionProblem, witness: Witness) -> None:
     """Re-derive every witness condition from scratch; raise on any failure.
 
-    Checks the assembled (generator stacked on the embedding) matrix against
-    the full direct-sum Gram matrix, the finite-index determinant identity
-    det(A)^2 = m_norm * det(Lambda_C), primitivity of the generator, and the
-    unit-pairing profile.
+    Checks the assembled matrix A (generator stacked on the embedding)
+    against the full direct-sum Gram matrix, primitivity of the generator,
+    and the unit-pairing profile.  The profile rejects rows of any length but
+    m = 1 + rank(Lambda_C), so A is square, and A A^T = diag(m_norm) (+)
+    Gram(Lambda_C) already gives the finite-index identity
+    det(A)^2 = m_norm * det(Lambda_C).
     """
     m = problem.ambient
-    lat_c = problem.c_lattice
     full = (witness.generator,) + witness.embedding
-    lat_full = direct_sum(linear_lattice((problem.m_norm,)), lat_c)
+    lat_full = direct_sum(linear_lattice((problem.m_norm,)), problem.c_lattice)
     if not is_isometric_embedding(lat_full, full):
         raise InternalCheckError("witness rows do not realise the direct-sum Gram matrix")
-    det = matrix_determinant(full)
-    if det * det != problem.m_norm * matrix_determinant(lat_c.gram):
-        raise InternalCheckError("witness determinant does not square to the lattice determinant")
     if not is_primitive_vector(witness.generator):
         raise InternalCheckError("witness generator is not primitive")
     if not unit_pairing_profile((witness.generator,), witness.embedding, m).passes:
         raise InternalCheckError("witness fails the unit-pairing conditions")
+
+
+def _verdict(witnesses, stats: SearchStats) -> str:
+    # A witness decides; without one, only a completed search does.
+    if witnesses:
+        return NOT_OBSTRUCTED
+    return INCONCLUSIVE if stats.limit_hit else OBSTRUCTED
 
 
 def check_obstruction(problem: ObstructionProblem,
@@ -150,13 +154,7 @@ def check_obstruction(problem: ObstructionProblem,
             witness = Witness(cls.matrix, w)
             verify_witness(problem, witness)
             witnesses.append(witness)
-    if witnesses:
-        verdict = NOT_OBSTRUCTED
-    elif stats.limit_hit:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = OBSTRUCTED
-    return ObstructionReport(problem, verdict, tuple(witnesses), stats)
+    return ObstructionReport(problem, _verdict(witnesses, stats), tuple(witnesses), stats)
 
 
 def full_embedding_classes(problem: ObstructionProblem,
@@ -342,7 +340,12 @@ def report_to_doc(report: ObstructionReport, include_timing: bool = False) -> di
 
 
 def report_from_doc(doc: dict) -> ObstructionReport:
-    """Rebuild a report from its document form; inverse of report_to_doc."""
+    """Rebuild a report from its document form; inverse of report_to_doc.
+
+    The document is outside data, so it is checked as a report is: every
+    witness is re-verified, and the verdict must be the one its witnesses and
+    ``limit_hit`` flag give.  A document that fails is a UsageError.
+    """
     if doc.get("schema") != "obstruction-report@2":
         raise UsageError(f"unexpected schema {doc.get('schema')!r}")
     balls = [BallSpec(int(b["p"]), int(b["q"])) for b in doc["problem"]["balls"]]
@@ -359,34 +362,15 @@ def report_from_doc(doc: dict) -> ObstructionReport:
                              classes=int(stats["classes"]),
                              limit_hit=bool(stats["limit_hit"]),
                              elapsed_ms=int(stats.get("elapsed_ms", 0)))
-    return ObstructionReport(problem, str(doc["verdict"]), witnesses, statistics)
+    verdict = doc["verdict"]
+    if verdict not in (OBSTRUCTED, NOT_OBSTRUCTED, INCONCLUSIVE):
+        raise UsageError(f"unknown verdict {verdict!r}")
+    if verdict != _verdict(witnesses, statistics):
+        raise UsageError(f"verdict {verdict} contradicts the witnesses and limit_hit")
+    for witness in witnesses:
+        try:
+            verify_witness(problem, witness)
+        except InternalCheckError as exc:
+            raise UsageError(f"document witness rejected: {exc}") from None
+    return ObstructionReport(problem, verdict, witnesses, statistics)
 
-
-def lemma_report_to_doc(report: ChainClassificationReport) -> dict:
-    return {
-        "schema": "chain-classification@1",
-        "n": _s(report.n),
-        "ambient": _s(report.ambient),
-        "weights": [_s(w) for w in report.weights],
-        "class_count": _s(report.class_count),
-        "classes": [
-            {
-                "support": _s(c.support),
-                "complement_rank": _s(c.complement_rank),
-                "complement_norm": None if c.complement_norm is None else _s(c.complement_norm),
-                "has_unit_vectors": c.has_unit_vectors,
-            }
-            for c in report.classes
-        ],
-    }
-
-
-def example_b31_to_doc(report: ExampleB31Report) -> dict:
-    return {
-        "schema": "verify-example-b31@1",
-        "class_count": _s(report.class_count),
-        "verdict": report.verdict,
-        "unit_vectors_missing_m_factor": [_s(i) for i in report.m_zero_pairings],
-        "unit_vectors_missing_c_factor": [_s(i) for i in report.c_zero_pairings],
-        "passed": report.passed,
-    }

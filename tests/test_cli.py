@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ballobs import obstruction
 from ballobs.cli import main
 from ballobs.markov import BallSpec
 from ballobs.obstruction import build_problem, check_obstruction, report_from_doc
@@ -140,6 +141,16 @@ class TestVerifyCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "OBSTRUCTED"
 
+    def test_theorem2_unexpected_witness(self, capsys, monkeypatch):
+        # Theorem 2 rules a witness out; stand in a witnessed report to reach
+        # the branch that flags one.
+        witnessed = check_obstruction(build_problem([BallSpec(2, 1)]))
+        monkeypatch.setattr(obstruction, "theorem2_suite", lambda *a, **k: [witnessed])
+        code, out, err = run(capsys, "verify", "theorem2", "1", "2")
+        assert code == 3
+        assert json.loads(out)["verdict"] == "NOT_OBSTRUCTED"
+        assert "unexpected witness" in err
+
     def test_theorem2_inconclusive_exit(self, capsys):
         code, out, _ = run(capsys, "--node-budget", "2", "verify", "theorem2", "1", "2")
         assert code == 2
@@ -167,6 +178,13 @@ class TestExitCodes:
         code, out, err = run(capsys, "lattice", "classes", "--weights", ",".join(["1"] * 17),
                              "--ambient", "20")
         assert code == 1 and out == "" and "positive-definite" in err
+
+    def test_time_budget_holds_on_a_large_first_norm(self, capsys):
+        # The parts of 195364 as a sum of squares are far too many to list;
+        # the search must stop on its time budget between them.
+        code, _, err = run(capsys, "--time-budget", "1", "lattice", "classes",
+                           "--weights", "195364", "--ambient", "20")
+        assert code == 2 and "time budget" in err
 
     def test_limit_exit_from_lattice_classes(self, capsys):
         code, _, err = run(capsys, "--node-budget", "1", "lattice", "classes",
@@ -201,6 +219,7 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
 
 _NO_OUTPUT = (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ballobs.errors import LimitExceeded, UsageError
-from ballobs.lattice import (GramLattice, SearchLimits, canonical_form,
+from ballobs.lattice import (GramLattice, _square_parts, SearchLimits, canonical_form,
                              direct_sum, integer_kernel,
                              is_isometric_embedding, is_positive_definite,
                              is_primitive_vector, leading_principal_minors,
@@ -564,3 +564,30 @@ class TestBruteForceOracle:
     def test_oracle_on_known_counts(self):
         assert len(brute_force_classes(L222, 5)) == 2
         assert len(brute_force_classes(CHAIN5, 8)) == 3
+
+
+def square_parts_oracle(n, max_parts, cap):
+    """Every weakly decreasing tuple in range, filtered by its square sum."""
+    out = []
+    for size in range(max_parts + 1):
+        for parts in product(range(cap, 0, -1), repeat=size):
+            if list(parts) == sorted(parts, reverse=True) and sum(c * c for c in parts) == n:
+                out.append(parts)
+    return sorted(out, reverse=True)
+
+
+class TestSquareParts:
+    @pytest.mark.parametrize("max_parts", [0, 1, 2, 4])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5])
+    def test_matches_oracle_in_descending_order(self, max_parts, cap):
+        for n in range(0, 30):
+            got = list(_square_parts(n, max_parts, cap))
+            assert got == square_parts_oracle(n, max_parts, cap), (n, max_parts, cap)
+
+    def test_first_part_of_a_large_norm_comes_at_once(self):
+        # 442^2 = 195364; the full list of its parts is too large to build.
+        assert next(_square_parts(195364, 20, 442)) == (442,)
+
+    def test_bound_yields_nothing_out_of_reach(self):
+        assert list(_square_parts(10, 2, 2)) == []
+        assert list(_square_parts(8, 2, 2)) == [(2, 2)]

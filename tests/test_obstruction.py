@@ -4,7 +4,7 @@ import math
 import pytest
 
 from ballobs import kernels, lattice
-from ballobs.errors import LimitExceeded, UsageError
+from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
 from ballobs.lattice import (SearchLimits, direct_sum, is_isometric_embedding,
                              is_primitive_vector, linear_lattice,
                              matrix_determinant, orthogonal_complement,
@@ -158,18 +158,22 @@ class TestCheckObstruction:
             assert sum(x * x for x in w.generator) == 25
 
     def test_witness_soundness(self):
-        # Assemble the full matrix and re-derive every condition from scratch.
-        pr = build_problem([BallSpec(5, 2)])
-        rep = check_obstruction(pr)
-        lat_c = pr.c_lattice
-        lat_full = direct_sum(linear_lattice((pr.m_norm,)), lat_c)
-        for w in rep.witnesses:
-            verify_witness(pr, w)
-            full = (w.generator,) + w.embedding
-            assert is_isometric_embedding(lat_full, full)
-            det = matrix_determinant(full)
-            assert det * det == pr.m_norm * matrix_determinant(lat_c.gram)
-            assert unit_pairing_profile((w.generator,), w.embedding, pr.ambient).passes
+        # Assemble the full matrix and re-derive every condition from scratch,
+        # including the finite-index identity that verify_witness leaves to
+        # its Gram check.
+        for balls in ([BallSpec(5, 2)], [BallSpec(2, 1), BallSpec(5, 1)]):
+            pr = build_problem(balls)
+            rep = check_obstruction(pr)
+            lat_c = pr.c_lattice
+            lat_full = direct_sum(linear_lattice((pr.m_norm,)), lat_c)
+            assert rep.witnesses
+            for w in rep.witnesses:
+                verify_witness(pr, w)
+                full = (w.generator,) + w.embedding
+                assert is_isometric_embedding(lat_full, full)
+                det = matrix_determinant(full)
+                assert det * det == pr.m_norm * matrix_determinant(lat_c.gram)
+                assert unit_pairing_profile((w.generator,), w.embedding, pr.ambient).passes
 
     def test_inconclusive_on_tiny_budget(self):
         rep = check_obstruction(build_problem([BallSpec(3, 1)]),
@@ -387,6 +391,35 @@ class TestExampleB31Report:
         assert rep.passed
 
 
+class TestVerifyWitnessRejects:
+    def test_generator_sign_flip(self):
+        pr = build_problem([BallSpec(5, 1)])
+        w = check_obstruction(pr).witnesses[0]
+        gen = list(w.generator)
+        gen[0] = -gen[0]
+        assert gen[0] != 0
+        with pytest.raises(InternalCheckError, match="do not realise the direct-sum Gram"):
+            verify_witness(pr, Witness(w.embedding, tuple(gen)))
+
+    def test_imprimitive_generator(self):
+        # B(3,1)'s one full class has Lambda_M on 3 e_1: the right Gram
+        # matrix, but not a primitive generator.
+        pr = build_problem([BallSpec(3, 1)])
+        (rows,) = full_embedding_classes(pr)
+        assert rows[0] == (3, 0, 0, 0, 0)
+        with pytest.raises(InternalCheckError, match="not primitive"):
+            verify_witness(pr, Witness(rows[1:], rows[0]))
+
+    def test_wrong_row_width(self):
+        # A zero column keeps every inner product, so only the width check
+        # can catch it.
+        pr = build_problem([BallSpec(5, 2)])
+        w = check_obstruction(pr).witnesses[0]
+        wide = Witness(tuple(row + (0,) for row in w.embedding), w.generator + (0,))
+        with pytest.raises(UsageError, match="length"):
+            verify_witness(pr, wide)
+
+
 class TestReportDocuments:
     @pytest.mark.parametrize("balls", [[BallSpec(3, 1)], [BallSpec(2, 1)],
                                        [BallSpec(2, 1), BallSpec(5, 2)]])
@@ -418,6 +451,34 @@ class TestReportDocuments:
     def test_schema_guard(self):
         with pytest.raises(UsageError):
             report_from_doc({"schema": "something-else@9"})
+
+    def test_unknown_verdict_rejected(self):
+        doc = report_to_doc(check_obstruction(build_problem([BallSpec(3, 1)])))
+        doc["verdict"] = "BANANA"
+        with pytest.raises(UsageError, match="unknown verdict"):
+            report_from_doc(doc)
+
+    @pytest.mark.parametrize("balls, verdict, limit_hit", [
+        ([BallSpec(2, 1)], OBSTRUCTED, False),     # a witness, yet obstructed
+        ([BallSpec(2, 1)], INCONCLUSIVE, True),    # a witness decides
+        ([BallSpec(3, 1)], NOT_OBSTRUCTED, False),  # no witness
+        ([BallSpec(3, 1)], INCONCLUSIVE, False),   # the search completed
+        ([BallSpec(3, 1)], OBSTRUCTED, True),      # the search was cut short
+    ])
+    def test_contradicting_verdict_rejected(self, balls, verdict, limit_hit):
+        doc = report_to_doc(check_obstruction(build_problem(balls)))
+        doc["verdict"] = verdict
+        doc["statistics"]["limit_hit"] = limit_hit
+        with pytest.raises(UsageError, match="contradicts"):
+            report_from_doc(doc)
+
+    def test_forged_witness_rejected(self):
+        doc = report_to_doc(check_obstruction(build_problem([BallSpec(2, 1)])))
+        assert doc["verdict"] == NOT_OBSTRUCTED
+        generator = doc["witnesses"][0]["generator"]
+        doc["witnesses"][0]["generator"] = ["1"] * len(generator)
+        with pytest.raises(UsageError, match="witness rejected"):
+            report_from_doc(doc)
 
     def test_schema_1_rejected(self):
         doc = report_to_doc(check_obstruction(build_problem([BallSpec(3, 1)])))
