@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from ballobs.errors import LimitExceeded, UsageError
-from ballobs.lattice import (GramLattice, _square_parts, SearchLimits, canonical_form,
-                             direct_sum, integer_kernel,
+from ballobs.lattice import (GramLattice, SearchLimits, _square_parts,
+                             canonical_form, direct_sum, integer_kernel,
                              is_isometric_embedding, is_positive_definite,
                              is_primitive_vector, leading_principal_minors,
                              linear_lattice, matrix_determinant,
