@@ -4,8 +4,8 @@ both a timing benchmark and a correctness gate.
 
 Rungs, each searched to completion (no budget):
 
-* Fibonacci pairs (1,2) ... (6,6): B(F(2k+1), F(2k-1)) + B(F(2n+1), F(2n-1)).
-  Theorem 2 makes every one OBSTRUCTED.
+* Fibonacci pairs (1,2) ... (6,6) and (7,7): B(F(2k+1), F(2k-1)) +
+  B(F(2n+1), F(2n-1)).  Theorem 2 makes every one OBSTRUCTED.
 * Markov triples with maximum <= 200: the ball set of each triple, including
   the two rank-33 sets.  They embed disjointly (the P(a^2, b^2, c^2)
   degeneration), so each is NOT_OBSTRUCTED.
@@ -23,6 +23,14 @@ ladder, then exits 1 if any rung missed.  It prints best-of-N wall time with
 the deterministic counts (nodes, leaves, classes) and, with ``--json``, writes
 them to a file.  The first of the N runs pays the one-off costs (imports,
 caches), so N >= 2 keeps them out of the best time.
+
+The machine's speed swings by 1.4x and more between and within runs, so raw
+wall times of identical code differ by tens of percent.  Each run is
+therefore also timed against a fixed pure-Python loop (``reference_loop``,
+the same load as ``perfbench``'s) run just before and just after it: its
+scaled time is its wall time over the mean of the two loop times, times
+``REFERENCE_S``, the loop's time on a quiet machine.  A rung reports the
+best raw and the best scaled time of its N runs.
 
     python benchmarks/bench_search.py [--repeats N] [--json PATH]
 
@@ -43,7 +51,8 @@ import numpy as np
 from ballobs import markov, obstruction
 from ballobs.lattice import SearchStats
 
-FIB_PAIRS = ((1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6), (6, 6))
+FIB_PAIRS = ((1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6), (6, 6),
+             (7, 7))
 TRIPLE_MAX = 200
 # Markov triple -> class count of its ball set
 TRIPLE_CLASSES = {(1, 1, 2): 2, (1, 2, 5): 5, (1, 5, 13): 5, (1, 13, 34): 5, (1, 34, 89): 5,
@@ -52,6 +61,25 @@ CHAIN_CLASSES = {2: 3, 3: 5, 4: 12, 5: 37}
 SINGLE_BALL_MAX = 610
 SINGLE_BALL_CLASSES = 2
 COLD_COMMANDS = (("markov", "list", "--max", "1000"), ("obstruct", "3,1"))
+# Wall seconds of reference_loop() on a quiet 2-core KVM guest (Intel Xeon
+# host) with Python 3.11, as in perfbench/run.py.
+REFERENCE_S = 0.0027
+
+
+def reference_loop() -> int:
+    """A fixed pure-Python load (integer arithmetic, a dict, a sort) whose
+    wall time gauges how fast the machine runs this process right now."""
+    total, buckets = 0, {}
+    for i in range(20000):
+        total += i * i % 7
+        buckets[i % 97] = buckets.get(i % 97, 0) + total
+    return total + len(sorted(buckets.values()))
+
+
+def _reference_seconds() -> float:
+    start = time.perf_counter()
+    reference_loop()
+    return time.perf_counter() - start
 
 
 def obstruction_rung(label, balls, verdict, classes):
@@ -121,25 +149,31 @@ def main():
     args = parser.parse_args()
 
     results, missed = [], []
-    print(f"{'rung':<34} {'best (s)':>9} {'nodes':>7} {'leaves':>7} {'classes':>8}  verdict")
+    print(f"{'rung':<34} {'best (s)':>9} {'scaled':>9} {'nodes':>7} {'leaves':>7} "
+          f"{'classes':>8}  verdict")
     for label, run, expected in ladder():
-        best = float("inf")
+        best = scaled = float("inf")
         for _ in range(args.repeats):
+            before = _reference_seconds()
             t0 = time.perf_counter()
             verdict, stats = run()
-            best = min(best, time.perf_counter() - t0)
-        print(f"{label:<34} {best:>9.4f} {stats.nodes:>7} {stats.leaves:>7} "
+            wall = time.perf_counter() - t0
+            reference = (before + _reference_seconds()) / 2
+            best = min(best, wall)
+            scaled = min(scaled, REFERENCE_S * wall / reference)
+        print(f"{label:<34} {best:>9.4f} {scaled:>9.4f} {stats.nodes:>7} {stats.leaves:>7} "
               f"{stats.classes:>8}  {verdict}", flush=True)
         if (verdict, stats.classes) != expected:
             missed.append(f"{label}: {verdict} with {stats.classes} classes, "
                           f"expected {expected[0]} with {expected[1]}")
         results.append({"rung": label, "verdict": verdict, "best_s": round(best, 4),
-                        "nodes": stats.nodes, "leaves": stats.leaves,
-                        "classes": stats.classes})
+                        "scaled_best_s": round(scaled, 4), "nodes": stats.nodes,
+                        "leaves": stats.leaves, "classes": stats.classes})
     if args.json:
-        doc = {"repeats": args.repeats, "python": platform.python_version(),
-               "numpy": np.__version__, "machine": platform.machine(),
-               "cpus": len(os.sched_getaffinity(0)), "rungs": results}
+        doc = {"repeats": args.repeats, "reference_s": REFERENCE_S,
+               "python": platform.python_version(), "numpy": np.__version__,
+               "machine": platform.machine(), "cpus": len(os.sched_getaffinity(0)),
+               "rungs": results}
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")

@@ -5,24 +5,39 @@ vectors x on the node's ``used`` touched ambient coordinates have prescribed
 inner products with the rows placed so far and squared length at most the
 target norm?  Nodes of one depth share the inner products and the norm, so
 :func:`constrained_vectors` answers a whole batch of such nodes with one
-vectorised numpy layer-by-layer scan.  The batch's rows are zero-padded to
-its widest node; columns at or past a node's own ``used`` are forced to 0,
-so padding never changes an answer.  Each solution comes back with its owner
-index (the node that asked), owners ascending and each owner's solutions in
-lexicographic order, as an (N, u+1) int64 array whose last column holds x.x.
-Swapping two identical columns of an owner's rows fixes every constraint, so
-the scan keeps one representative per such swap (the search's tie rule, see
+vectorised call.  The batch's rows are zero-padded to its widest node;
+columns at or past a node's own ``used`` are forced to 0, so padding never
+changes an answer.  Each solution comes back with its owner index (the node
+that asked), owners ascending and each owner's solutions in lexicographic
+order, as an (N, u+1) int64 array whose last column holds x.x.  Swapping two
+identical columns of an owner's rows fixes every constraint, so the kernel
+keeps one representative per such swap (the search's tie rule, see
 :func:`ballobs.lattice.search_embedding_classes`), reading the ties off each
 owner's own rows.  A single query is a batch of one.
 
-A call costs mostly numpy's per-operation overhead, paid once per scanned
-column, so each layer does its work in few operations: it builds the
-inner-product deficits that every (partial vector, value) pair would leave,
-tests their bounds, and keeps the survivors' deficits as the next layer's.
+Two methods answer this one contract, chosen by the norm alone:
+
+* The layer-by-layer scan (:func:`_scan`) answers every norm.  A call costs
+  mostly numpy's per-operation overhead, paid once per scanned column, so
+  each layer does its work in few operations: it builds the inner-product
+  deficits that every (partial vector, value) pair would leave, tests their
+  bounds, and keeps the survivors' deficits as the next layer's.
+* The closed form (:func:`_closed_form`) answers norms of at most 2, the
+  runs of 2-vertices that make up most plumbings.  Such an x is 0, +-e_a or
+  +-e_a +- e_b, so a fixed number of numpy operations tests every candidate
+  of every owner at once, whatever the width.  The test compares linear
+  int64 hashes; it can only keep too much, never too little, and every hit
+  is re-checked exactly, so the hash never decides an answer.  The scan is
+  its test oracle.
+
+Norm 3 stays on the scan: its candidates add +-e_a +- e_b +- e_c, cubic in
+the width, and a pair-plus-sorted-lookup version of the closed form took
+twice the scan's time per call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -59,23 +74,126 @@ def constrained_vectors(rows, used, dots, norm):
     names the batch entry of each solution, and ``solutions`` (N, u+1) holds
     x followed by x.x.
 
+    A norm of at most 2 is answered in closed form (:func:`_closed_form`),
+    every larger norm by the layer-by-layer scan (:func:`_scan`); both give
+    the same arrays, and the scan is the closed form's test oracle.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    used = np.asarray(used, dtype=np.int64)
+    dots = np.asarray(dots, dtype=np.int64)
+    b, _, u = rows.shape
+    norm = int(norm)
+    if u == 0:  # nothing to scan: the empty vector, wherever dots allows it
+        owner = np.arange(0 if dots.any() else b, dtype=np.int64)
+        return owner, np.zeros((len(owner), 1), dtype=np.int64)
+    if 0 <= norm <= 2:
+        return _closed_form(rows, used, dots, norm)
+    return _scan(rows, used, dots, norm)
+
+
+def _ties(rows, used):
+    # tie[b, c]: columns c - 1 and c < used[b] of rows[b] are equal, so the
+    # tie rule asks x[c - 1] >= x[c].  Column 0 ties with nothing.
+    b, _, u = rows.shape
+    tie = np.zeros((b, u), dtype=bool)
+    tie[:, 1:] = ((rows[:, :, 1:] == rows[:, :, :-1]).all(axis=1)
+                  & (np.arange(1, u)[None, :] < used[:, None]))
+    return tie
+
+
+@functools.lru_cache(maxsize=128)
+def _candidates(u, norm):
+    # Every x over u columns with entries in {-1, 0, 1} and at most norm <= 2
+    # of them nonzero, in lexicographic order of x, as x = sa e_a + sb e_b:
+    # 0 is a = b = sa = sb = 0, and a single is b = a, sb = 0.  Columns i and
+    # j index the terms in the signed column list [0, -col 0.., +col 0..],
+    # and ``need`` is 1 + the last column x touches (0 for x = 0).  Entries
+    # are at most 2u, so a narrow dtype keeps the cached tables small.
+    def lex(first, left):
+        # Each x on columns >= first with at most ``left`` entries +-1, as
+        # its (column, sign) list, in lex order: those whose first nonzero
+        # is -1, leftmost first, then x = 0, then those whose first nonzero
+        # is +1, rightmost first.
+        if not left:
+            return [[]]
+        return ([[(c, -1)] + t for c in range(first, u) for t in lex(c + 1, left - 1)] + [[]]
+                + [[(c, 1)] + t for c in range(u - 1, first - 1, -1)
+                   for t in lex(c + 1, left - 1)])
+
+    def term(x):
+        a, sa = x[0] if x else (0, 0)
+        b, sb = x[1] if len(x) > 1 else (a, 0)
+        return a, sa, b, sb
+
+    table = np.array([term(x) for x in lex(0, norm)], dtype=np.min_scalar_type(-2 * u - 1))
+    a, sa, b, sb = table.T
+    i = np.where(sa == 0, 0, 1 + a + u * (sa > 0))
+    j = np.where(sb == 0, 0, 1 + b + u * (sb > 0))
+    need = np.where(sa == 0, 0, np.maximum(a, b) + 1)
+    cols = tuple(np.ascontiguousarray(col, dtype=table.dtype)
+                 for col in (i, j, need, a, sa, b, sb))
+    for col in cols:  # every call shares the cached table
+        col.setflags(write=False)
+    return cols
+
+
+# Odd 64-bit multiplier of the closed form's column hash: row j of a node's
+# rows is weighted by its (j+1)-th power, in wrapping int64 arithmetic.
+_HASH_BASE = -7046029254386353131  # 0x9E3779B97F4A7C15 as a signed int64
+
+
+def _closed_form(rows, used, dots, norm):
+    """constrained_vectors for 0 <= norm <= 2, in a fixed number of numpy
+    operations whatever the width.
+
+    Such an x is 0, +-e_a or +-e_a +- e_b (norm 1: the first two), so
+    ``_candidates`` lists them once per width, in lex order.  One linear hash
+    of each owner's columns, and of ``dots``, with the same int64 weights
+    then tests every (owner, candidate) pair at once: x's hash is the sum of
+    the entries i and j of the owner's signed list [0, -h, +h] of column
+    hashes h.  rows @ x == dots implies equal hashes, since wrapping
+    arithmetic is exact modulo 2^64, so no solution is missed.  A hash match
+    can be a collision, so every hit is re-checked exactly against the
+    owner's columns, and the hash never decides an answer; a collision costs
+    time only.  The ``need`` test keeps x off the dead columns c >= used[b]:
+    zero-padded dead columns would otherwise pass both checks whenever
+    dots == 0, as a pair e_c - e_d does.  ``np.nonzero`` lists the hits
+    owner first and then in candidate order, which is the contract's order,
+    so nothing is sorted.
+    """
+    batch, k, u = rows.shape
+    i, j, need, a, sa, b, sb = _candidates(u, norm)
+    weights = np.cumprod(np.full(k, _HASH_BASE, dtype=np.int64))
+    h = np.matmul(weights, rows)                                       # (B, u)
+    signed = np.concatenate([np.zeros((batch, 1), dtype=np.int64), -h, h], axis=1)
+    hit = signed.take(i, axis=1)                                       # (B, C)
+    hit += signed.take(j, axis=1)
+    hit = hit == np.matmul(weights, dots)
+    hit &= need <= used[:, None]
+    owner, c = np.nonzero(hit)                                         # hits (N,)
+    a, sa, b, sb = a[c], sa[c], b[c], sb[c]
+    n = np.arange(len(c))
+    x = np.zeros((len(c), u + 1), dtype=np.int64)
+    x[n, a] = sa
+    x[n, b] += sb
+    x[:, u] = sa * sa + sb * sb
+    ok = (rows[owner, :, a] * sa[:, None] + rows[owner, :, b] * sb[:, None] == dots).all(axis=1)
+    ok &= ~(_ties(rows, used)[owner, 1:] & (x[:, :u - 1] < x[:, 1:u])).any(axis=1)
+    return owner[ok], x[ok]
+
+
+def _scan(rows, used, dots, norm):
+    """constrained_vectors by a layer-by-layer scan, for any norm.
+
     Builds the solution set one coordinate at a time, keeping every partial
     vector that still fits the norm budget and whose remaining inner-product
     deficits pass the Cauchy-Schwarz bound against the unscanned tails of
     its owner's rows.  The zero-forcing past ``used`` and the tie cut apply
     while their column is scanned, so pruned branches never grow.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    used = np.asarray(used, dtype=np.int64)
-    dots = np.asarray(dots, dtype=np.int64)
     b, k, u = rows.shape
-    norm = int(norm)
-    if u == 0:  # nothing to scan: the empty vector, wherever dots allows it
-        owner = np.arange(0 if dots.any() else b, dtype=np.int64)
-        return owner, np.zeros((len(owner), 1), dtype=np.int64)
     dead = np.arange(u)[None, :] >= used[:, None]                      # (B, u)
-    tie = np.zeros((b, u), dtype=bool)
-    tie[:, 1:] = (rows[:, :, 1:] == rows[:, :, :-1]).all(axis=1) & ~dead[:, 1:]
+    tie = _ties(rows, used)
     # Per column and owner, packed so that one gather per column serves every
     # partial vector: the owner's k row entries and a pseudo-row entry, the
     # matching Cauchy-Schwarz suffix square sums, and the tie flag.  The

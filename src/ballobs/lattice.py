@@ -418,7 +418,7 @@ def search_embedding_classes(l: GramLattice, m: int,
     * Fresh columns are consumed left to right, positive and sorted.
     * Tie rule: where touched columns c and c+1 are equal over
       ``rows[:i]``, row i must have x[c] >= x[c+1].  The kernel reads the
-      ties off the rows it is given and applies the rule during its scan.
+      ties off the rows it is given and applies the rule to its answers.
 
     Soundness.  Every touched column has a positive first nonzero entry, in
     the row that first touched it.  So no column equals the negation of

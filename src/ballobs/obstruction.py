@@ -344,25 +344,34 @@ def report_from_doc(doc: dict) -> ObstructionReport:
 
     The document is outside data, so it is checked as a report is: every
     witness is re-verified, and the verdict must be the one its witnesses and
-    ``limit_hit`` flag give.  A document that fails is a UsageError.
+    ``limit_hit`` flag give.  A document that fails is a UsageError, and so
+    is one with a missing key, an integer that does not parse, or a
+    ``limit_hit`` that is not a JSON boolean.
     """
     if doc.get("schema") != "obstruction-report@2":
         raise UsageError(f"unexpected schema {doc.get('schema')!r}")
-    balls = [BallSpec(int(b["p"]), int(b["q"])) for b in doc["problem"]["balls"]]
+    try:
+        balls = [BallSpec(int(b["p"]), int(b["q"])) for b in doc["problem"]["balls"]]
+        m_norm, ambient = int(doc["problem"]["m_norm"]), int(doc["problem"]["ambient"])
+        witnesses = tuple(
+            Witness(tuple(tuple(int(x) for x in row) for row in w["embedding"]),
+                    tuple(int(x) for x in w["generator"]))
+            for w in doc["witnesses"])
+        stats = doc["statistics"]
+        limit_hit = stats["limit_hit"]
+        statistics = SearchStats(nodes=int(stats["nodes"]), leaves=int(stats["leaves"]),
+                                 classes=int(stats["classes"]), limit_hit=limit_hit,
+                                 elapsed_ms=int(stats.get("elapsed_ms", 0)))
+        verdict = doc["verdict"]
+    except KeyError as exc:
+        raise UsageError(f"report document lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed report document: {exc}") from None
+    if not isinstance(limit_hit, bool):
+        raise UsageError(f"limit_hit must be a JSON boolean, got {limit_hit!r}")
     problem = build_problem(balls)
-    if (problem.m_norm != int(doc["problem"]["m_norm"])
-            or problem.ambient != int(doc["problem"]["ambient"])):
+    if problem.m_norm != m_norm or problem.ambient != ambient:
         raise UsageError("document problem data is inconsistent with its ball list")
-    witnesses = tuple(
-        Witness(tuple(tuple(int(x) for x in row) for row in w["embedding"]),
-                tuple(int(x) for x in w["generator"]))
-        for w in doc["witnesses"])
-    stats = doc["statistics"]
-    statistics = SearchStats(nodes=int(stats["nodes"]), leaves=int(stats["leaves"]),
-                             classes=int(stats["classes"]),
-                             limit_hit=bool(stats["limit_hit"]),
-                             elapsed_ms=int(stats.get("elapsed_ms", 0)))
-    verdict = doc["verdict"]
     if verdict not in (OBSTRUCTED, NOT_OBSTRUCTED, INCONCLUSIVE):
         raise UsageError(f"unknown verdict {verdict!r}")
     if verdict != _verdict(witnesses, statistics):

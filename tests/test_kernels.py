@@ -70,6 +70,20 @@ def solutions(rows, used, dots, norm):
     return [(int(b), tuple(int(v) for v in row)) for b, row in zip(owner, out)]
 
 
+@pytest.fixture
+def closed_form_calls(monkeypatch):
+    """Counts the kernel calls answered in closed form, so that a test can
+    show that both methods ran."""
+    calls = []
+    closed_form = kernels._closed_form
+
+    def spy(*args):
+        calls.append(args[3])
+        return closed_form(*args)
+    monkeypatch.setattr(kernels, "_closed_form", spy)
+    return calls
+
+
 def check_batches(rng):
     """Each owner's slice of random batches against the brute-force oracle."""
     answered = pruned = mixed = 0
@@ -92,7 +106,10 @@ def check_batches(rng):
 
 
 class TestNumpyKernel:
-    def test_matches_brute_force(self):
+    """The dispatching kernel against brute force: instances of norm <= 2
+    take the closed form, the others the scan."""
+
+    def test_matches_brute_force(self, closed_form_calls):
         # A single query is a batch of one.
         rng = random.Random(11)
         pruned = 0
@@ -104,18 +121,21 @@ class TestNumpyKernel:
             assert got == [(0, x) for x in expected]
             pruned += len(expected) < len(every)
         assert pruned >= 30  # the tie rule cuts a share of the instances
+        assert len(closed_form_calls) >= 50
 
-    def test_batch_matches_brute_force_per_query(self):
+    def test_batch_matches_brute_force_per_query(self, closed_form_calls):
         check_batches(random.Random(12))
+        assert len(closed_form_calls) >= 20
 
     @pytest.mark.parametrize("block", [8, 64])
-    def test_blockwise_bound_test(self, monkeypatch, block):
+    def test_blockwise_bound_test(self, monkeypatch, closed_form_calls, block):
         # with 8-entry blocks every layer of the scan is tested block by
         # block; with 64 some layers are split and others are not, so the
         # survivors of split layers, tie cut included, meet the unsplit path
         # in one call
         monkeypatch.setattr(kernels, "_BLOCK", block)
         check_batches(random.Random(13))
+        assert len(closed_form_calls) >= 20
 
     def test_no_columns(self):
         # the search's root: no rows placed, no columns touched
@@ -136,3 +156,80 @@ class TestNumpyKernel:
         rows = np.array([[[2, 0]]], dtype=np.int64)
         owner, out = constrained_vectors(rows, [2], np.array([1], dtype=np.int64), 1)
         assert owner.shape == (0,) and out.shape == (0, 3)
+
+
+def low_norm_batch(rng):
+    """A batch for the closed form: rows with tied and dead columns, and dots
+    planted from a vector of norm <= 2 on one owner, or zero."""
+    b, k, u = rng.randrange(1, 7), rng.randrange(1, 4), rng.randrange(1, 8)
+    rows = np.array([[[rng.randrange(-2, 3) for _ in range(u)] for _ in range(k)]
+                     for _ in range(b)], dtype=np.int64)
+    for owner in range(b):
+        for c in range(1, u):
+            if rng.random() < 0.3:
+                rows[owner, :, c] = rows[owner, :, c - 1]
+    used = np.array([rng.randrange(0, u + 1) for _ in range(b)], dtype=np.int64)
+    for owner in range(b):
+        # dead columns are zero-padded in the search; other callers may
+        # leave anything there
+        dead = rows[owner, :, used[owner]:]
+        dead[...] = 0 if rng.random() < 0.7 else rng.randrange(-2, 3)
+    norm = rng.choice((1, 2))
+    x = np.zeros(u, dtype=np.int64)
+    if rng.random() < 0.75:
+        for c in rng.sample(range(u), min(u, rng.randrange(0, norm + 1))):
+            x[c] = rng.choice((-1, 1))
+    dots = rows[rng.randrange(b)] @ x
+    return rows, used, dots, norm
+
+
+class TestClosedForm:
+    """The norm <= 2 closed form against the scan, its oracle, on whole
+    batches: identical owner and solution arrays."""
+
+    def compare(self, seed):
+        rng = random.Random(seed)
+        seen = dict.fromkeys(("norm 1", "norm 2", "zero dots", "dead columns, zero dots",
+                              "tie cut"), 0)
+        for _ in range(400):
+            rows, used, dots, norm = low_norm_batch(rng)
+            owner, x = kernels._closed_form(rows, used, dots, norm)
+            scan_owner, scan_x = kernels._scan(rows, used, dots, norm)
+            assert np.array_equal(owner, scan_owner) and np.array_equal(x, scan_x)
+            assert owner.dtype == np.int64 and x.dtype == np.int64
+            seen[f"norm {norm}"] += 1
+            zero = not dots.any()
+            seen["zero dots"] += zero
+            seen["dead columns, zero dots"] += zero and bool((used < rows.shape[2] - 1).any())
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "_ties",
+                           lambda rows, used: np.zeros(rows.shape[::2], dtype=bool))
+                every = kernels._scan(rows, used, dots, norm)[0]
+            seen["tie cut"] += len(every) > len(owner)
+        assert min(seen.values()) >= 100, seen
+
+    def test_matches_scan(self):
+        self.compare(21)
+
+    def test_forced_hash_collisions(self, monkeypatch):
+        # all weights 0: every candidate on live columns matches the hash,
+        # so only the exact re-check decides
+        monkeypatch.setattr(kernels, "_HASH_BASE", 0)
+        self.compare(22)
+
+    def test_dead_columns_never_used(self):
+        # two zero-padded dead columns with opposite signs hash to 0, the
+        # hash of dots == 0, and pass the exact check too; only the used
+        # mask rejects e_1 - e_2 and e_1 + e_2 here
+        rows = np.array([[[1, 0, 0]]], dtype=np.int64)
+        owner, x = constrained_vectors(rows, [1], np.array([0], dtype=np.int64), 2)
+        assert owner.tolist() == [0] and x.tolist() == [[0, 0, 0, 0]]
+
+    def test_dispatch_by_norm(self, monkeypatch, closed_form_calls):
+        scans = []
+        scan = kernels._scan
+        monkeypatch.setattr(kernels, "_scan", lambda *args: scans.append(args[3]) or scan(*args))
+        rows = np.array([[[1, 1, 0, 1]]], dtype=np.int64)
+        for norm in range(5):
+            constrained_vectors(rows, [4], np.array([1], dtype=np.int64), norm)
+        assert closed_form_calls == [0, 1, 2] and scans == [3, 4]

@@ -480,6 +480,26 @@ class TestReportDocuments:
         with pytest.raises(UsageError, match="witness rejected"):
             report_from_doc(doc)
 
+    def test_missing_key_rejected(self):
+        with pytest.raises(UsageError, match="lacks the key 'problem'"):
+            report_from_doc({"schema": "obstruction-report@2"})
+
+    def test_bad_integer_rejected(self):
+        doc = report_to_doc(check_obstruction(build_problem([BallSpec(3, 1)])))
+        doc["problem"]["balls"][0] = {"p": "x", "q": "1"}
+        with pytest.raises(UsageError, match="malformed report document"):
+            report_from_doc(doc)
+
+    # The string "false" is truthy: read with bool() it made an OBSTRUCTED
+    # document contradict itself and an INCONCLUSIVE one pass.
+    @pytest.mark.parametrize("verdict", [OBSTRUCTED, INCONCLUSIVE])
+    def test_limit_hit_must_be_boolean(self, verdict):
+        doc = report_to_doc(check_obstruction(build_problem([BallSpec(3, 1)])))
+        doc["verdict"] = verdict
+        doc["statistics"]["limit_hit"] = "false"
+        with pytest.raises(UsageError, match="JSON boolean"):
+            report_from_doc(doc)
+
     def test_schema_1_rejected(self):
         doc = report_to_doc(check_obstruction(build_problem([BallSpec(3, 1)])))
         assert doc["schema"] == "obstruction-report@2"
