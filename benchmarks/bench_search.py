@@ -13,10 +13,14 @@ Rungs, each searched to completion (no budget):
   with 3, 5, 12 and 37 classes (docs/decisions.md).
 * Single Markov balls up to B(610, 89): the ball of the largest entry of each
   Markov triple with maximum <= 610.  NOT_OBSTRUCTED.
-* Cold CLI: fresh ``python -m ballobs.cli --format json`` processes for
-  ``markov list --max 1000`` and then ``obstruct 3,1``, timed together from
-  start to exit.  Both must exit 0, and ``obstruct`` must say OBSTRUCTED with
-  1 class.  The children run the ballobs source that this script imports.
+* Cold CLI, two rungs: a fresh ``python -m ballobs.cli --format json``
+  process for ``markov list --max 1000``, which never searches, and one for
+  ``obstruct 3,1``, which loads numpy and searches; each is timed from start
+  to exit.  Both must exit 0, ``markov list`` must list the triples that
+  ``markov.enumerate_triples`` gives, and ``obstruct`` must say OBSTRUCTED
+  with 1 class.  The children run the ballobs source that this script
+  imports.  Apart, the rungs show a change to the cold start of the commands
+  that never search separately from the numpy import.
 
 Each rung asserts its verdict and its class count; the script runs the whole
 ladder, then exits 1 if any rung missed.  It prints best-of-N wall time with
@@ -25,12 +29,14 @@ them to a file.  The first of the N runs pays the one-off costs (imports,
 caches), so N >= 2 keeps them out of the best time.
 
 The machine's speed swings by 1.4x and more between and within runs, so raw
-wall times of identical code differ by tens of percent.  Each run is
-therefore also timed against a fixed pure-Python loop (``reference_loop``,
-the same load as ``perfbench``'s) run just before and just after it: its
-scaled time is its wall time over the mean of the two loop times, times
-``REFERENCE_S``, the loop's time on a quiet machine.  A rung reports the
-best raw and the best scaled time of its N runs.
+wall times of identical code differ by tens of percent.  So a fixed
+pure-Python loop (``reference_loop``, the same load as ``perfbench``'s) is
+also timed before the first run, between every two runs and after the last.
+Each run's reference is the mean of the loop times on either side of it,
+and the rung's scaled time is ``REFERENCE_S``, the loop's time on a quiet
+machine, times the runs' summed wall time over their summed reference: a
+ratio of sums, over every run but the first when N >= 2.  A best-of-N of
+per-run ratios, by contrast, picks the luckiest loop.
 
     python benchmarks/bench_search.py [--repeats N] [--json PATH]
 
@@ -60,7 +66,7 @@ TRIPLE_CLASSES = {(1, 1, 2): 2, (1, 2, 5): 5, (1, 5, 13): 5, (1, 13, 34): 5, (1,
 CHAIN_CLASSES = {2: 3, 3: 5, 4: 12, 5: 37}
 SINGLE_BALL_MAX = 610
 SINGLE_BALL_CLASSES = 2
-COLD_COMMANDS = (("markov", "list", "--max", "1000"), ("obstruct", "3,1"))
+COLD_MARKOV_MAX = 1000
 # Wall seconds of reference_loop() on a quiet 2-core KVM guest (Intel Xeon
 # host) with Python 3.11, as in perfbench/run.py.
 REFERENCE_S = 0.0027
@@ -98,23 +104,35 @@ def chain_rung(n):
     return f"chain n={n} in Z^{4 * n}", run, ("COMPLETE", CHAIN_CLASSES[n])
 
 
-def cold_cli_rung():
+def cold_cli_rung(argv, outcome, expected):
+    """One fresh CLI process on ``argv``; ``outcome`` reads (verdict, stats)
+    off its JSON document."""
     src = os.path.dirname(os.path.dirname(obstruction.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def run():
-        for argv in COLD_COMMANDS:
-            proc = subprocess.run([sys.executable, "-m", "ballobs.cli", "--format", "json", *argv],
-                                  env=env, capture_output=True, text=True)
-            if proc.returncode:
-                return f"EXIT {proc.returncode}", SearchStats(0, 0, 0)
-        # The last command is obstruct: its verdict and counts stand for the rung.
-        doc = json.loads(proc.stdout)
+        proc = subprocess.run([sys.executable, "-m", "ballobs.cli", "--format", "json", *argv],
+                              env=env, capture_output=True, text=True)
+        if proc.returncode:
+            return f"EXIT {proc.returncode}", SearchStats(0, 0, 0)
+        return outcome(json.loads(proc.stdout))
+    return f"cold CLI {' '.join(argv)}", run, expected
+
+
+def cold_cli_rungs():
+    triples = [[str(x) for x in t.entries] for t in markov.enumerate_triples(COLD_MARKOV_MAX)]
+
+    def listed(doc):
+        return ("COMPLETE" if doc["triples"] == triples else "WRONG TRIPLES"), SearchStats(0, 0, 0)
+
+    def reported(doc):
         s = doc["statistics"]
         return doc["verdict"], SearchStats(int(s["nodes"]), int(s["leaves"]),
                                            int(s["classes"]), s["limit_hit"])
-    return "cold CLI markov list+obstruct 3,1", run, (obstruction.OBSTRUCTED, 1)
+    return [cold_cli_rung(("markov", "list", "--max", str(COLD_MARKOV_MAX)), listed,
+                          ("COMPLETE", 0)),
+            cold_cli_rung(("obstruct", "3,1"), reported, (obstruction.OBSTRUCTED, 1))]
 
 
 def ladder():
@@ -137,7 +155,7 @@ def ladder():
     for ball in sorted(singles, key=lambda b: b.p):
         rungs.append(obstruction_rung(f"single ball {ball}", [ball],
                                       obstruction.NOT_OBSTRUCTED, SINGLE_BALL_CLASSES))
-    rungs.append(cold_cli_rung())
+    rungs.extend(cold_cli_rungs())
     return rungs
 
 
@@ -147,27 +165,32 @@ def main():
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--json", metavar="PATH", help="also write the results here")
     args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
 
     results, missed = [], []
     print(f"{'rung':<34} {'best (s)':>9} {'scaled':>9} {'nodes':>7} {'leaves':>7} "
           f"{'classes':>8}  verdict")
     for label, run, expected in ladder():
-        best = scaled = float("inf")
+        walls, references = [], []
+        loop = _reference_seconds()
         for _ in range(args.repeats):
-            before = _reference_seconds()
             t0 = time.perf_counter()
             verdict, stats = run()
-            wall = time.perf_counter() - t0
-            reference = (before + _reference_seconds()) / 2
-            best = min(best, wall)
-            scaled = min(scaled, REFERENCE_S * wall / reference)
+            walls.append(time.perf_counter() - t0)
+            after = _reference_seconds()
+            references.append((loop + after) / 2)
+            loop = after
+        best = min(walls)
+        timed = slice(1 if args.repeats > 1 else 0, None)
+        scaled = REFERENCE_S * sum(walls[timed]) / sum(references[timed])
         print(f"{label:<34} {best:>9.4f} {scaled:>9.4f} {stats.nodes:>7} {stats.leaves:>7} "
               f"{stats.classes:>8}  {verdict}", flush=True)
         if (verdict, stats.classes) != expected:
             missed.append(f"{label}: {verdict} with {stats.classes} classes, "
                           f"expected {expected[0]} with {expected[1]}")
         results.append({"rung": label, "verdict": verdict, "best_s": round(best, 4),
-                        "scaled_best_s": round(scaled, 4), "nodes": stats.nodes,
+                        "scaled_s": round(scaled, 4), "nodes": stats.nodes,
                         "leaves": stats.leaves, "classes": stats.classes})
     if args.json:
         doc = {"repeats": args.repeats, "reference_s": REFERENCE_S,

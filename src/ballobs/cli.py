@@ -8,6 +8,10 @@ as ``--format`` asks.  Diagnostics go to stderr.
 
 Exit codes: 0 computed, 1 usage error, 2 budget exhausted (INCONCLUSIVE),
 3 internal consistency failure.
+
+The search modules, ``lattice`` and ``obstruction``, are imported inside the
+handlers that use them, so the commands that never search do not pay for
+loading them.
 """
 
 from __future__ import annotations
@@ -19,10 +23,8 @@ import re
 import sys
 from dataclasses import dataclass
 
-from . import contfrac, markov, obstruction, plumbing
-from .errors import InternalCheckError, LimitExceeded, UsageError
-from .lattice import SearchLimits, linear_lattice, search_embedding_classes
-from .obstruction import _s
+from . import contfrac, markov, plumbing
+from .errors import InternalCheckError, LimitExceeded, SearchLimits, UsageError, _s
 
 NODE_BUDGET_ENV = "BALLOBS_NODE_BUDGET"
 TIME_BUDGET_ENV = "BALLOBS_TIME_BUDGET"
@@ -111,12 +113,14 @@ def cmd_ball_classify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
 
 
 def cmd_ball_boundary(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+    from . import obstruction
     big_p, big_q = obstruction.ball_boundary(markov.BallSpec(args.p, args.q))
     doc = {"schema": "lens-space@1", "p": _s(big_p), "q": _s(big_q)}
     return doc, [f"L({big_p},{big_q})"], 0
 
 
 def cmd_ball_plumbing(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+    from . import obstruction
     weights = obstruction.ball_plumbing(markov.BallSpec(args.p, args.q))
     doc = {"schema": "plumbing-weights@1", "weights": [_s(w) for w in weights]}
     return doc, [f"[{_fmt_ints(weights)}]"], 0
@@ -155,6 +159,8 @@ def cmd_cf_fib_identities(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
 
 
 def cmd_lattice_classes(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+    from . import obstruction
+    from .lattice import linear_lattice, search_embedding_classes
     weights = _int_list(args.weights, "weights")
     lat = linear_lattice(weights)
     classes = search_embedding_classes(lat, args.ambient, limits=cfg.limits).classes
@@ -202,6 +208,7 @@ def cmd_plumbing_certify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
 
 
 def _obstruction_output(report, cfg: RunConfig) -> tuple[dict, list[str], int]:
+    from . import obstruction
     balls = " ".join(str(b) for b in report.problem.balls)
     s = report.statistics
     lines = [f"{balls}: {report.verdict} "
@@ -212,6 +219,7 @@ def _obstruction_output(report, cfg: RunConfig) -> tuple[dict, list[str], int]:
 
 
 def cmd_obstruct(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+    from . import obstruction
     balls = []
     for text in args.balls:
         pq = _int_list(text, "ball")
@@ -223,6 +231,7 @@ def cmd_obstruct(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
 
 
 def cmd_verify_example_b31(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+    from . import obstruction
     report = obstruction.example_b31_report(limits=cfg.limits)
     doc = {
         "schema": "verify-example-b31@1",
@@ -241,9 +250,10 @@ def cmd_verify_example_b31(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
 
 
 def cmd_verify_lemma_cemb(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+    from . import obstruction
     report = obstruction.lemma_cemb_report(args.n, args.m, limits=cfg.limits)
     doc = {
-        "schema": "chain-classification@1",
+        "schema": "chain-classification@2",
         "n": _s(report.n),
         "ambient": _s(report.ambient),
         "weights": [_s(w) for w in report.weights],
@@ -251,8 +261,7 @@ def cmd_verify_lemma_cemb(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
         "classes": [
             {"support": _s(c.support),
              "complement_rank": _s(c.complement_rank),
-             "complement_norm": None if c.complement_norm is None else _s(c.complement_norm),
-             "has_unit_vectors": c.has_unit_vectors}
+             "complement_norm": None if c.complement_norm is None else _s(c.complement_norm)}
             for c in report.classes
         ],
     }
@@ -260,12 +269,12 @@ def cmd_verify_lemma_cemb(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
              f"{report.class_count} classes"]
     for c in report.classes:
         norm = "-" if c.complement_norm is None else str(c.complement_norm)
-        lines.append(f"  support {c.support}: complement rank {c.complement_rank}, "
-                     f"norm {norm}, unit vectors {'yes' if c.has_unit_vectors else 'no'}")
+        lines.append(f"  support {c.support}: complement rank {c.complement_rank}, norm {norm}")
     return doc, lines, 0
 
 
 def cmd_verify_theorem2(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+    from . import obstruction
     report = obstruction.theorem2_suite([(args.k, args.n)], limits=cfg.limits)[0]
     doc, lines, code = _obstruction_output(report, cfg)
     if report.verdict == obstruction.NOT_OBSTRUCTED:

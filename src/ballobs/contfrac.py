@@ -37,10 +37,12 @@ def hj_eval(coeffs) -> Fraction:
     return Fraction(num, den)
 
 
-def hj_expand(p: int, q: int) -> tuple[int, ...]:
+def hj_expand(p: int, q: int, max_length: int | None = None) -> tuple[int, ...]:
     """The unique expansion of p/q with all coefficients >= 2.
 
     a_1 = ceil(p/q), then recurse on q/(a_1 q - p) until the remainder is zero.
+    The expansion can have about p/q coefficients, so a caller that can use
+    at most ``max_length`` of them gets a UsageError after that many steps.
     """
     if not isinstance(p, int) or not isinstance(q, int):
         raise UsageError(f"p and q must be integers, got {(p, q)!r}")
@@ -50,6 +52,8 @@ def hj_expand(p: int, q: int) -> tuple[int, ...]:
         raise UsageError(f"p and q must be coprime, got {(p, q)}")
     out = []
     while q:
+        if len(out) == max_length:
+            raise UsageError(f"the expansion has more than {max_length} coefficients")
         a = -(-p // q)
         out.append(a)
         p, q = q, a * q - p
@@ -84,11 +88,12 @@ def fibonacci_identities(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return first, second
 
 
-def lens_plumbing(p: int, q: int) -> tuple[int, ...]:
+def lens_plumbing(p: int, q: int, max_length: int | None = None) -> tuple[int, ...]:
     """Weights of the linear plumbing bounded by the lens space L(p, q).
 
-    These expand p/(p - q), so every weight is >= 2.
+    These expand p/(p - q), so every weight is >= 2.  ``max_length`` bounds
+    the expansion as in :func:`hj_expand`.
     """
     if not isinstance(p, int) or not isinstance(q, int) or not p > q >= 1:
         raise UsageError(f"need lens parameters p > q >= 1, got {(p, q)!r}")
-    return hj_expand(p, p - q)
+    return hj_expand(p, p - q, max_length)

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types, search budgets and the document integer format shared
+across the package.
+
+Everything here loads with every command, so it stays free of the search
+modules: a command that never searches validates its budgets and writes its
+document without importing them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+DEFAULT_NODE_BUDGET = 10 ** 8
 
 
 class UsageError(ValueError):
@@ -25,3 +37,42 @@ class LimitExceeded(RuntimeError):
 
 class InternalCheckError(RuntimeError):
     """An internal consistency assertion failed; this is a bug, not bad input."""
+
+
+@dataclass(frozen=True)
+class SearchLimits:
+    """Budgets for a single enumeration; exceeding either aborts the search
+    with a LimitExceeded carrying partial statistics."""
+
+    node_budget: int = DEFAULT_NODE_BUDGET
+    time_budget: float | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.node_budget, int) or isinstance(self.node_budget, bool):
+            raise UsageError(f"node budget must be an integer, got {self.node_budget!r}")
+        if self.node_budget < 1:
+            raise UsageError("node budget must be positive")
+        # Written so that NaN, which compares false both ways, is rejected.
+        if self.time_budget is not None and not self.time_budget > 0:
+            raise UsageError("time budget must be positive")
+
+
+# Machine-readable documents write every integer as a decimal string, so that
+# arbitrary precision survives any JSON consumer.
+
+
+def _s(x) -> str:
+    return str(int(x))
+
+
+def _from_s(text) -> int:
+    """The integer of a string that ``_s`` writes.  Anything else is a
+    UsageError: a JSON number or boolean, ``" 46"``, ``"+46"``, ``"046"``,
+    non-ASCII digits."""
+    try:
+        value = int(text) if isinstance(text, str) else None
+    except ValueError:
+        value = None
+    if value is None or _s(value) != text:
+        raise UsageError(f"expected an integer written as a decimal string, got {text!r}")
+    return value

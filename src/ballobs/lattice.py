@@ -27,9 +27,11 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .errors import InternalCheckError, LimitExceeded, UsageError
-
-DEFAULT_NODE_BUDGET = 10 ** 8
+# SearchLimits and DEFAULT_NODE_BUDGET live with the errors, so that commands
+# which never search validate budgets without loading this module; they are
+# re-exported here, where the search reads them.
+from .errors import (DEFAULT_NODE_BUDGET, InternalCheckError, LimitExceeded,  # noqa: F401
+                     SearchLimits, UsageError)
 
 # int64 overflow in the kernel is impossible while diagonal norms stay small;
 # rank is capped where the exact minor check stays cheap.
@@ -303,24 +305,6 @@ def unit_pairing_profile(m_rows, c_rows, m: int) -> PairingProfile:
 
 # ---------------------------------------------------------------------------
 # Embedding enumeration
-
-
-@dataclass(frozen=True)
-class SearchLimits:
-    """Budgets for a single enumeration; exceeding either aborts the search
-    with a LimitExceeded carrying partial statistics."""
-
-    node_budget: int = DEFAULT_NODE_BUDGET
-    time_budget: float | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.node_budget, int) or isinstance(self.node_budget, bool):
-            raise UsageError(f"node budget must be an integer, got {self.node_budget!r}")
-        if self.node_budget < 1:
-            raise UsageError("node budget must be positive")
-        # Written so that NaN, which compares false both ways, is rejected.
-        if self.time_budget is not None and not self.time_budget > 0:
-            raise UsageError("time budget must be positive")
 
 
 @dataclass(frozen=True)

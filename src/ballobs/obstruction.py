@@ -28,11 +28,12 @@ import math
 from dataclasses import dataclass
 
 from .contfrac import lens_plumbing
-from .errors import InternalCheckError, LimitExceeded, UsageError
-from .lattice import (EmbeddingClass, GramLattice, SearchLimits, SearchStats,
-                      canonical_form, direct_sum, is_isometric_embedding,
-                      is_primitive_vector, linear_lattice, orthogonal_complement,
-                      search_embedding_classes, unit_pairing_profile)
+from .errors import (InternalCheckError, LimitExceeded, SearchLimits, UsageError, _from_s,
+                     _s)
+from .lattice import (MAX_AMBIENT, EmbeddingClass, GramLattice, SearchStats, canonical_form,
+                      direct_sum, is_isometric_embedding, is_primitive_vector,
+                      linear_lattice, orthogonal_complement, search_embedding_classes,
+                      unit_pairing_profile)
 from .markov import BallSpec, fibonacci_ball
 
 OBSTRUCTED = "OBSTRUCTED"
@@ -45,10 +46,14 @@ def ball_boundary(b: BallSpec) -> tuple[int, int]:
     return b.p * b.p, b.p * b.q - 1
 
 
-def ball_plumbing(b: BallSpec) -> tuple[int, ...]:
-    """Weights of the positive-definite linear plumbing sharing the boundary of B(p, q)."""
+def ball_plumbing(b: BallSpec, max_length: int | None = None) -> tuple[int, ...]:
+    """Weights of the positive-definite linear plumbing sharing the boundary of B(p, q).
+
+    B(p, 1) has about p of them; ``max_length`` bounds the expansion as in
+    :func:`ballobs.contfrac.hj_expand`.
+    """
     big_p, big_q = ball_boundary(b)
-    return lens_plumbing(big_p, big_q)
+    return lens_plumbing(big_p, big_q, max_length)
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,20 @@ def build_problem(balls) -> ObstructionProblem:
     if not balls:
         raise UsageError("at least one ball is required")
     m_norm = math.prod(b.p * b.p for b in balls)
-    components = tuple(linear_lattice(ball_plumbing(b)) for b in balls)
+    # The search takes m = 1 + rank(Lambda_C) <= MAX_AMBIENT, so each
+    # expansion stops as soon as the rank passes MAX_AMBIENT - 1: a plumbing
+    # can have millions of vertices, too many to expand or put in a Gram
+    # matrix.  A BallSpec's plumbing can fail on nothing but that length.
+    room = MAX_AMBIENT - 1
+    components = []
+    for b in balls:
+        try:
+            weights = ball_plumbing(b, max_length=room)
+        except UsageError:
+            raise UsageError(f"ambient rank exceeds the supported maximum {MAX_AMBIENT}") from None
+        room -= len(weights)
+        components.append(linear_lattice(weights))
+    components = tuple(components)
     c_lattice = components[0]
     for extra in components[1:]:
         c_lattice = direct_sum(c_lattice, extra)
@@ -214,21 +232,17 @@ class ClassSummary:
     support: int
     complement_rank: int
     complement_norm: int | None
-    has_unit_vectors: bool
 
 
 def class_summary(cls: EmbeddingClass) -> ClassSummary:
     """The support size of a class and its complement data inside the
-    coordinate sublattice spanned by the support: rank, generator norm when
-    the rank is one, and whether the complement contains unit vectors."""
+    coordinate sublattice spanned by the support: rank, and generator norm
+    when the rank is one."""
     sup = cls.support
     restricted = tuple(tuple(row[j] for j in sup) for row in cls.matrix)
     comp = orthogonal_complement(restricted, len(sup))
     norm1 = comp.generator_norm if comp.rank == 1 else None
-    # A unit vector of the support sublattice lying in the complement is a
-    # +-e_i, i.e. a zero column of the restricted matrix.
-    has_unit = any(all(row[j] == 0 for row in restricted) for j in range(len(sup)))
-    return ClassSummary(len(sup), comp.rank, norm1, has_unit)
+    return ClassSummary(len(sup), comp.rank, norm1)
 
 
 @dataclass(frozen=True)
@@ -301,10 +315,6 @@ def example_b31_report(limits: SearchLimits | None = None) -> ExampleB31Report:
 # Machine-readable documents (integers as decimal strings, no floats)
 
 
-def _s(x) -> str:
-    return str(int(x))
-
-
 def report_to_doc(report: ObstructionReport, include_timing: bool = False) -> dict:
     """Serialise a report; integer values become decimal strings.
 
@@ -343,25 +353,28 @@ def report_from_doc(doc: dict) -> ObstructionReport:
     """Rebuild a report from its document form; inverse of report_to_doc.
 
     The document is outside data, so it is checked as a report is: every
-    witness is re-verified, and the verdict must be the one its witnesses and
-    ``limit_hit`` flag give.  A document that fails is a UsageError, and so
-    is one with a missing key, an integer that does not parse, or a
-    ``limit_hit`` that is not a JSON boolean.
+    witness is re-verified, the problem data must be the ball list's, and the
+    verdict must be the one its witnesses and ``limit_hit`` flag give.  A
+    document that fails is a UsageError, and so is one with a missing key,
+    an integer that ``report_to_doc`` would not write, or a ``limit_hit``
+    that is not a JSON boolean.
     """
     if doc.get("schema") != "obstruction-report@2":
         raise UsageError(f"unexpected schema {doc.get('schema')!r}")
     try:
-        balls = [BallSpec(int(b["p"]), int(b["q"])) for b in doc["problem"]["balls"]]
-        m_norm, ambient = int(doc["problem"]["m_norm"]), int(doc["problem"]["ambient"])
+        problem_doc = doc["problem"]
+        balls = [BallSpec(_from_s(b["p"]), _from_s(b["q"])) for b in problem_doc["balls"]]
+        m_norm, ambient = _from_s(problem_doc["m_norm"]), _from_s(problem_doc["ambient"])
+        weights = [[_from_s(w) for w in c] for c in problem_doc["component_weights"]]
         witnesses = tuple(
-            Witness(tuple(tuple(int(x) for x in row) for row in w["embedding"]),
-                    tuple(int(x) for x in w["generator"]))
+            Witness(tuple(tuple(_from_s(x) for x in row) for row in w["embedding"]),
+                    tuple(_from_s(x) for x in w["generator"]))
             for w in doc["witnesses"])
         stats = doc["statistics"]
         limit_hit = stats["limit_hit"]
-        statistics = SearchStats(nodes=int(stats["nodes"]), leaves=int(stats["leaves"]),
-                                 classes=int(stats["classes"]), limit_hit=limit_hit,
-                                 elapsed_ms=int(stats.get("elapsed_ms", 0)))
+        statistics = SearchStats(nodes=_from_s(stats["nodes"]), leaves=_from_s(stats["leaves"]),
+                                 classes=_from_s(stats["classes"]), limit_hit=limit_hit,
+                                 elapsed_ms=_from_s(stats.get("elapsed_ms", "0")))
         verdict = doc["verdict"]
     except KeyError as exc:
         raise UsageError(f"report document lacks the key {exc}") from None
@@ -370,7 +383,8 @@ def report_from_doc(doc: dict) -> ObstructionReport:
     if not isinstance(limit_hit, bool):
         raise UsageError(f"limit_hit must be a JSON boolean, got {limit_hit!r}")
     problem = build_problem(balls)
-    if problem.m_norm != m_norm or problem.ambient != ambient:
+    if (problem.m_norm, problem.ambient) != (m_norm, ambient) or weights != [
+            [c.gram[i][i] for i in range(c.rank)] for c in problem.components]:
         raise UsageError("document problem data is inconsistent with its ball list")
     if verdict not in (OBSTRUCTED, NOT_OBSTRUCTED, INCONCLUSIVE):
         raise UsageError(f"unknown verdict {verdict!r}")

@@ -130,11 +130,11 @@ def test_criterion_6_chain_classification_n3_slow():
     # (hand-checked in tests/test_lattice.py).  Support size is invariant under
     # signed permutations, so five is a lower bound whether or not the search
     # is complete.  docs/decisions.md has the matrices and the analysis.
-    # Per support: complement (rank, rank-one norm); no class has unit vectors.
+    # Per support: complement (rank, rank-one norm).
     rep = obstruction.lemma_cemb_report(3, 12)
     family = {7: (0, None), 8: (1, 169), 12: (5, None)}
     extras = {9: (2, None), 11: (4, None)}
-    expected = tuple(obstruction.ClassSummary(sup, rank, norm, False)
+    expected = tuple(obstruction.ClassSummary(sup, rank, norm)
                      for sup, (rank, norm) in sorted({**family, **extras}.items()))
     ok = (not rep.statistics.limit_hit and rep.class_count == 5
           and rep.classes == expected

@@ -34,7 +34,7 @@ def test_tracer_hooks_resolve():
 
 SMOKE_RUNGS = ("Fibonacci pair (1,2)", "Fibonacci pair (2,2)", "Fibonacci pair (2,3)",
                "Fibonacci pair (3,3)", "chain n=2 in Z^8", "chain n=3 in Z^12",
-               "cold CLI markov list+obstruct 3,1")
+               "cold CLI markov list --max 1000", "cold CLI obstruct 3,1")
 
 
 @pytest.fixture(scope="module")

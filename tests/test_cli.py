@@ -186,6 +186,15 @@ class TestExitCodes:
                            "--weights", "195364", "--ambient", "20")
         assert code == 2 and "time budget" in err
 
+    def test_large_plumbing_is_a_quick_usage_error(self):
+        # B(10^7, 1) has about 10^7 plumbing vertices.  Expanded in full
+        # before any search, they ran past the time budget until killed.
+        proc = subprocess.run(
+            [sys.executable, "-m", "ballobs.cli", "--time-budget", "1", "obstruct", "10000000,1"],
+            env=_child_env(), capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "ambient rank exceeds the supported maximum 64" in proc.stderr
+
     def test_limit_exit_from_lattice_classes(self, capsys):
         code, _, err = run(capsys, "--node-budget", "1", "lattice", "classes",
                            "--weights", "3,2,2,3,2", "--ambient", "9")
@@ -271,9 +280,10 @@ SUBCOMMAND_GOLDEN = {
     ("verify", "example-b31"): (0,
         (147, "b59b1d5cdf1b697349370b36672148242fb8ab428a28c111d16d1b7b4df28ba5"),
         (233, "8a2ec63eef1cd6e0a894355ddb2c29922afb11c9be3a36df540c083d37a9b3b8")),
+    # Re-recorded when chain-classification@2 dropped has_unit_vectors.
     ("verify", "lemma-cemb", "3", "12"): (0,
-        (325, "a7cff7b3425f2c630a19edb25900a6d81aa03023a6d670a3103d16180210a28d"),
-        (838, "d3577327f7def721d8edf2a95795b4723cdcc5a12582deb28faec0ea67727ff6")),
+        (240, "37ba23d0c94a40d3723d901a4d19f0b68e2eabfaa261d8e3c243133cda810bbb"),
+        (673, "b840c24026569be435cc6e91cd675324aebe07a621d74f96f4814b9eacf49d57")),
     ("verify", "theorem2", "1", "2"): (0,
         (58, "0b136ec832e4d49cc0a0faa65c9ef03c5958f9344c2b78d723c8d97ae58beb3f"),
         (543, "3bb8e9c640aada12d0d27b19221a81e60ec49c79a4ab8cffbfa88c821ab84470")),
@@ -293,8 +303,8 @@ class TestGoldenBytes:
         (("--format", "json", "lattice", "classes", "--weights", "3,2,2,3,2",
           "--ambient", "9"), 2859,
          "d56e8cb9b771f238d8c52abc48614cf1264c1fe82ca593c2801bde5cd78a5eb1"),
-        (("verify", "lemma-cemb", "3", "12"), 838,
-         "d3577327f7def721d8edf2a95795b4723cdcc5a12582deb28faec0ea67727ff6"),
+        (("verify", "lemma-cemb", "3", "12"), 673,  # re-recorded for chain-classification@2
+         "b840c24026569be435cc6e91cd675324aebe07a621d74f96f4814b9eacf49d57"),
     ])
     def test_stdout(self, capsys, argv, size, sha256):
         code, out, _ = run(capsys, *argv)
@@ -313,21 +323,78 @@ class TestGoldenBytes:
 
 
 # Run in a fresh interpreter: import ballobs, run the CLI on the arguments, if
-# any, then report the exit code and whether numpy and the kernel got loaded.
-COLD_PROBE = """
+# any, then report the exit code and which of the search modules got loaded.
+SEARCH_MODULES = ("ballobs.lattice", "ballobs.obstruction", "numpy", "ballobs.kernels")
+COLD_PROBE = f"""
 import json, sys
 import ballobs
 code = 0
 if sys.argv[1:]:
     from ballobs.cli import main
     code = main(["--format", "json", *sys.argv[1:]])
-print(json.dumps([code, "numpy" in sys.modules, "ballobs.kernels" in sys.modules]))
+print(json.dumps([code, [name in sys.modules for name in {SEARCH_MODULES!r}]]))
 """
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# The names ``ballobs`` exported before the search modules loaded lazily, by
+# the module that defines them.
+EXPORTS = {
+    "errors": ("DegenerateCaseError", "InternalCheckError", "LimitExceeded", "UsageError",
+               "SearchLimits"),
+    "markov": ("BallSpec", "MarkovTriple", "SymplecticVerdict", "ball_params",
+               "characteristic_number", "classify_symplectic", "enumerate_triples",
+               "fibonacci_ball", "fibonacci_symplectic_table", "is_markov", "odd_fibonacci",
+               "triple", "vieta_neighbor"),
+    "contfrac": ("fibonacci_identities", "hj_eval", "hj_expand", "hj_reverse",
+                 "lens_plumbing"),
+    "plumbing": ("BlowdownCertificate", "blow_down", "blow_up", "chain_determinant",
+                 "rb_chain", "reduce", "simple_embedding_certificate"),
+    "lattice": ("EmbeddingClass", "EmbeddingSearchResult", "GramLattice",
+                "OrthogonalComplement", "PairingProfile", "SearchLimits", "SearchStats",
+                "canonical_form", "direct_sum", "integer_kernel", "is_isometric_embedding",
+                "is_positive_definite", "is_primitive_vector", "linear_lattice",
+                "orthogonal_complement", "search_embedding_classes", "unit_pairing_profile"),
+    "obstruction": ("ObstructionProblem", "ObstructionReport", "Witness", "ball_boundary",
+                    "ball_plumbing", "build_problem", "check_obstruction",
+                    "full_embedding_classes", "lemma_cemb_report", "report_from_doc",
+                    "report_to_doc", "theorem2_suite"),
+}
+# Looks each name up on ballobs first, then on its module, then in the
+# namespace of ``from ballobs import *``; prints the misses.
+EXPORTS_PROBE = """
+import importlib, json, sys
+import ballobs
+exports = json.loads(sys.argv[1])
+wrong = []
+for home, names in exports.items():
+    if getattr(ballobs, home) is not importlib.import_module("ballobs." + home):
+        wrong.append(home)
+    wrong += [name for name in names
+              if getattr(ballobs, name) is not getattr(sys.modules["ballobs." + home], name)]
+star = {}
+exec("from ballobs import *", star)
+for home, names in exports.items():
+    wrong += [f"* {name}" for name in [home, *names]
+              if star.get(name) is not getattr(ballobs, name)]
+print(json.dumps(wrong))
+"""
+
+
+def _child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _fresh_python(*args) -> str:
+    proc = subprocess.run([sys.executable, "-c", *args], env=_child_env(),
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1]
+
 
 class TestColdImports:
-    """Commands that never search must not load numpy or the search kernel."""
+    """Commands that never search load neither the search modules, lattice and
+    obstruction, nor numpy and the search kernel."""
 
     @pytest.mark.parametrize("argv, searches", [
         ((), False),
@@ -335,15 +402,16 @@ class TestColdImports:
         (("ball", "classify", "5", "2"), False),
         (("cf", "expand", "9", "7"), False),
         (("plumbing", "certify", "5"), False),
-        (("obstruct", "3,1"), True),  # shows that the probe does see numpy
+        (("obstruct", "3,1"), True),  # shows that the probe does see them
     ])
     def test_numpy_loaded_only_by_search(self, argv, searches):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", COLD_PROBE, *argv], env=env,
-                              capture_output=True, text=True, check=True)
-        code, numpy_loaded, kernels_loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert (code, numpy_loaded, kernels_loaded) == (0, searches, searches)
+        code, loaded = json.loads(_fresh_python(COLD_PROBE, *argv))
+        assert (code, dict(zip(SEARCH_MODULES, loaded))) == (
+            0, dict.fromkeys(SEARCH_MODULES, searches))
+
+    def test_exports_unchanged(self):
+        # Every name resolves, lazily or not, to its defining module's object.
+        assert json.loads(_fresh_python(EXPORTS_PROBE, json.dumps(EXPORTS))) == []
 
 
 class TestDeterminism:

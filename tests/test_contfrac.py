@@ -48,6 +48,13 @@ class TestExpand:
         with pytest.raises(UsageError):
             hj_expand(3, 3)
 
+    def test_max_length(self):
+        # 10^7/(10^7 - 1) expands to 10^7 - 1 twos: bounded, it stops at once.
+        assert hj_expand(9, 7, max_length=4) == (2, 2, 2, 3)
+        for p, q, bound in ((9, 7, 3), (10 ** 7, 10 ** 7 - 1, 63)):
+            with pytest.raises(UsageError, match=f"more than {bound} coefficients"):
+                hj_expand(p, q, max_length=bound)
+
     def test_round_trip_expansions(self):
         # hj_expand(hj_eval(e)) == e for all coefficient words over [2, 5]
         # of length up to 8 (exhaustive; the all->=2 expansion is unique).

@@ -1,10 +1,18 @@
+import contextlib
+import copy
+import dataclasses
+import functools
 import json
 import math
+import operator
+import signal
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ballobs import kernels, lattice
-from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
+from ballobs.errors import InternalCheckError, LimitExceeded, UsageError, _s
 from ballobs.lattice import (SearchLimits, direct_sum, is_isometric_embedding,
                              is_primitive_vector, linear_lattice,
                              matrix_determinant, orthogonal_complement,
@@ -359,7 +367,6 @@ class TestLemmaCembReport:
         assert [c.support for c in rep.classes] == [5, 6, 8]
         assert [c.complement_rank for c in rep.classes] == [0, 1, 3]
         assert rep.classes[1].complement_norm == 25
-        assert not any(c.has_unit_vectors for c in rep.classes)
 
     def test_n2_m8(self):
         rep = lemma_cemb_report(2, 8)
@@ -485,9 +492,23 @@ class TestReportDocuments:
             report_from_doc({"schema": "obstruction-report@2"})
 
     def test_bad_integer_rejected(self):
+        # Only what report_to_doc writes is read: int() took every other
+        # value below as the integer next to it.
+        original = report_to_doc(check_obstruction(build_problem([BallSpec(3, 1)])))
+        for key, value in [("p", "x"), ("nodes", True), ("nodes", 1.5), ("p", "\u0663"),
+                           ("m_norm", " 9"), ("m_norm", "+9"), ("m_norm", "09"),
+                           ("nodes", "1_0"), ("q", "-0")]:
+            doc = copy.deepcopy(original)
+            for holder in (doc["problem"]["balls"][0], doc["problem"], doc["statistics"]):
+                if key in holder:
+                    holder[key] = value
+            with pytest.raises(UsageError, match="malformed report document"):
+                report_from_doc(doc)
+
+    def test_component_weights_checked(self):
         doc = report_to_doc(check_obstruction(build_problem([BallSpec(3, 1)])))
-        doc["problem"]["balls"][0] = {"p": "x", "q": "1"}
-        with pytest.raises(UsageError, match="malformed report document"):
+        doc["problem"]["component_weights"][0][0] = "3"
+        with pytest.raises(UsageError, match="inconsistent with its ball list"):
             report_from_doc(doc)
 
     # The string "false" is truthy: read with bool() it made an OBSTRUCTED
@@ -508,3 +529,119 @@ class TestReportDocuments:
         doc["statistics"]["strategy"] = "complement"
         with pytest.raises(UsageError):
             report_from_doc(doc)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail with TimeoutError instead of hanging once ``seconds`` pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _coprime_ball(p):
+    return st.integers(1, p - 1).filter(lambda q: math.gcd(p, q) == 1).map(
+        lambda q: BallSpec(p, q))
+
+
+# One or two balls with p <= 13 (ambient rank at most 29) and a node budget:
+# every verdict occurs, and a report takes about 10 ms.
+BALL_SETS = st.lists(st.integers(2, 13).flatmap(_coprime_ball), min_size=1, max_size=2)
+NODE_BUDGETS = st.integers(1, 300)
+# Values for a mutated leaf: integers as report_to_doc writes them, huge ones
+# included; near misses of that form; other JSON scalars and strings.
+JUNK = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.sampled_from([" 46", "46 ", "+46", "046", "-0", "\u0663", "1.5", "1_000", "", "x"]),
+    st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+              st.sampled_from([OBSTRUCTED, NOT_OBSTRUCTED, INCONCLUSIVE, "obstruction-report@1"])))
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+def _report(balls, budget):
+    return check_obstruction(build_problem(balls), limits=SearchLimits(node_budget=budget))
+
+
+def _paths(node, path=()):
+    """The path of every dict entry and list item below ``node``."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(node, path):
+    return functools.reduce(operator.getitem, path, node)
+
+
+def _kind(path):
+    return tuple("*" if isinstance(key, int) else key for key in path)
+
+
+class TestReportDocumentProperties:
+    """Report documents, random ball sets and budgets, each example bounded
+    by a node budget and a time limit."""
+
+    @PROPERTY_SETTINGS
+    @given(balls=BALL_SETS, budget=NODE_BUDGETS, timing=st.booleans())
+    def test_round_trip(self, balls, budget, timing):
+        with _time_limit(5):
+            rep = _report(balls, budget)
+            doc = json.loads(json.dumps(report_to_doc(rep, include_timing=timing)))
+            assert report_from_doc(doc) == rep
+
+    # B(p, q) has about p/q plumbing vertices, far more than any search takes:
+    # build_problem used to expand them all, and the document hung.
+    @PROPERTY_SETTINGS
+    @example(ball=BallSpec(99999999999999999999, 1))  # found by fuzzing
+    @given(ball=st.integers(4, 10 ** 30).flatmap(_coprime_ball))
+    def test_large_ball_rejected_quickly(self, ball):
+        doc = report_to_doc(_report([BallSpec(3, 1)], 100))
+        doc["problem"]["balls"][0] = {"p": _s(ball.p), "q": _s(ball.q)}
+        with _time_limit(5), pytest.raises(UsageError):
+            report_from_doc(doc)
+
+    @PROPERTY_SETTINGS
+    @given(balls=BALL_SETS, budget=NODE_BUDGETS, data=st.data())
+    def test_single_mutation(self, balls, budget, data):
+        # Deleting any key, or changing any leaf, gives a UsageError or a
+        # report that differs only in its statistics; a changed integer is
+        # read only in the form report_to_doc writes.
+        with _time_limit(5):
+            rep = _report(balls, budget)
+            doc = report_to_doc(rep)
+            # Draw the kind of entry first, then one entry of that kind, so
+            # that the many witness entries do not crowd out the rest.
+            delete = data.draw(st.booleans())
+            paths = [p for p in _paths(doc) if (isinstance(p[-1], str) if delete else
+                                                not isinstance(_at(doc, p), (dict, list)))]
+            kind = data.draw(st.sampled_from(sorted({_kind(p) for p in paths})))
+            path = data.draw(st.sampled_from([p for p in paths if _kind(p) == kind]))
+            mutated = copy.deepcopy(doc)
+            holder = _at(mutated, path[:-1])
+            old = holder[path[-1]]
+            if delete:
+                del holder[path[-1]]
+            else:
+                new = holder[path[-1]] = data.draw(JUNK)
+            try:
+                got = report_from_doc(mutated)
+            except UsageError:
+                return
+        assert not delete, f"accepted without {path}"
+        assert dataclasses.replace(got, statistics=rep.statistics) == rep
+        assert type(new) is type(old)
+        if new != old:
+            assert new == _s(int(new))
