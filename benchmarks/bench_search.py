@@ -17,7 +17,8 @@ Rungs, each searched to completion (no budget):
   process for ``markov list --max 1000``, which never searches, and one for
   ``obstruct 3,1``, which loads numpy and searches; each is timed from start
   to exit.  Both must exit 0, ``markov list`` must list the triples that
-  ``markov.enumerate_triples`` gives, and ``obstruct`` must say OBSTRUCTED
+  ``markov.enumerate_triples`` gives, and ``obstruct`` must write a report
+  document that ``obstruction.report_from_doc`` reads back as OBSTRUCTED
   with 1 class.  The children run the ballobs source that this script
   imports.  Apart, the rungs show a change to the cold start of the commands
   that never search separately from the numpy import.
@@ -55,6 +56,7 @@ import time
 import numpy as np
 
 from ballobs import markov, obstruction
+from ballobs.errors import UsageError
 from ballobs.lattice import SearchStats
 
 FIB_PAIRS = ((1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6), (6, 6),
@@ -127,9 +129,11 @@ def cold_cli_rungs():
         return ("COMPLETE" if doc["triples"] == triples else "WRONG TRIPLES"), SearchStats(0, 0, 0)
 
     def reported(doc):
-        s = doc["statistics"]
-        return doc["verdict"], SearchStats(int(s["nodes"]), int(s["leaves"]),
-                                           int(s["classes"]), s["limit_hit"])
+        try:
+            report = obstruction.report_from_doc(doc)
+        except UsageError as exc:
+            return f"BAD DOCUMENT ({exc})", SearchStats(0, 0, 0)
+        return report.verdict, report.statistics
     return [cold_cli_rung(("markov", "list", "--max", str(COLD_MARKOV_MAX)), listed,
                           ("COMPLETE", 0)),
             cold_cli_rung(("obstruct", "3,1"), reported, (obstruction.OBSTRUCTED, 1))]

@@ -158,6 +158,13 @@ def cmd_cf_fib_identities(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     return doc, lines, 0
 
 
+def _summary_doc(c) -> dict:
+    # The document entry of an obstruction.ClassSummary.
+    return {"support": _s(c.support),
+            "complement_rank": _s(c.complement_rank),
+            "complement_norm": None if c.complement_norm is None else _s(c.complement_norm)}
+
+
 def cmd_lattice_classes(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     from . import obstruction
     from .lattice import linear_lattice, search_embedding_classes
@@ -171,10 +178,7 @@ def cmd_lattice_classes(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
         "ambient": _s(args.ambient),
         "class_count": _s(len(classes)),
         "classes": [
-            {"matrix": [[_s(x) for x in row] for row in cls.matrix],
-             "support": _s(c.support),
-             "complement_rank": _s(c.complement_rank),
-             "complement_norm": None if c.complement_norm is None else _s(c.complement_norm)}
+            {"matrix": [[_s(x) for x in row] for row in cls.matrix], **_summary_doc(c)}
             for cls, c in rows
         ],
     }
@@ -258,12 +262,7 @@ def cmd_verify_lemma_cemb(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
         "ambient": _s(report.ambient),
         "weights": [_s(w) for w in report.weights],
         "class_count": _s(report.class_count),
-        "classes": [
-            {"support": _s(c.support),
-             "complement_rank": _s(c.complement_rank),
-             "complement_norm": None if c.complement_norm is None else _s(c.complement_norm)}
-            for c in report.classes
-        ],
+        "classes": [_summary_doc(c) for c in report.classes],
     }
     lines = [f"Lambda({_fmt_ints(report.weights)}) in Z^{report.ambient}: "
              f"{report.class_count} classes"]

@@ -64,15 +64,3 @@ class SearchLimits:
 def _s(x) -> str:
     return str(int(x))
 
-
-def _from_s(text) -> int:
-    """The integer of a string that ``_s`` writes.  Anything else is a
-    UsageError: a JSON number or boolean, ``" 46"``, ``"+46"``, ``"046"``,
-    non-ASCII digits."""
-    try:
-        value = int(text) if isinstance(text, str) else None
-    except ValueError:
-        value = None
-    if value is None or _s(value) != text:
-        raise UsageError(f"expected an integer written as a decimal string, got {text!r}")
-    return value

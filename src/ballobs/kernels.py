@@ -105,27 +105,21 @@ def _ties(rows, used):
 def _candidates(u, norm):
     # Every x over u columns with entries in {-1, 0, 1} and at most norm <= 2
     # of them nonzero, in lexicographic order of x, as x = sa e_a + sb e_b:
-    # 0 is a = b = sa = sb = 0, and a single is b = a, sb = 0.  Columns i and
-    # j index the terms in the signed column list [0, -col 0.., +col 0..],
-    # and ``need`` is 1 + the last column x touches (0 for x = 0).  Entries
-    # are at most 2u, so a narrow dtype keeps the cached tables small.
-    def lex(first, left):
-        # Each x on columns >= first with at most ``left`` entries +-1, as
-        # its (column, sign) list, in lex order: those whose first nonzero
-        # is -1, leftmost first, then x = 0, then those whose first nonzero
-        # is +1, rightmost first.
-        if not left:
-            return [[]]
-        return ([[(c, -1)] + t for c in range(first, u) for t in lex(c + 1, left - 1)] + [[]]
-                + [[(c, 1)] + t for c in range(u - 1, first - 1, -1)
-                   for t in lex(c + 1, left - 1)])
-
-    def term(x):
-        a, sa = x[0] if x else (0, 0)
-        b, sb = x[1] if len(x) > 1 else (a, 0)
-        return a, sa, b, sb
-
-    table = np.array([term(x) for x in lex(0, norm)], dtype=np.min_scalar_type(-2 * u - 1))
+    # 0 is a = b = sa = sb = 0, and a single is b = a, sb = 0.  Read as a
+    # balanced-ternary number, column 0 the most significant digit, x sorts
+    # in lex order.  Columns i and j index the terms in the signed column
+    # list [0, -col 0.., +col 0..], and ``need`` is 1 + the last column x
+    # touches (0 for x = 0).  Entries are at most 2u, so a narrow dtype keeps
+    # the cached tables small.
+    terms = [(0, 0, 0, 0)]
+    if norm >= 1:
+        terms += [(a, sa, a, 0) for a in range(u) for sa in (-1, 1)]
+    if norm == 2:
+        terms += [(a, sa, b, sb) for a in range(u) for b in range(a + 1, u)
+                  for sa in (-1, 1) for sb in (-1, 1)]
+    digit = [3 ** (u - 1 - c) for c in range(u)]
+    terms.sort(key=lambda t: t[1] * digit[t[0]] + t[3] * digit[t[2]])
+    table = np.array(terms, dtype=np.min_scalar_type(-2 * u - 1))
     a, sa, b, sb = table.T
     i = np.where(sa == 0, 0, 1 + a + u * (sa > 0))
     j = np.where(sb == 0, 0, 1 + b + u * (sb > 0))

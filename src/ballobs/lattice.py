@@ -459,12 +459,12 @@ def search_embedding_classes(l: GramLattice, m: int,
     gram = np.array(l.gram, dtype=np.int64)
     found: list[tuple[tuple[int, ...], ...]] = []
     nodes = 0
-    leaves = 0
     start = time.monotonic()
     deadline = None if limits.time_budget is None else start + limits.time_budget
 
     def stats(hit: bool) -> SearchStats:
-        return SearchStats(nodes=nodes, leaves=leaves, classes=len(found), limit_hit=hit,
+        # Leaves and classes correspond one to one, so both are len(found).
+        return SearchStats(nodes=nodes, leaves=len(found), classes=len(found), limit_hit=hit,
                            elapsed_ms=int((time.monotonic() - start) * 1000))
 
     def partial() -> tuple[EmbeddingClass, ...]:
@@ -475,7 +475,7 @@ def search_embedding_classes(l: GramLattice, m: int,
     def expand(rows, used: list[int]) -> None:
         # Place row i on every node of a chunk with one kernel call, count and
         # check each child, file the leaves and push the rest as a frame.
-        nonlocal nodes, leaves
+        nonlocal nodes
         i = rows.shape[1]
         norm = int(gram[i, i])
         owner, cands = constrained_vectors(rows[:, :, :max(used)], used, gram[i, :i], norm)
@@ -508,7 +508,6 @@ def search_embedding_classes(l: GramLattice, m: int,
                 if canonical_form(leaf) != leaf:
                     raise InternalCheckError("search leaf is not its own canonical form")
                 found.append(leaf)
-                leaves += 1
         if src:
             new = np.zeros((len(src), m), dtype=_ROW_DTYPE)
             new[:, :u] = cands[src, :u]

@@ -28,8 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .contfrac import lens_plumbing
-from .errors import (InternalCheckError, LimitExceeded, SearchLimits, UsageError, _from_s,
-                     _s)
+from .errors import InternalCheckError, LimitExceeded, SearchLimits, UsageError, _s
 from .lattice import (MAX_AMBIENT, EmbeddingClass, GramLattice, SearchStats, canonical_form,
                       direct_sum, is_isometric_embedding, is_primitive_vector,
                       linear_lattice, orthogonal_complement, search_embedding_classes,
@@ -352,48 +351,45 @@ def report_to_doc(report: ObstructionReport, include_timing: bool = False) -> di
 def report_from_doc(doc: dict) -> ObstructionReport:
     """Rebuild a report from its document form; inverse of report_to_doc.
 
-    The document is outside data, so it is checked as a report is: every
-    witness is re-verified, the problem data must be the ball list's, and the
-    verdict must be the one its witnesses and ``limit_hit`` flag give.  A
-    document that fails is a UsageError, and so is one with a missing key,
-    an integer that ``report_to_doc`` would not write, or a ``limit_hit``
-    that is not a JSON boolean.
+    The document is outside data, so it is accepted only if it equals what
+    ``report_to_doc`` writes for the report it rebuilds, with or without
+    ``elapsed_ms``: no other key, container type or integer form passes.
+    Its ``limit_hit`` must also be a JSON boolean and its verdict the one its
+    witnesses and ``limit_hit`` give, and every witness is re-verified.
+    Anything else is a UsageError.
     """
+    if not isinstance(doc, dict):
+        raise UsageError(f"a report document is a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != "obstruction-report@2":
         raise UsageError(f"unexpected schema {doc.get('schema')!r}")
     try:
-        problem_doc = doc["problem"]
-        balls = [BallSpec(_from_s(b["p"]), _from_s(b["q"])) for b in problem_doc["balls"]]
-        m_norm, ambient = _from_s(problem_doc["m_norm"]), _from_s(problem_doc["ambient"])
-        weights = [[_from_s(w) for w in c] for c in problem_doc["component_weights"]]
-        witnesses = tuple(
-            Witness(tuple(tuple(_from_s(x) for x in row) for row in w["embedding"]),
-                    tuple(_from_s(x) for x in w["generator"]))
-            for w in doc["witnesses"])
+        balls = [BallSpec(int(b["p"]), int(b["q"])) for b in doc["problem"]["balls"]]
+        witnesses = tuple(Witness(tuple(tuple(map(int, row)) for row in w["embedding"]),
+                                  tuple(map(int, w["generator"])))
+                          for w in doc["witnesses"])
         stats = doc["statistics"]
         limit_hit = stats["limit_hit"]
-        statistics = SearchStats(nodes=_from_s(stats["nodes"]), leaves=_from_s(stats["leaves"]),
-                                 classes=_from_s(stats["classes"]), limit_hit=limit_hit,
-                                 elapsed_ms=_from_s(stats.get("elapsed_ms", "0")))
+        statistics = SearchStats(nodes=int(stats["nodes"]), leaves=int(stats["leaves"]),
+                                 classes=int(stats["classes"]), limit_hit=limit_hit,
+                                 elapsed_ms=int(stats.get("elapsed_ms", 0)))
         verdict = doc["verdict"]
     except KeyError as exc:
         raise UsageError(f"report document lacks the key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"malformed report document: {exc}") from None
     if not isinstance(limit_hit, bool):
         raise UsageError(f"limit_hit must be a JSON boolean, got {limit_hit!r}")
-    problem = build_problem(balls)
-    if (problem.m_norm, problem.ambient) != (m_norm, ambient) or weights != [
-            [c.gram[i][i] for i in range(c.rank)] for c in problem.components]:
-        raise UsageError("document problem data is inconsistent with its ball list")
+    report = ObstructionReport(build_problem(balls), verdict, witnesses, statistics)
+    if report_to_doc(report, include_timing="elapsed_ms" in stats) != doc:
+        raise UsageError("malformed report document: inconsistent with its ball list, or "
+                         "not in the form report_to_doc writes")
     if verdict not in (OBSTRUCTED, NOT_OBSTRUCTED, INCONCLUSIVE):
         raise UsageError(f"unknown verdict {verdict!r}")
     if verdict != _verdict(witnesses, statistics):
         raise UsageError(f"verdict {verdict} contradicts the witnesses and limit_hit")
     for witness in witnesses:
         try:
-            verify_witness(problem, witness)
+            verify_witness(report.problem, witness)
         except InternalCheckError as exc:
             raise UsageError(f"document witness rejected: {exc}") from None
-    return ObstructionReport(problem, verdict, witnesses, statistics)
-
+    return report

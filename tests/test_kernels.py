@@ -217,6 +217,26 @@ class TestClosedForm:
         monkeypatch.setattr(kernels, "_HASH_BASE", 0)
         self.compare(22)
 
+    @pytest.mark.parametrize("u", range(1, 6))
+    @pytest.mark.parametrize("norm", range(3))
+    def test_candidate_table(self, u, norm):
+        # Decoded both from its terms and from its signed-list columns, the
+        # table is every x in {-1, 0, 1}^u with at most norm nonzero entries,
+        # in lex order, and need is 1 + the last column x touches.
+        i, j, need, a, sa, b, sb = (col.tolist() for col in kernels._candidates(u, norm))
+        signed = [(0,) * u] + [tuple(s * (c == e) for e in range(u))
+                               for s in (-1, 1) for c in range(u)]
+        decoded = []
+        for n in range(len(i)):
+            x = [0] * u
+            x[a[n]] += sa[n]
+            x[b[n]] += sb[n]
+            assert tuple(x) == tuple(map(sum, zip(signed[i[n]], signed[j[n]])))
+            assert need[n] == max((c + 1 for c in range(u) if x[c]), default=0)
+            decoded.append(tuple(x))
+        assert decoded == sorted(x for x in product((-1, 0, 1), repeat=u)
+                                 if sum(map(abs, x)) <= norm)
+
     def test_dead_columns_never_used(self):
         # two zero-padded dead columns with opposite signs hash to 0, the
         # hash of dots == 0, and pass the exact check too; only the used

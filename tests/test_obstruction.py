@@ -521,6 +521,29 @@ class TestReportDocuments:
         with pytest.raises(UsageError, match="JSON boolean"):
             report_from_doc(doc)
 
+    # A string or a dict iterates like the empty list that B(3,1) has.
+    @pytest.mark.parametrize("witnesses", ["", {}], ids=["string", "object"])
+    def test_witnesses_must_be_a_list(self, witnesses):
+        doc = report_to_doc(check_obstruction(build_problem([BallSpec(3, 1)])))
+        assert doc["witnesses"] == []
+        doc["witnesses"] = witnesses
+        with pytest.raises(UsageError, match="malformed report document"):
+            report_from_doc(doc)
+
+    @pytest.mark.parametrize("where", ["top", "problem", "statistics", "witness"])
+    def test_unknown_key_rejected(self, where):
+        doc = report_to_doc(check_obstruction(build_problem([BallSpec(2, 1)])))
+        holder = {"top": doc, "problem": doc["problem"], "statistics": doc["statistics"],
+                  "witness": doc["witnesses"][0]}[where]
+        holder["comment"] = "x"
+        with pytest.raises(UsageError, match="malformed report document"):
+            report_from_doc(doc)
+
+    @pytest.mark.parametrize("doc", [[], None, "x"], ids=["array", "null", "string"])
+    def test_non_object_rejected(self, doc):
+        with pytest.raises(UsageError, match="JSON object"):
+            report_from_doc(doc)
+
     def test_schema_1_rejected(self):
         doc = report_to_doc(check_obstruction(build_problem([BallSpec(3, 1)])))
         assert doc["schema"] == "obstruction-report@2"
@@ -561,6 +584,9 @@ JUNK = st.one_of(
     st.sampled_from([" 46", "46 ", "+46", "046", "-0", "\u0663", "1.5", "1_000", "", "x"]),
     st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
               st.sampled_from([OBSTRUCTED, NOT_OBSTRUCTED, INCONCLUSIVE, "obstruction-report@1"])))
+# Values for a mutated dict or list: JSON values of every type.
+OTHER_JSON = st.one_of(JUNK, st.lists(JUNK, max_size=2),
+                       st.dictionaries(st.text(max_size=3), JUNK, max_size=2))
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[HealthCheck.too_slow])
 
@@ -616,28 +642,31 @@ class TestReportDocumentProperties:
     @PROPERTY_SETTINGS
     @given(balls=BALL_SETS, budget=NODE_BUDGETS, data=st.data())
     def test_single_mutation(self, balls, budget, data):
-        # Deleting any key, or changing any leaf, gives a UsageError or a
-        # report that differs only in its statistics; a changed integer is
-        # read only in the form report_to_doc writes.
+        # Deleting any key, changing any leaf, or replacing any dict or list,
+        # the whole document included, by a value of another JSON type gives
+        # a UsageError or a report that differs only in its statistics; a
+        # changed integer is read only in the form report_to_doc writes.
         with _time_limit(5):
             rep = _report(balls, budget)
-            doc = report_to_doc(rep)
+            box = [report_to_doc(rep)]  # so that the document is an entry too
             # Draw the kind of entry first, then one entry of that kind, so
             # that the many witness entries do not crowd out the rest.
             delete = data.draw(st.booleans())
-            paths = [p for p in _paths(doc) if (isinstance(p[-1], str) if delete else
-                                                not isinstance(_at(doc, p), (dict, list)))]
+            paths = [p for p in _paths(box) if not delete or isinstance(p[-1], str)]
             kind = data.draw(st.sampled_from(sorted({_kind(p) for p in paths})))
             path = data.draw(st.sampled_from([p for p in paths if _kind(p) == kind]))
-            mutated = copy.deepcopy(doc)
+            mutated = copy.deepcopy(box)
             holder = _at(mutated, path[:-1])
             old = holder[path[-1]]
             if delete:
                 del holder[path[-1]]
+            elif isinstance(old, (dict, list)):
+                new = holder[path[-1]] = data.draw(
+                    OTHER_JSON.filter(lambda value: type(value) is not type(old)))
             else:
                 new = holder[path[-1]] = data.draw(JUNK)
             try:
-                got = report_from_doc(mutated)
+                got = report_from_doc(mutated[0])
             except UsageError:
                 return
         assert not delete, f"accepted without {path}"
