@@ -39,10 +39,21 @@ machine, times the runs' summed wall time over their summed reference: a
 ratio of sums, over every run but the first when N >= 2.  A best-of-N of
 per-run ratios, by contrast, picks the luckiest loop.
 
-    python benchmarks/bench_search.py [--repeats N] [--json PATH]
+    python benchmarks/bench_search.py [--repeats N] [--json PATH] [--baseline PATH]
+
+With ``--baseline PATH`` (the root of another checkout, with its own
+``src/ballobs``), every rung runs in two worker processes, one importing
+ballobs from PATH and one from this tree, each ``N`` times, alternately: the
+baseline first in odd repeats, this tree first in even ones.  The reference
+loop is timed between every two runs, so both trees see the same spells of a
+slow machine, and each side's scaled time is its ratio of sums over its runs
+but the first.  The table then shows both scaled times, their ratio, and
+whether the two trees gave the same verdict, nodes, leaves and classes.  The
+ladder and its expectations are this script's, whatever PATH holds.
 
 ``BENCH_<n>.json`` files at the root of the repository pair two such runs, the
-parent commit's as "before" and the change's as "after".
+parent commit's as "before" and the change's as "after", or hold one
+``--baseline`` run with the parent as the baseline.
 """
 
 import argparse
@@ -163,47 +174,142 @@ def ladder():
     return rungs
 
 
+def write_json(args, fields):
+    """Write the results with the run's settings to ``--json``, if given."""
+    if args.json:
+        doc = {"repeats": args.repeats, "reference_s": REFERENCE_S,
+               "python": platform.python_version(), "numpy": np.__version__,
+               "machine": platform.machine(), "cpus": len(os.sched_getaffinity(0)), **fields}
+        with open(args.json, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+
+
+def run_once(run):
+    """One run of a rung: its wall seconds, verdict and counts."""
+    t0 = time.perf_counter()
+    verdict, stats = run()
+    return {"wall": time.perf_counter() - t0, "verdict": verdict, "nodes": stats.nodes,
+            "leaves": stats.leaves, "classes": stats.classes}
+
+
+def serve():
+    """Worker of a ``--baseline`` run: list the ladder's labels, then for
+    each rung index read from stdin run that rung once; one JSON line each."""
+    rungs = ladder()
+    print(json.dumps([label for label, _, _ in rungs]), flush=True)
+    for line in sys.stdin:
+        print(json.dumps(run_once(rungs[int(line)][1])), flush=True)
+
+
+class Worker:
+    """A ``serve`` process importing ballobs from the ``src`` of one tree."""
+
+    def __init__(self, root):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"),
+                                                          env.get("PYTHONPATH")]))
+        self.proc = subprocess.Popen([sys.executable, os.path.abspath(__file__), "--serve"],
+                                     env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                     text=True)
+        self.labels = json.loads(self.proc.stdout.readline())
+
+    def run(self, index):
+        self.proc.stdin.write(f"{index}\n")
+        self.proc.stdin.flush()
+        return json.loads(self.proc.stdout.readline())
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def time_rung(sides, index, repeats):
+    """Run rung ``index`` ``repeats`` times on each side, the sides taking
+    turns at going first, with the reference loop timed before the first run
+    and after every run; each side's counts, best and scaled seconds."""
+    names = list(sides)
+    samples = {name: [] for name in names}
+    loop = _reference_seconds()
+    for r in range(repeats):
+        for name in (names if r % 2 == 0 else names[::-1]):
+            out = sides[name](index)
+            after = _reference_seconds()
+            samples[name].append((out, (loop + after) / 2))
+            loop = after
+    timed = slice(1 if repeats > 1 else 0, None)
+    result = {}
+    for name, runs in samples.items():
+        walls = [out["wall"] for out, _ in runs]
+        result[name] = {key: runs[-1][0][key] for key in ("verdict", "nodes", "leaves", "classes")}
+        result[name]["best_s"] = round(min(walls), 4)
+        result[name]["scaled_s"] = round(REFERENCE_S * sum(walls[timed])
+                                         / sum(ref for _, ref in runs[timed]), 4)
+    return result
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--json", metavar="PATH", help="also write the results here")
+    parser.add_argument("--baseline", metavar="PATH",
+                        help="root of another checkout to run every rung against, alternately")
+    parser.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.serve:
+        serve()
+        return 0
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.baseline is not None and not os.path.isfile(
+            os.path.join(args.baseline, "src", "ballobs", "__init__.py")):
+        parser.error(f"--baseline: no src/ballobs under {args.baseline}")
 
+    rungs = ladder()
+    workers = {}
+    if args.baseline is None:
+        sides = {"this": lambda index: run_once(rungs[index][1])}
+        print(f"{'rung':<34} {'best (s)':>9} {'scaled':>9} {'nodes':>7} {'leaves':>7} "
+              f"{'classes':>8}  verdict")
+    else:
+        this_root = os.path.dirname(os.path.dirname(os.path.dirname(obstruction.__file__)))
+        workers = {"before": Worker(args.baseline), "after": Worker(this_root)}
+        if any(worker.labels != [label for label, _, _ in rungs] for worker in workers.values()):
+            sys.exit("error: the two trees build different ladders")
+        sides = {side: worker.run for side, worker in workers.items()}
+        print(f"{'rung':<34} {'before':>9} {'after':>9} {'ratio':>6} {'nodes':>7} {'leaves':>7} "
+              f"{'classes':>8}  verdict")
     results, missed = [], []
-    print(f"{'rung':<34} {'best (s)':>9} {'scaled':>9} {'nodes':>7} {'leaves':>7} "
-          f"{'classes':>8}  verdict")
-    for label, run, expected in ladder():
-        walls, references = [], []
-        loop = _reference_seconds()
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            verdict, stats = run()
-            walls.append(time.perf_counter() - t0)
-            after = _reference_seconds()
-            references.append((loop + after) / 2)
-            loop = after
-        best = min(walls)
-        timed = slice(1 if args.repeats > 1 else 0, None)
-        scaled = REFERENCE_S * sum(walls[timed]) / sum(references[timed])
-        print(f"{label:<34} {best:>9.4f} {scaled:>9.4f} {stats.nodes:>7} {stats.leaves:>7} "
-              f"{stats.classes:>8}  {verdict}", flush=True)
-        if (verdict, stats.classes) != expected:
-            missed.append(f"{label}: {verdict} with {stats.classes} classes, "
-                          f"expected {expected[0]} with {expected[1]}")
-        results.append({"rung": label, "verdict": verdict, "best_s": round(best, 4),
-                        "scaled_s": round(scaled, 4), "nodes": stats.nodes,
-                        "leaves": stats.leaves, "classes": stats.classes})
-    if args.json:
-        doc = {"repeats": args.repeats, "reference_s": REFERENCE_S,
-               "python": platform.python_version(), "numpy": np.__version__,
-               "machine": platform.machine(), "cpus": len(os.sched_getaffinity(0)),
-               "rungs": results}
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+    try:
+        for index, (label, _, expected) in enumerate(rungs):
+            result = time_rung(sides, index, args.repeats)
+            for side, r in result.items():
+                if (r["verdict"], r["classes"]) != expected:
+                    where = "" if args.baseline is None else f" ({side})"
+                    missed.append(f"{label}{where}: {r['verdict']} with {r['classes']} classes, "
+                                  f"expected {expected[0]} with {expected[1]}")
+            if args.baseline is None:
+                r = result["this"]
+                results.append({"rung": label, **r})
+                print(f"{label:<34} {r['best_s']:>9.4f} {r['scaled_s']:>9.4f} {r['nodes']:>7} "
+                      f"{r['leaves']:>7} {r['classes']:>8}  {r['verdict']}", flush=True)
+                continue
+            b, a = result["before"], result["after"]
+            same = all(a[key] == b[key] for key in ("verdict", "nodes", "leaves", "classes"))
+            results.append({"rung": label, **result, "counts_equal": same})
+            print(f"{label:<34} {b['scaled_s']:>9.4f} {a['scaled_s']:>9.4f} "
+                  f"{a['scaled_s'] / b['scaled_s']:>6.3f} {a['nodes']:>7} {a['leaves']:>7} "
+                  f"{a['classes']:>8}  {a['verdict']}"
+                  + ("" if same else f"  (before: {b['nodes']} nodes, {b['leaves']} leaves, "
+                     f"{b['classes']} classes, {b['verdict']})"), flush=True)
+    finally:
+        for worker in workers.values():
+            worker.close()
+    fields = {"rungs": results}
+    if args.baseline is not None:
+        fields = {"baseline": os.path.abspath(args.baseline), **fields}
+    write_json(args, fields)
     for line in missed:
         print(f"MISMATCH {line}", file=sys.stderr)
     return 1 if missed else 0

@@ -33,6 +33,17 @@ Two methods answer this one contract, chosen by the norm alone:
 Norm 3 stays on the scan: its candidates add +-e_a +- e_b +- e_c, cubic in
 the width, and a pair-plus-sorted-lookup version of the closed form took
 twice the scan's time per call.
+
+Integer width.  Answers are always int64.  The scan computes in int32 when a
+bound read off the call's own inputs proves every intermediate exact:
+4 * max(max|dots|^2, norm * R) < 2^31, with R the largest squared length of
+a row (:func:`_scan_dtype` argues it: every deficit, its square and every
+bound product stays below that).  Otherwise it computes in int64.  The
+search's rows have squared lengths equal to Gram diagonal entries and its
+dots are Gram entries, so its calls take int32 unless norm * R reaches
+2^29; int32 halves the bytes each layer moves.  The closed form hashes in
+wrapping int64, where overflow is harmless by design, and its hash weights
+are one table computed once.
 """
 
 from __future__ import annotations
@@ -41,6 +52,8 @@ import functools
 import math
 
 import numpy as np
+
+from .lattice import MAX_AMBIENT
 
 
 # Largest (N, V, k) block the scan builds at once, in array entries.  Wider
@@ -136,6 +149,14 @@ def _candidates(u, norm):
 _HASH_BASE = -7046029254386353131  # 0x9E3779B97F4A7C15 as a signed int64
 
 
+# The weights of up to MAX_AMBIENT rows, computed once in Python integers
+# and wrapped to signed int64: a lattice of rank k places at most k - 1 rows
+# before its last.
+_HASH_WEIGHTS = np.array([(pow(_HASH_BASE, j, 1 << 64) + (1 << 63)) % (1 << 64) - (1 << 63)
+                          for j in range(1, MAX_AMBIENT + 1)], dtype=np.int64)
+_HASH_WEIGHTS.setflags(write=False)
+
+
 def _closed_form(rows, used, dots, norm):
     """constrained_vectors for 0 <= norm <= 2, in a fixed number of numpy
     operations whatever the width.
@@ -157,7 +178,7 @@ def _closed_form(rows, used, dots, norm):
     """
     batch, k, u = rows.shape
     i, j, need, a, sa, b, sb = _candidates(u, norm)
-    weights = np.cumprod(np.full(k, _HASH_BASE, dtype=np.int64))
+    weights = _HASH_WEIGHTS[:k]
     h = np.matmul(weights, rows)                                       # (B, u)
     signed = np.concatenate([np.zeros((batch, 1), dtype=np.int64), -h, h], axis=1)
     hit = signed.take(i, axis=1)                                       # (B, C)
@@ -176,6 +197,24 @@ def _closed_form(rows, used, dots, norm):
     return owner[ok], x[ok]
 
 
+def _scan_dtype(row_norms, dots, norm):
+    """int32 where the scan's arithmetic provably fits it, else int64.
+
+    With R the largest squared length of a row and D = max |dots|: a
+    surviving deficit has d^2 <= ns * (suffix sum) <= norm * R, and the
+    first layer's deficits are dots, so a deficit before its bound test is
+    at most max(D, sqrt(norm R)) + sqrt(norm R) <= 2 sqrt(M) in absolute
+    value, with M = max(D^2, norm R), and its square at most 4M.  Every
+    ns = (norm left) - v^2 lies in [-norm, norm], so every ns * suffix
+    product is at most norm R <= M in absolute value, and the value entries,
+    norms and pseudo-row entries are smaller still.  So 4M < 2^31 makes every
+    intermediate of the scan exact in int32.
+    """
+    reach = max(max(map(abs, dots.tolist()), default=0) ** 2,
+                norm * max(1, int(row_norms.max(initial=0))))
+    return np.int32 if 4 * reach < 1 << 31 else np.int64
+
+
 def _scan(rows, used, dots, norm):
     """constrained_vectors by a layer-by-layer scan, for any norm.
 
@@ -186,6 +225,10 @@ def _scan(rows, used, dots, norm):
     while their column is scanned, so pruned branches never grow.
     """
     b, k, u = rows.shape
+    # suffix[b, j, c]: the squares of rows[b, j, c:] summed; c = 0 gives the
+    # row's squared length.
+    suffix = np.cumsum((rows * rows)[:, :, ::-1], axis=2)[:, :, ::-1]
+    dtype = _scan_dtype(suffix[:, :, 0], dots, norm)
     dead = np.arange(u)[None, :] >= used[:, None]                      # (B, u)
     tie = _ties(rows, used)
     # Per column and owner, packed so that one gather per column serves every
@@ -195,21 +238,20 @@ def _scan(rows, used, dots, norm):
     # and suffix 1 on live ones, so its bound alone reads x[c] == 0 on dead
     # columns and x.x <= norm on live ones.
     kk = k + 1
-    packed = np.zeros((u, b, 2 * kk + 1), dtype=np.int64)
+    packed = np.zeros((u, b, 2 * kk + 1), dtype=dtype)
     packed[:, :, :k] = rows.transpose(2, 0, 1)
     packed[:, :, k] = dead.T
-    packed[:-1, :, kk:kk + k] = np.cumsum((rows * rows)[:, :, :0:-1],
-                                          axis=2)[:, :, ::-1].transpose(2, 0, 1)
+    packed[:-1, :, kk:kk + k] = suffix[:, :, 1:].transpose(2, 0, 1)
     packed[:, :, kk + k] = ~dead.T
     packed[:, :, 2 * kk] = tie.T
     tied = tie.any(axis=0).tolist()
     vmax = math.isqrt(norm)
-    vals = np.arange(-vmax, vmax + 1, dtype=np.int64)
+    vals = np.arange(-vmax, vmax + 1, dtype=dtype)
     sq = vals * vals
     owner = np.arange(b, dtype=np.int64)
-    last = np.zeros(b, dtype=np.int64)           # x[c - 1] of each partial vector
-    slack = np.full(b, norm, dtype=np.int64)     # norm - x.x so far
-    rem = np.zeros((b, kk), dtype=np.int64)      # dots - rows @ x so far
+    last = np.zeros(b, dtype=dtype)              # x[c - 1] of each partial vector
+    slack = np.full(b, norm, dtype=dtype)        # norm - x.x so far
+    rem = np.zeros((b, kk), dtype=dtype)         # dots - rows @ x so far
     rem[:, :k] = dots
     steps = []
     step = max(1, _BLOCK // (len(vals) * kk))

@@ -39,8 +39,18 @@ MAX_AMBIENT = 64
 MAX_DIAGONAL = 10 ** 6
 
 
+def _row_list(rows) -> list:
+    # The rows as a list; a numpy array converts in one call, to ints.
+    return rows.tolist() if hasattr(rows, "tolist") else list(rows)
+
+
 def _as_int_rows(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in rows)
+
+
+def _nonzero_entries(rows) -> list[list[tuple[int, int]]]:
+    # Each row's nonzero entries as (column, value) pairs, values as ints.
+    return [[(c, int(x)) for c, x in enumerate(row) if x] for row in _row_list(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -98,21 +108,50 @@ def leading_principal_minors(gram) -> list[int]:
 
     Stops after a zero pivot (later minors are then irrelevant for
     definiteness checks).
+
+    Bareiss elimination (Math. Comp. 1968), kept sparse: each row holds its
+    nonzero entries only, and a row whose multiplier is zero is not touched.
+    Step j maps such a row to itself times d_j / d_(j-1), where d_j is the
+    j-th minor, so a row left alone since step s is brought up to date by
+    one exact multiplication by d_(j-1) / d_(s-1) when next needed.  The
+    division is exact because both the old and the new entries are minors of
+    the matrix.  A tridiagonal Gram matrix then costs O(n) row updates of
+    at most three entries each, not O(n^3) entry updates.
     """
-    m = [list(row) for row in gram]
-    n = len(m)
+    n = len(gram)
+    rows = [{c: x for c, x in enumerate(row) if x} for row in gram]
+    stage = [0] * n  # rows[i] holds the entries after stage[i] steps
+    div = [1]        # div[s]: the divisor of the entries after s steps, d_(s-1)
     minors = []
-    prev = 1
     for j in range(n):
-        piv = m[j][j]
+        pivot = _brought_up(rows[j], div, stage[j], j)
+        piv = pivot.get(j, 0)
         minors.append(piv)
         if piv == 0:
             break
+        prev = div[j]
         for i in range(j + 1, n):
-            for c in range(j + 1, n):
-                m[i][c] = (m[i][c] * piv - m[i][j] * m[j][c]) // prev
-        prev = piv
+            if j not in rows[i]:  # zero multiplier: row i just waits
+                continue
+            row = _brought_up(rows[i], div, stage[i], j)
+            mult = row.pop(j)
+            new = {}
+            for c in row.keys() | pivot.keys():
+                if c > j:
+                    x = (row.get(c, 0) * piv - mult * pivot.get(c, 0)) // prev
+                    if x:
+                        new[c] = x
+            rows[i], stage[i] = new, j + 1
+        div.append(piv)
     return minors
+
+
+def _brought_up(row: dict, div: list[int], since: int, now: int) -> dict:
+    # A row untouched from step ``since`` to step ``now``, as it stands after
+    # ``now`` steps.
+    if since == now:
+        return row
+    return {c: x * div[now] // div[since] for c, x in row.items()}
 
 
 def matrix_determinant(rows) -> int:
@@ -153,18 +192,24 @@ def is_positive_definite(l: GramLattice) -> bool:
 
 def is_isometric_embedding(l: GramLattice, rows) -> bool:
     """True iff A A^T equals the Gram matrix (exact integer arithmetic)."""
-    a = _as_int_rows(rows)
-    if len(a) != l.rank:
-        raise UsageError(f"embedding has {len(a)} rows for a rank-{l.rank} lattice")
-    widths = {len(r) for r in a}
-    if len(widths) != 1:
+    rows = _row_list(rows)
+    k = len(rows)
+    if k != l.rank:
+        raise UsageError(f"embedding has {k} rows for a rank-{l.rank} lattice")
+    if len({len(r) for r in rows}) != 1:
         raise UsageError("embedding rows must all have the same length")
-    for i in range(len(a)):
-        for j in range(i + 1):
-            dot = sum(x * y for x, y in zip(a[i], a[j]))
-            if dot != l.gram[i][j]:
-                return False
-    return True
+    # A A^T column by column, over each column's nonzero entries only.
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for i, row in enumerate(_nonzero_entries(rows)):
+        for c, x in row:
+            by_col.setdefault(c, []).append((i, x))
+    prod = [[0] * k for _ in range(k)]
+    for entries in by_col.values():
+        for i, x in entries:
+            out = prod[i]
+            for j, y in entries:
+                out[j] += x * y
+    return tuple(map(tuple, prod)) == l.gram
 
 
 def canonical_form(rows) -> tuple[tuple[int, ...], ...]:
@@ -174,15 +219,19 @@ def canonical_form(rows) -> tuple[tuple[int, ...], ...]:
     positive, then columns are sorted in descending lexicographic order.  Two
     matrices lie in the same orbit of the ambient automorphism group iff their
     canonical forms are equal.
+
+    The entries are integers and are taken as they are, not converted: the
+    search hands in each leaf as tuples of ints, and a numpy array is read
+    with one ``tolist``.
     """
-    a = _as_int_rows(rows)
+    rows = _row_list(rows)
     cols = []
-    for col in zip(*a):
-        if next((x for x in col if x), 0) < 0:
+    for col in zip(*rows):
+        if next(filter(None, col), 0) < 0:
             col = tuple(-x for x in col)
         cols.append(col)
     cols.sort(reverse=True)
-    return tuple(tuple(col[i] for col in cols) for i in range(len(a)))
+    return tuple(zip(*cols)) if cols else tuple(() for _ in rows)
 
 
 def is_primitive_vector(v) -> bool:
@@ -199,18 +248,22 @@ def integer_kernel(rows, m: int) -> tuple[tuple[int, ...], ...]:
     This is the saturated orthogonal complement of the row span.  Computed by
     unimodular row reduction of [A^T | I], reading the kernel off the rows
     whose A^T part vanishes; the result is automatically a basis of the full
-    (hence saturated) kernel lattice.
+    (hence saturated) kernel lattice.  Each row of [A^T | I] holds its
+    nonzero entries only, keyed by column (A^T's columns first, then I's),
+    so a reduction step costs what the two rows hold.
     """
-    a = [[int(x) for x in row] for row in rows]
-    k = len(a)
-    if any(len(row) != m for row in a):
+    rows = _row_list(rows)
+    if any(len(row) != m for row in rows):
         raise UsageError(f"rows must have length {m}")
-    b = [[a[j][i] for j in range(k)] + [1 if t == i else 0 for t in range(m)]
-         for i in range(m)]
+    k = len(rows)
+    b = [{k + i: 1} for i in range(m)]
+    for j, row in enumerate(_nonzero_entries(rows)):
+        for i, x in row:
+            b[i][j] = x
     r = 0
     for col in range(k):
         while True:
-            nz = [i for i in range(r, m) if b[i][col] != 0]
+            nz = [i for i in range(r, m) if col in b[i]]
             if not nz:
                 piv = None
                 break
@@ -222,21 +275,24 @@ def integer_kernel(rows, m: int) -> tuple[tuple[int, ...], ...]:
             for i in nz[1:]:
                 q = b[i][col] // b[p][col]
                 if q:
-                    b[i] = [x - q * y for x, y in zip(b[i], b[p])]
+                    row = b[i]
+                    for c, y in b[p].items():
+                        x = row.get(c, 0) - q * y
+                        if x:
+                            row[c] = x
+                        else:
+                            del row[c]
         if piv is None:
             continue
         b[r], b[piv] = b[piv], b[r]
         if b[r][col] < 0:
-            b[r] = [-x for x in b[r]]
+            b[r] = {c: -x for c, x in b[r].items()}
         r += 1
     kernel = []
     for i in range(r, m):
-        row = b[i][k:]
-        for lead in row:
-            if lead:
-                if lead < 0:
-                    row = [-x for x in row]
-                break
+        row = [b[i].get(k + t, 0) for t in range(m)]
+        if next(filter(None, row), 0) < 0:
+            row = [-x for x in row]
         kernel.append(tuple(row))
     return tuple(kernel)
 
@@ -289,18 +345,19 @@ def unit_pairing_profile(m_rows, c_rows, m: int) -> PairingProfile:
     e_i pairs nonzero with an image iff column i of that matrix is nonzero.
     The two images must be mutually orthogonal.
     """
-    am = _as_int_rows(m_rows)
-    ac = _as_int_rows(c_rows)
-    for rows in (am, ac):
+    m_rows, c_rows = _row_list(m_rows), _row_list(c_rows)
+    for rows in (m_rows, c_rows):
         if any(len(r) != m for r in rows):
             raise UsageError(f"all rows must have length {m}")
+    am = _nonzero_entries(m_rows)
+    ac = _nonzero_entries(c_rows)
     for u in am:
+        u = dict(u)
         for v in ac:
-            if sum(x * y for x, y in zip(u, v)) != 0:
+            if sum(x * u.get(c, 0) for c, x in v):
                 raise UsageError("images are not orthogonal")
-    m_flags = tuple(any(row[i] for row in am) for i in range(m))
-    c_flags = tuple(any(row[i] for row in ac) for i in range(m))
-    return PairingProfile(m_flags, c_flags)
+    touched = ({c for row in rows for c, _ in row} for rows in (am, ac))
+    return PairingProfile(*(tuple(c in cols for c in range(m)) for cols in touched))
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +557,13 @@ def search_embedding_classes(l: GramLattice, m: int,
                     src.append(n)
                     child_used.append(ub + s)
                     continue
-                row = cands[n, :ub].tolist() + list(parts) + [0] * (m - ub - s)
-                mat = np.array(rows[b].tolist() + [row], dtype=np.int64)
+                mat = np.zeros((k, m), dtype=np.int64)
+                mat[:i] = rows[b]
+                mat[i, :ub] = cands[n, :ub]
+                mat[i, ub:ub + s] = parts
                 if not np.array_equal(mat @ mat.T, gram):
                     raise InternalCheckError("search leaf is not an isometric embedding")
-                leaf = _as_int_rows(mat)
+                leaf = tuple(map(tuple, mat.tolist()))
                 if canonical_form(leaf) != leaf:
                     raise InternalCheckError("search leaf is not its own canonical form")
                 found.append(leaf)

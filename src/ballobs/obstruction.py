@@ -25,6 +25,7 @@ INCONCLUSIVE, never as a verdict.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .contfrac import lens_plumbing
@@ -117,20 +118,25 @@ def verify_witness(problem: ObstructionProblem, witness: Witness) -> None:
     """Re-derive every witness condition from scratch; raise on any failure.
 
     Checks the assembled matrix A (generator stacked on the embedding)
-    against the full direct-sum Gram matrix, primitivity of the generator,
-    and the unit-pairing profile.  The profile rejects rows of any length but
-    m = 1 + rank(Lambda_C), so A is square, and A A^T = diag(m_norm) (+)
-    Gram(Lambda_C) already gives the finite-index identity
-    det(A)^2 = m_norm * det(Lambda_C).
+    against the full direct-sum Gram matrix diag(m_norm) (+) Gram(Lambda_C),
+    block by block: the embedding against Gram(Lambda_C), then the
+    generator's norm and its inner products with the embedding.  Then
+    primitivity of the generator, and the unit-pairing profile.  Rows of any
+    length but m = 1 + rank(Lambda_C) are rejected first, so A is square,
+    and A A^T = diag(m_norm) (+) Gram(Lambda_C) already gives the
+    finite-index identity det(A)^2 = m_norm * det(Lambda_C).
     """
     m = problem.ambient
-    full = (witness.generator,) + witness.embedding
-    lat_full = direct_sum(linear_lattice((problem.m_norm,)), problem.c_lattice)
-    if not is_isometric_embedding(lat_full, full):
+    w, rows = witness.generator, witness.embedding
+    if len(w) != m or any(len(row) != m for row in rows):
+        raise UsageError(f"all rows must have length {m}")
+    if (not is_isometric_embedding(problem.c_lattice, rows)
+            or sum(x * x for x in w) != problem.m_norm
+            or any(sum(map(operator.mul, w, row)) for row in rows)):
         raise InternalCheckError("witness rows do not realise the direct-sum Gram matrix")
-    if not is_primitive_vector(witness.generator):
+    if not is_primitive_vector(w):
         raise InternalCheckError("witness generator is not primitive")
-    if not unit_pairing_profile((witness.generator,), witness.embedding, m).passes:
+    if not unit_pairing_profile((w,), rows, m).passes:
         raise InternalCheckError("witness fails the unit-pairing conditions")
 
 

@@ -52,3 +52,18 @@ def test_ladder_rung(ladder, label):
     verdict, stats = run()
     assert (verdict, stats.classes) == expected
     assert not stats.limit_hit
+
+
+def test_baseline_worker():
+    # A --baseline run drives one such worker per tree; this tree's worker
+    # lists the same ladder and answers a rung.
+    bench = load("benchmarks/bench_search.py", "bench_search")
+    labels = [label for label, _, _ in bench.ladder()]
+    worker = bench.Worker(str(ROOT))
+    try:
+        assert worker.labels == labels
+        out = worker.run(labels.index("Fibonacci pair (1,2)"))
+    finally:
+        worker.close()
+    assert (out["verdict"], out["classes"]) == ("OBSTRUCTED", 3)
+    assert out["wall"] > 0 and out["nodes"] >= out["leaves"] == 3

@@ -6,6 +6,7 @@ import pytest
 
 from ballobs import kernels
 from ballobs.kernels import constrained_vectors
+from ballobs.lattice import MAX_AMBIENT
 
 
 def brute_solutions(rows, dots, norm):
@@ -214,8 +215,20 @@ class TestClosedForm:
     def test_forced_hash_collisions(self, monkeypatch):
         # all weights 0: every candidate on live columns matches the hash,
         # so only the exact re-check decides
-        monkeypatch.setattr(kernels, "_HASH_BASE", 0)
+        monkeypatch.setattr(kernels, "_HASH_WEIGHTS", np.zeros_like(kernels._HASH_WEIGHTS))
         self.compare(22)
+
+    def test_hash_weights(self):
+        # Row j's weight is _HASH_BASE^(j+1) in wrapping int64 arithmetic,
+        # one weight for each row a search can place.
+        weights = kernels._HASH_WEIGHTS
+        assert weights.dtype == np.int64 and weights.shape == (MAX_AMBIENT,)
+        assert not weights.flags.writeable
+        for j, w in enumerate(weights.tolist()):
+            assert w % (1 << 64) == pow(kernels._HASH_BASE, j + 1, 1 << 64)
+            assert -(1 << 63) <= w < 1 << 63
+        assert np.array_equal(weights, np.cumprod(np.full(MAX_AMBIENT, kernels._HASH_BASE,
+                                                          dtype=np.int64)))
 
     @pytest.mark.parametrize("u", range(1, 6))
     @pytest.mark.parametrize("norm", range(3))
@@ -253,3 +266,43 @@ class TestClosedForm:
         for norm in range(5):
             constrained_vectors(rows, [4], np.array([1], dtype=np.int64), norm)
         assert closed_form_calls == [0, 1, 2] and scans == [3, 4]
+
+
+def row_norms(rows):
+    return (rows * rows).sum(axis=-1)
+
+
+class TestScanWidth:
+    """The scan computes in int32 only where 4 * max(max|dots|^2, norm * R)
+    < 2^31, R the largest squared row length; both sides of that bound
+    against the brute-force oracle."""
+
+    @pytest.mark.parametrize("entry, dtype", [(16383, np.int32), (16384, np.int64)])
+    def test_each_side_of_the_bound(self, entry, dtype):
+        # norm 2 and R = entry^2 put 4 * norm * R = 8 * entry^2 just under
+        # and exactly at 2^31; dots planted from x = (1, 0, 1) reach the
+        # largest deficit, 2 * entry, on x[0] = -1.
+        rows = np.array([[entry, 0, 0], [1, 1, -1]], dtype=np.int64)
+        dots = rows @ np.array([1, 0, 1], dtype=np.int64)
+        assert kernels._scan_dtype(row_norms(rows), dots, 2) is dtype
+        owner, got = kernels._scan(rows[None], np.array([3]), dots, 2)
+        assert got.dtype == np.int64 and owner.dtype == np.int64
+        expected = [x for x in brute_solutions(rows, dots, 2) if obeys_tie_rule(rows, x)]
+        assert [tuple(x) for x in got.tolist()] == expected and expected
+
+    def test_int64_where_int32_would_wrap(self):
+        # A deficit of 50,000 squares to 2.5e9, which wraps negative in
+        # int32 and would pass the bound test of the last column: x = +-1
+        # would be kept.
+        rows = np.array([[[50000, 3]]], dtype=np.int64)
+        dots = np.array([3], dtype=np.int64)
+        assert kernels._scan_dtype(row_norms(rows), dots, 1) is np.int64
+        owner, got = kernels._scan(rows, np.array([2]), dots, 1)
+        assert [tuple(x) for x in got.tolist()] == brute_solutions(rows[0], dots, 1) == [(0, 1, 1)]
+
+    def test_large_dots(self):
+        # dots alone can push a call to int64
+        rows = np.array([[[1, 1]]], dtype=np.int64)
+        assert kernels._scan_dtype(row_norms(rows), np.array([23170]), 3) is np.int32
+        assert kernels._scan_dtype(row_norms(rows), np.array([23171]), 3) is np.int64
+        assert kernels._scan(rows, np.array([2]), np.array([23171]), 3)[1].shape == (0, 3)

@@ -8,7 +8,7 @@ import operator
 import signal
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ballobs import kernels, lattice
@@ -674,3 +674,50 @@ class TestReportDocumentProperties:
         assert type(new) is type(old)
         if new != old:
             assert new == _s(int(new))
+
+
+# Sets of one to three balls with p <= 34, each searched to completion once.
+# A set whose complete search passes REFERENCE_NODES, or whose rank passes
+# the maximum, is left out, so that each example stays short.
+BUDGET_BALL_SETS = st.lists(st.integers(2, 34).flatmap(_coprime_ball), min_size=1, max_size=3)
+REFERENCE_NODES = 3000
+
+
+@functools.lru_cache(maxsize=None)
+def _complete_report(balls):
+    """The report of a complete search of ``balls``, or None if it takes more
+    than REFERENCE_NODES nodes or the rank is too large."""
+    try:
+        rep = _report(balls, REFERENCE_NODES)
+    except UsageError:
+        return None
+    return None if rep.statistics.limit_hit else rep
+
+
+class TestSearchBudgetProperties:
+    """A node budget bounds the search and never changes an answer: random
+    ball sets, each run under a random budget against its complete search."""
+
+    @PROPERTY_SETTINGS
+    # a budget one node short of the end, with a witness already found
+    @example(balls=[BallSpec(2, 1), BallSpec(5, 1)], share=95)
+    @example(balls=[BallSpec(5, 2)], share=100)
+    @given(balls=BUDGET_BALL_SETS, share=st.one_of(st.integers(0, 100), st.integers(97, 110)))
+    def test_budget_never_changes_an_answer(self, balls, share):
+        # The budget is ``share`` percent of the complete search's nodes:
+        # anything up to all of them, or close to all.
+        with _time_limit(10):
+            complete = _complete_report(tuple(balls))
+            assume(complete is not None)
+            total = complete.statistics.nodes
+            budget = max(1, total * share // 100)
+            rep = _report(balls, budget)
+            stats = rep.statistics
+            assert stats.nodes <= budget + 1
+            assert stats.limit_hit == (budget < total)
+            assert rep.verdict != OBSTRUCTED or not stats.limit_hit
+            for witness in rep.witnesses:
+                verify_witness(rep.problem, witness)
+                assert witness in complete.witnesses
+            if not stats.limit_hit:
+                assert rep == complete
