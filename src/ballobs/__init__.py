@@ -25,11 +25,10 @@ __version__ = "0.1.0"
 # name -> the search module it comes from; a module's own name gives the module.
 _LAZY = dict.fromkeys(
     ("lattice", "EmbeddingClass", "EmbeddingSearchResult", "GramLattice",
-     "OrthogonalComplement", "PairingProfile", "SearchStats", "canonical_form",
-     "direct_sum", "integer_kernel", "is_isometric_embedding",
-     "is_positive_definite", "is_primitive_vector", "linear_lattice",
-     "orthogonal_complement", "search_embedding_classes",
-     "unit_pairing_profile"), "lattice")
+     "OrthogonalComplement", "SearchStats", "canonical_form", "direct_sum",
+     "integer_kernel", "is_isometric_embedding", "is_positive_definite",
+     "is_primitive_vector", "linear_lattice", "orthogonal_complement",
+     "search_embedding_classes"), "lattice")
 _LAZY.update(dict.fromkeys(
     ("obstruction", "ObstructionProblem", "ObstructionReport", "Witness",
      "ball_boundary", "ball_plumbing", "build_problem", "check_obstruction",

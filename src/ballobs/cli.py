@@ -2,9 +2,11 @@
 
 Subcommands mirror the library: Markov-tree queries, continued fractions,
 plumbing reduction, lattice class enumeration, and obstruction reports.
-Each handler returns (JSON document, text lines, exit code); ``main`` alone
-writes stdout: the document, every integer a decimal string, or the lines,
-as ``--format`` asks.  Diagnostics go to stderr.
+Each handler returns (document, text lines, exit code), the document built
+from plain values: ints, tuples, bools, None and strings.  ``main`` alone
+writes stdout: the document through :func:`ballobs.errors.document_values`,
+which writes every integer as a decimal string, or the lines, as
+``--format`` asks.  Diagnostics go to stderr.
 
 Exit codes: 0 computed, 1 usage error, 2 budget exhausted (INCONCLUSIVE),
 3 internal consistency failure.
@@ -21,10 +23,11 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import contfrac, markov, plumbing
-from .errors import InternalCheckError, LimitExceeded, SearchLimits, UsageError, _s
+from .errors import (InternalCheckError, LimitExceeded, SearchLimits, UsageError,
+                     document_values)
 
 NODE_BUDGET_ENV = "BALLOBS_NODE_BUDGET"
 TIME_BUDGET_ENV = "BALLOBS_TIME_BUDGET"
@@ -86,18 +89,15 @@ def _fmt_ints(values) -> str:
 
 def cmd_markov_list(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     triples = markov.enumerate_triples(args.max)
-    doc = {
-        "schema": "markov-list@1",
-        "bound": _s(args.max),
-        "triples": [[_s(t.a), _s(t.b), _s(t.c)] for t in triples],
-    }
+    doc = {"schema": "markov-list@1", "bound": args.max,
+           "triples": [t.entries for t in triples]}
     return doc, [str(t) for t in triples], 0
 
 
 def cmd_markov_char(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     t = markov.triple(args.p, args.a, args.b)
     u = markov.characteristic_number(t)
-    doc = {"schema": "markov-char@1", "triple": [_s(t.a), _s(t.b), _s(t.c)], "u": _s(u)}
+    doc = {"schema": "markov-char@1", "triple": t.entries, "u": u}
     return doc, [str(u)], 0
 
 
@@ -105,9 +105,9 @@ def cmd_ball_classify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     ball = markov.BallSpec(args.p, args.q)
     verdict = markov.classify_symplectic(ball)
     w = verdict.witness
-    doc = {"schema": "ball-classify@1", "p": _s(ball.p), "q": _s(ball.q),
+    doc = {"schema": "ball-classify@1", "p": ball.p, "q": ball.q,
            "symplectic": verdict.symplectic,
-           "witness": None if w is None else [_s(w.a), _s(w.b), _s(w.c)]}
+           "witness": None if w is None else w.entries}
     text = f"symplectic, witness {w}" if verdict.symplectic else "not symplectic"
     return doc, [f"{ball}: {text}"], 0
 
@@ -115,27 +115,27 @@ def cmd_ball_classify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
 def cmd_ball_boundary(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     from . import obstruction
     big_p, big_q = obstruction.ball_boundary(markov.BallSpec(args.p, args.q))
-    doc = {"schema": "lens-space@1", "p": _s(big_p), "q": _s(big_q)}
+    doc = {"schema": "lens-space@1", "p": big_p, "q": big_q}
     return doc, [f"L({big_p},{big_q})"], 0
 
 
 def cmd_ball_plumbing(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     from . import obstruction
     weights = obstruction.ball_plumbing(markov.BallSpec(args.p, args.q))
-    doc = {"schema": "plumbing-weights@1", "weights": [_s(w) for w in weights]}
+    doc = {"schema": "plumbing-weights@1", "weights": weights}
     return doc, [f"[{_fmt_ints(weights)}]"], 0
 
 
 def cmd_cf_expand(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     e = contfrac.hj_expand(args.p, args.q)
-    doc = {"schema": "hj-expansion@1", "coefficients": [_s(a) for a in e]}
+    doc = {"schema": "hj-expansion@1", "coefficients": e}
     return doc, [f"[{_fmt_ints(e)}]"], 0
 
 
 def cmd_cf_eval(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     frac = contfrac.hj_eval(_int_list(args.coefficients, "coefficients"))
     doc = {"schema": "fraction@1",
-           "numerator": _s(frac.numerator), "denominator": _s(frac.denominator)}
+           "numerator": frac.numerator, "denominator": frac.denominator}
     return doc, [f"{frac.numerator}/{frac.denominator}"], 0
 
 
@@ -145,24 +145,17 @@ def cmd_cf_fib_identities(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     v2 = contfrac.hj_eval(second)
     doc = {
         "schema": "fibonacci-identities@1",
-        "n": _s(args.n),
-        "first": {"coefficients": [_s(a) for a in first],
-                  "numerator": _s(v1.numerator), "denominator": _s(v1.denominator)},
-        "second": {"coefficients": [_s(a) for a in second],
-                   "numerator": _s(v2.numerator), "denominator": _s(v2.denominator)},
+        "n": args.n,
+        "first": {"coefficients": first,
+                  "numerator": v1.numerator, "denominator": v1.denominator},
+        "second": {"coefficients": second,
+                   "numerator": v2.numerator, "denominator": v2.denominator},
     }
     hi, lo = 2 * args.n + 1, 2 * args.n - 1
     lines = [f"F({hi})/F({lo}) = {v1.numerator}/{v1.denominator} = [{_fmt_ints(first)}]",
              f"F({hi})^2/(F({hi})*F({lo})-1) = {v2.numerator}/{v2.denominator} "
              f"= [{_fmt_ints(second)}]"]
     return doc, lines, 0
-
-
-def _summary_doc(c) -> dict:
-    # The document entry of an obstruction.ClassSummary.
-    return {"support": _s(c.support),
-            "complement_rank": _s(c.complement_rank),
-            "complement_norm": None if c.complement_norm is None else _s(c.complement_norm)}
 
 
 def cmd_lattice_classes(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
@@ -174,13 +167,10 @@ def cmd_lattice_classes(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     rows = [(cls, obstruction.class_summary(cls)) for cls in classes]
     doc = {
         "schema": "lattice-classes@1",
-        "weights": [_s(w) for w in weights],
-        "ambient": _s(args.ambient),
-        "class_count": _s(len(classes)),
-        "classes": [
-            {"matrix": [[_s(x) for x in row] for row in cls.matrix], **_summary_doc(c)}
-            for cls, c in rows
-        ],
+        "weights": weights,
+        "ambient": args.ambient,
+        "class_count": len(classes),
+        "classes": [{"matrix": cls.matrix, **asdict(c)} for cls, c in rows],
     }
     lines = [f"{len(classes)} classes of Lambda({_fmt_ints(weights)}) in Z^{args.ambient}"]
     for i, (_, c) in enumerate(rows, start=1):
@@ -192,21 +182,13 @@ def cmd_lattice_classes(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
 def cmd_plumbing_reduce(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     chain = _int_list(args.weights, "weights")
     final, count = plumbing.reduce(chain)
-    doc = {"schema": "blowdown@1",
-           "start": [_s(w) for w in chain],
-           "final": [_s(w) for w in final],
-           "blowdowns": _s(count)}
+    doc = {"schema": "blowdown@1", "start": chain, "final": final, "blowdowns": count}
     return doc, [f"({_fmt_ints(final)}) after {count} blowdowns"], 0
 
 
 def cmd_plumbing_certify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     cert = plumbing.simple_embedding_certificate(args.n)
-    doc = {"schema": "blowdown-certificate@1",
-           "n": _s(args.n),
-           "start": [_s(w) for w in cert.start],
-           "final": [_s(w) for w in cert.final],
-           "blowdowns": _s(cert.blowdowns),
-           "b2": _s(cert.b2)}
+    doc = {"schema": "blowdown-certificate@1", "n": args.n, **asdict(cert)}
     return doc, [f"chain ({_fmt_ints(cert.start)}) reduces to ({_fmt_ints(cert.final)}) "
                  f"after {cert.blowdowns} blowdowns; b2={cert.b2}"], 0
 
@@ -239,10 +221,10 @@ def cmd_verify_example_b31(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     report = obstruction.example_b31_report(limits=cfg.limits)
     doc = {
         "schema": "verify-example-b31@1",
-        "class_count": _s(report.class_count),
+        "class_count": report.class_count,
         "verdict": report.verdict,
-        "unit_vectors_missing_m_factor": [_s(i) for i in report.m_zero_pairings],
-        "unit_vectors_missing_c_factor": [_s(i) for i in report.c_zero_pairings],
+        "unit_vectors_missing_m_factor": report.m_zero_pairings,
+        "unit_vectors_missing_c_factor": report.c_zero_pairings,
         "passed": report.passed,
     }
     lines = [f"direct-sum classes in Z^5: {report.class_count}",
@@ -258,11 +240,11 @@ def cmd_verify_lemma_cemb(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     report = obstruction.lemma_cemb_report(args.n, args.m, limits=cfg.limits)
     doc = {
         "schema": "chain-classification@2",
-        "n": _s(report.n),
-        "ambient": _s(report.ambient),
-        "weights": [_s(w) for w in report.weights],
-        "class_count": _s(report.class_count),
-        "classes": [_summary_doc(c) for c in report.classes],
+        "n": report.n,
+        "ambient": report.ambient,
+        "weights": report.weights,
+        "class_count": report.class_count,
+        "classes": [asdict(c) for c in report.classes],
     }
     lines = [f"Lambda({_fmt_ints(report.weights)}) in Z^{report.ambient}: "
              f"{report.class_count} classes"]
@@ -412,7 +394,8 @@ def main(argv=None) -> int:
     except (InternalCheckError, AssertionError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(doc, indent=2) if cfg.fmt == "json" else "\n".join(lines))
+    print(json.dumps(document_values(doc), indent=2) if cfg.fmt == "json"
+          else "\n".join(lines))
     return code
 
 

@@ -1,5 +1,7 @@
 """Exception types, search budgets and the document integer format shared
-across the package.
+across the package.  :func:`document_values` is the one writer of document
+integers: ``cli.main`` applies it to every handler's document and
+``obstruction.report_to_doc`` to each report it writes.
 
 Everything here loads with every command, so it stays free of the search
 modules: a command that never searches validates its budgets and writes its
@@ -57,10 +59,18 @@ class SearchLimits:
             raise UsageError("time budget must be positive")
 
 
-# Machine-readable documents write every integer as a decimal string, so that
-# arbitrary precision survives any JSON consumer.
-
-
-def _s(x) -> str:
-    return str(int(x))
-
+def document_values(value):
+    """The document form of ``value``: every int that is not a bool becomes
+    its decimal string, so that arbitrary precision survives any JSON
+    consumer, and every tuple a list.  Dicts and lists are rebuilt, and bools,
+    None and strings pass through, so the result converts to itself.
+    """
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return str(int(value))
+    if isinstance(value, dict):
+        return {key: document_values(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [document_values(item) for item in value]
+    raise TypeError(f"a document holds no {type(value).__name__}")

@@ -154,33 +154,6 @@ def _brought_up(row: dict, div: list[int], since: int, now: int) -> dict:
     return {c: x * div[now] // div[since] for c, x in row.items()}
 
 
-def matrix_determinant(rows) -> int:
-    """Exact determinant of any square integer matrix (Bareiss elimination)."""
-    m = [[int(x) for x in row] for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise UsageError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for j in range(n - 1):
-        if m[j][j] == 0:
-            for i in range(j + 1, n):
-                if m[i][j] != 0:
-                    m[j], m[i] = m[i], m[j]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(j + 1, n):
-            for c in range(j + 1, n):
-                m[i][c] = (m[i][c] * m[j][j] - m[i][j] * m[j][c]) // prev
-            m[i][j] = 0
-        prev = m[j][j]
-    return sign * m[n - 1][n - 1]
-
-
 def is_positive_definite(l: GramLattice) -> bool:
     """Positive-definiteness via exact leading principal minors."""
     return all(d > 0 for d in leading_principal_minors(l.gram))
@@ -325,39 +298,6 @@ def orthogonal_complement(rows, m: int) -> OrthogonalComplement:
     For a corank-one embedding the basis is a single primitive generator.
     """
     return OrthogonalComplement(integer_kernel(rows, m))
-
-
-@dataclass(frozen=True)
-class PairingProfile:
-    """Which ambient unit vectors pair nonzero with each of two orthogonal images."""
-
-    m_flags: tuple[bool, ...]
-    c_flags: tuple[bool, ...]
-
-    @property
-    def passes(self) -> bool:
-        return all(self.m_flags) and all(self.c_flags)
-
-
-def unit_pairing_profile(m_rows, c_rows, m: int) -> PairingProfile:
-    """For each e_i, report whether it pairs nonzero with both row images.
-
-    e_i pairs nonzero with an image iff column i of that matrix is nonzero.
-    The two images must be mutually orthogonal.
-    """
-    m_rows, c_rows = _row_list(m_rows), _row_list(c_rows)
-    for rows in (m_rows, c_rows):
-        if any(len(r) != m for r in rows):
-            raise UsageError(f"all rows must have length {m}")
-    am = _nonzero_entries(m_rows)
-    ac = _nonzero_entries(c_rows)
-    for u in am:
-        u = dict(u)
-        for v in ac:
-            if sum(x * u.get(c, 0) for c, x in v):
-                raise UsageError("images are not orthogonal")
-    touched = ({c for row in rows for c, _ in row} for rows in (am, ac))
-    return PairingProfile(*(tuple(c in cols for c in range(m)) for cols in touched))
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,11 @@ import operator
 from dataclasses import dataclass
 
 from .contfrac import lens_plumbing
-from .errors import InternalCheckError, LimitExceeded, SearchLimits, UsageError, _s
+from .errors import (InternalCheckError, LimitExceeded, SearchLimits, UsageError,
+                     document_values)
 from .lattice import (MAX_AMBIENT, EmbeddingClass, GramLattice, SearchStats, canonical_form,
                       direct_sum, is_isometric_embedding, is_primitive_vector,
-                      linear_lattice, orthogonal_complement, search_embedding_classes,
-                      unit_pairing_profile)
+                      linear_lattice, orthogonal_complement, search_embedding_classes)
 from .markov import BallSpec, fibonacci_ball
 
 OBSTRUCTED = "OBSTRUCTED"
@@ -121,9 +121,11 @@ def verify_witness(problem: ObstructionProblem, witness: Witness) -> None:
     against the full direct-sum Gram matrix diag(m_norm) (+) Gram(Lambda_C),
     block by block: the embedding against Gram(Lambda_C), then the
     generator's norm and its inner products with the embedding.  Then
-    primitivity of the generator, and the unit-pairing profile.  Rows of any
-    length but m = 1 + rank(Lambda_C) are rejected first, so A is square,
-    and A A^T = diag(m_norm) (+) Gram(Lambda_C) already gives the
+    primitivity of the generator, and the unit-pairing conditions: every
+    ambient unit vector pairs nonzero with both factors, that is, the
+    generator has no zero entry and no column of the embedding is zero.
+    Rows of any length but m = 1 + rank(Lambda_C) are rejected first, so A
+    is square, and A A^T = diag(m_norm) (+) Gram(Lambda_C) already gives the
     finite-index identity det(A)^2 = m_norm * det(Lambda_C).
     """
     m = problem.ambient
@@ -136,7 +138,7 @@ def verify_witness(problem: ObstructionProblem, witness: Witness) -> None:
         raise InternalCheckError("witness rows do not realise the direct-sum Gram matrix")
     if not is_primitive_vector(w):
         raise InternalCheckError("witness generator is not primitive")
-    if not unit_pairing_profile((w,), rows, m).passes:
+    if 0 in w or not all(map(any, zip(*rows))):
         raise InternalCheckError("witness fails the unit-pairing conditions")
 
 
@@ -307,10 +309,11 @@ def example_b31_report(limits: SearchLimits | None = None) -> ExampleB31Report:
     m_zero: tuple[int, ...] = ()
     c_zero: tuple[int, ...] = ()
     if fulls:
-        rows = fulls[0]
-        profile = unit_pairing_profile((rows[0],), rows[1:], problem.ambient)
-        m_zero = tuple(i + 1 for i, ok in enumerate(profile.m_flags) if not ok)
-        c_zero = tuple(i + 1 for i, ok in enumerate(profile.c_flags) if not ok)
+        # e_i misses the rank-one factor where the top row is zero, and the
+        # chain factor where the column of the rows below it is zero.
+        top, *chain = fulls[0]
+        m_zero = tuple(i + 1 for i, x in enumerate(top) if not x)
+        c_zero = tuple(i + 1 for i, col in enumerate(zip(*chain)) if not any(col))
     passed = (len(fulls) == 1 and report.verdict == OBSTRUCTED
               and bool(m_zero) and bool(c_zero))
     return ExampleB31Report(len(fulls), report.verdict, m_zero, c_zero, passed)
@@ -321,37 +324,30 @@ def example_b31_report(limits: SearchLimits | None = None) -> ExampleB31Report:
 
 
 def report_to_doc(report: ObstructionReport, include_timing: bool = False) -> dict:
-    """Serialise a report; integer values become decimal strings.
+    """Serialise a report through :func:`ballobs.errors.document_values`, so
+    integer values become decimal strings.
 
     Timing is omitted by default so identical runs emit identical documents.
     """
-    stats = {
-        "nodes": _s(report.statistics.nodes),
-        "leaves": _s(report.statistics.leaves),
-        "classes": _s(report.statistics.classes),
-        "limit_hit": report.statistics.limit_hit,
-    }
+    s = report.statistics
+    stats = {"nodes": s.nodes, "leaves": s.leaves, "classes": s.classes,
+             "limit_hit": s.limit_hit}
     if include_timing:
-        stats["elapsed_ms"] = _s(report.statistics.elapsed_ms)
-    return {
+        stats["elapsed_ms"] = s.elapsed_ms
+    return document_values({
         "schema": "obstruction-report@2",
         "problem": {
-            "balls": [{"p": _s(b.p), "q": _s(b.q)} for b in report.problem.balls],
-            "m_norm": _s(report.problem.m_norm),
-            "ambient": _s(report.problem.ambient),
-            "component_weights": [[_s(c.gram[i][i]) for i in range(c.rank)]
+            "balls": [{"p": b.p, "q": b.q} for b in report.problem.balls],
+            "m_norm": report.problem.m_norm,
+            "ambient": report.problem.ambient,
+            "component_weights": [[c.gram[i][i] for i in range(c.rank)]
                                   for c in report.problem.components],
         },
         "verdict": report.verdict,
-        "witnesses": [
-            {
-                "embedding": [[_s(x) for x in row] for row in w.embedding],
-                "generator": [_s(x) for x in w.generator],
-            }
-            for w in report.witnesses
-        ],
+        "witnesses": [{"embedding": w.embedding, "generator": w.generator}
+                      for w in report.witnesses],
         "statistics": stats,
-    }
+    })
 
 
 def report_from_doc(doc: dict) -> ObstructionReport:
@@ -385,12 +381,14 @@ def report_from_doc(doc: dict) -> ObstructionReport:
         raise UsageError(f"malformed report document: {exc}") from None
     if not isinstance(limit_hit, bool):
         raise UsageError(f"limit_hit must be a JSON boolean, got {limit_hit!r}")
+    # Checked before the comparison, whose document_values raises TypeError
+    # on a verdict that is a JSON float.
+    if verdict not in (OBSTRUCTED, NOT_OBSTRUCTED, INCONCLUSIVE):
+        raise UsageError(f"unknown verdict {verdict!r}")
     report = ObstructionReport(build_problem(balls), verdict, witnesses, statistics)
     if report_to_doc(report, include_timing="elapsed_ms" in stats) != doc:
         raise UsageError("malformed report document: inconsistent with its ball list, or "
                          "not in the form report_to_doc writes")
-    if verdict not in (OBSTRUCTED, NOT_OBSTRUCTED, INCONCLUSIVE):
-        raise UsageError(f"unknown verdict {verdict!r}")
     if verdict != _verdict(witnesses, statistics):
         raise UsageError(f"verdict {verdict} contradicts the witnesses and limit_hit")
     for witness in witnesses:

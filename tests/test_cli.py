@@ -9,6 +9,7 @@ import pytest
 
 from ballobs import obstruction
 from ballobs.cli import main
+from ballobs.errors import document_values
 from ballobs.markov import BallSpec
 from ballobs.obstruction import build_problem, check_obstruction, report_from_doc
 
@@ -212,6 +213,9 @@ class TestExitCodes:
          "time budget must be positive"),
         (("BALLOBS_TIME_BUDGET=nan", "obstruct", "5,1", "13,2", "194,31"),
          "time budget must be positive"),
+        # argparse takes -1e3 for an option, not a value, unless it is joined
+        # to its option
+        (("--time-budget", "-1e3", "obstruct", "3,1"), "time budget must be positive"),
     ])
     def test_usage_error_bad_budget(self, capsys, monkeypatch, argv, message):
         # A leading NAME=value sets an environment variable, as in a shell.
@@ -321,6 +325,42 @@ class TestGoldenBytes:
         assert got_code == code
         assert (len(data), hashlib.sha256(data).hexdigest()) == (text if fmt == "text" else doc)
 
+    @pytest.mark.parametrize("argv", SUBCOMMAND_GOLDEN, ids=" ".join)
+    def test_json_holds_no_number(self, capsys, argv):
+        _, out, _ = run(capsys, "--format", "json", *argv)
+        numbers = []
+        if out:
+            json.loads(out, **dict.fromkeys(("parse_int", "parse_float", "parse_constant"),
+                                            numbers.append))
+        assert numbers == []
+
+
+class TestDocumentValues:
+    """The one rule by which documents write their values."""
+
+    @pytest.mark.parametrize("value, expected", [
+        (True, True),
+        (False, False),
+        (None, None),
+        (-7, "-7"),
+        (0, "0"),
+        (10 ** 30, "1" + "0" * 30),
+        ((1, (-2, ((3,), ())), [4]), ["1", ["-2", [["3"], []]], ["4"]]),
+        ("x", "x"),
+        ("-12", "-12"),
+        ({"a": (True, None, -1), "b": [0, "s"]}, {"a": [True, None, "-1"], "b": ["0", "s"]}),
+    ])
+    def test_converts(self, value, expected):
+        # Compared as JSON text, so that True and 1 or a tuple and a list differ.
+        once = document_values(value)
+        assert json.dumps(once) == json.dumps(expected)
+        assert json.dumps(document_values(once)) == json.dumps(once)
+
+    @pytest.mark.parametrize("value", [1.5, {"x": [float("nan")]}, {1, 2}])
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError):
+            document_values(value)
+
 
 # Run in a fresh interpreter: import ballobs, run the CLI on the arguments, if
 # any, then report the exit code and which of the search modules got loaded.
@@ -350,10 +390,10 @@ EXPORTS = {
     "plumbing": ("BlowdownCertificate", "blow_down", "blow_up", "chain_determinant",
                  "rb_chain", "reduce", "simple_embedding_certificate"),
     "lattice": ("EmbeddingClass", "EmbeddingSearchResult", "GramLattice",
-                "OrthogonalComplement", "PairingProfile", "SearchLimits", "SearchStats",
-                "canonical_form", "direct_sum", "integer_kernel", "is_isometric_embedding",
+                "OrthogonalComplement", "SearchLimits", "SearchStats", "canonical_form",
+                "direct_sum", "integer_kernel", "is_isometric_embedding",
                 "is_positive_definite", "is_primitive_vector", "linear_lattice",
-                "orthogonal_complement", "search_embedding_classes", "unit_pairing_profile"),
+                "orthogonal_complement", "search_embedding_classes"),
     "obstruction": ("ObstructionProblem", "ObstructionReport", "Witness", "ball_boundary",
                     "ball_plumbing", "build_problem", "check_obstruction",
                     "full_embedding_classes", "lemma_cemb_report", "report_from_doc",

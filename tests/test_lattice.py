@@ -12,9 +12,9 @@ from ballobs.lattice import (GramLattice, SearchLimits, _square_parts,
                              canonical_form, direct_sum, integer_kernel,
                              is_isometric_embedding, is_positive_definite,
                              is_primitive_vector, leading_principal_minors,
-                             linear_lattice, matrix_determinant,
-                             orthogonal_complement, search_embedding_classes,
-                             unit_pairing_profile)
+                             linear_lattice, orthogonal_complement,
+                             search_embedding_classes)
+from test_exact_oracles import matrix_determinant
 
 L222 = linear_lattice((2, 2, 2))
 L9 = linear_lattice((9,))
@@ -296,26 +296,6 @@ class TestOrthogonalComplement:
                 assert is_primitive_vector(comp.generator)
         assert matrix_determinant(CHAIN5.gram) == 25
         assert 25 in norms
-
-
-class TestUnitPairingProfile:
-    def test_failing_pattern(self):
-        m_rows = ((3, 0, 0, 0, 0),)
-        c_rows = ((0, -1, 1, 0, 0), (0, 0, -1, 1, 0), (0, 0, 0, -1, 1),
-                  (0, 1, 1, 1, 0))
-        profile = unit_pairing_profile(m_rows, c_rows, 5)
-        assert profile.m_flags == (True, False, False, False, False)
-        assert profile.c_flags == (False, True, True, True, True)
-        assert not profile.passes
-
-    def test_passing_pattern(self):
-        m_rows = ((1, 1, 1, 1),)
-        c_rows = ((-1, 1, 0, 0), (0, -1, 1, 0), (0, 0, -1, 1))
-        assert unit_pairing_profile(m_rows, c_rows, 4).passes
-
-    def test_non_orthogonal_rejected(self):
-        with pytest.raises(UsageError):
-            unit_pairing_profile(((1, 0),), ((1, 1),), 2)
 
 
 # Rank-4 chain embeddings with the middle weight-2 pair pinned to

@@ -12,18 +12,18 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ballobs import kernels, lattice
-from ballobs.errors import InternalCheckError, LimitExceeded, UsageError, _s
-from ballobs.lattice import (SearchLimits, direct_sum, is_isometric_embedding,
-                             is_primitive_vector, linear_lattice,
-                             matrix_determinant, orthogonal_complement,
-                             search_embedding_classes, unit_pairing_profile)
+from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
+from ballobs.lattice import (GramLattice, SearchLimits, direct_sum, is_isometric_embedding,
+                             is_primitive_vector, linear_lattice, orthogonal_complement,
+                             search_embedding_classes)
 from ballobs.markov import BallSpec, fibonacci_ball
 from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
-                                 Witness, ball_boundary, ball_plumbing,
+                                 ObstructionProblem, Witness, ball_boundary, ball_plumbing,
                                  build_problem, check_obstruction,
                                  example_b31_report, full_embedding_classes,
                                  lemma_cemb_report, report_from_doc,
                                  report_to_doc, theorem2_suite, verify_witness)
+from test_exact_oracles import matrix_determinant
 
 
 def direct_sum_classes(problem):
@@ -181,7 +181,8 @@ class TestCheckObstruction:
                 assert is_isometric_embedding(lat_full, full)
                 det = matrix_determinant(full)
                 assert det * det == pr.m_norm * matrix_determinant(lat_c.gram)
-                assert unit_pairing_profile((w.generator,), w.embedding, pr.ambient).passes
+                # every ambient unit vector pairs nonzero with both factors
+                assert 0 not in w.generator and all(map(any, zip(*w.embedding)))
 
     def test_inconclusive_on_tiny_budget(self):
         rep = check_obstruction(build_problem([BallSpec(3, 1)]),
@@ -426,6 +427,15 @@ class TestVerifyWitnessRejects:
         with pytest.raises(UsageError, match="length"):
             verify_witness(pr, wide)
 
+    def test_missed_unit_vector(self):
+        # No class the search finds has a primitive generator of norm m_norm
+        # and a zero entry, so a hand-made problem stands in: every other
+        # condition holds, but e_1 pairs to zero with the generator.
+        lat = GramLattice(((1, 0), (0, 2)))
+        pr = ObstructionProblem((), 2, (lat,), 3, lat)
+        with pytest.raises(InternalCheckError, match="unit-pairing"):
+            verify_witness(pr, Witness(((1, 0, 0), (0, 1, 1)), (0, 1, -1)))
+
 
 class TestReportDocuments:
     @pytest.mark.parametrize("balls", [[BallSpec(3, 1)], [BallSpec(2, 1)],
@@ -461,9 +471,10 @@ class TestReportDocuments:
 
     def test_unknown_verdict_rejected(self):
         doc = report_to_doc(check_obstruction(build_problem([BallSpec(3, 1)])))
-        doc["verdict"] = "BANANA"
-        with pytest.raises(UsageError, match="unknown verdict"):
-            report_from_doc(doc)
+        for verdict in ("BANANA", 1.5, 3, None, ["OBSTRUCTED"]):
+            doc["verdict"] = verdict
+            with pytest.raises(UsageError, match="unknown verdict"):
+                report_from_doc(doc)
 
     @pytest.mark.parametrize("balls, verdict, limit_hit", [
         ([BallSpec(2, 1)], OBSTRUCTED, False),     # a witness, yet obstructed
@@ -635,7 +646,7 @@ class TestReportDocumentProperties:
     @given(ball=st.integers(4, 10 ** 30).flatmap(_coprime_ball))
     def test_large_ball_rejected_quickly(self, ball):
         doc = report_to_doc(_report([BallSpec(3, 1)], 100))
-        doc["problem"]["balls"][0] = {"p": _s(ball.p), "q": _s(ball.q)}
+        doc["problem"]["balls"][0] = {"p": str(ball.p), "q": str(ball.q)}
         with _time_limit(5), pytest.raises(UsageError):
             report_from_doc(doc)
 
@@ -673,7 +684,7 @@ class TestReportDocumentProperties:
         assert dataclasses.replace(got, statistics=rep.statistics) == rep
         assert type(new) is type(old)
         if new != old:
-            assert new == _s(int(new))
+            assert new == str(int(new))
 
 
 # Sets of one to three balls with p <= 34, each searched to completion once.
