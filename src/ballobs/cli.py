@@ -8,6 +8,10 @@ writes stdout: the document through :func:`ballobs.errors.document_values`,
 which writes every integer as a decimal string, or the lines, as
 ``--format`` asks.  Diagnostics go to stderr.
 
+Search budgets come from ``--node-budget`` and ``--time-budget`` alone.
+``main`` turns them into one ``SearchLimits``, stored as ``args.limits``,
+before any handler runs, so a bad budget is a usage error for every command.
+
 Exit codes: 0 computed, 1 usage error, 2 budget exhausted (INCONCLUSIVE),
 3 internal consistency failure.
 
@@ -20,49 +24,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import contfrac, markov, plumbing
-from .errors import (InternalCheckError, LimitExceeded, SearchLimits, UsageError,
-                     document_values)
-
-NODE_BUDGET_ENV = "BALLOBS_NODE_BUDGET"
-TIME_BUDGET_ENV = "BALLOBS_TIME_BUDGET"
+from .errors import (DEFAULT_NODE_BUDGET, InternalCheckError, LimitExceeded, SearchLimits,
+                     UsageError, document_values)
 
 _NEGATIVE_NUMBER = re.compile(r"^-\d")
 _BUDGET_OPTIONS = ("--node-budget", "--time-budget")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Budgets and output options resolved from flags and environment."""
-
-    limits: SearchLimits
-    fmt: str
-    timings: bool
-
-
-def _resolve_config(args) -> RunConfig:
-    node = args.node_budget
-    if node is None:
-        env = os.environ.get(NODE_BUDGET_ENV)
-        try:
-            node = int(env) if env else SearchLimits().node_budget
-        except ValueError:
-            raise UsageError(f"{NODE_BUDGET_ENV} must be an integer, got {env!r}") from None
-    time_budget = args.time_budget
-    if time_budget is None:
-        env = os.environ.get(TIME_BUDGET_ENV)
-        try:
-            time_budget = float(env) if env else None
-        except ValueError:
-            raise UsageError(f"{TIME_BUDGET_ENV} must be a number, got {env!r}") from None
-    limits = SearchLimits(node_budget=node, time_budget=time_budget)
-    fmt = args.format or getattr(args, "default_format", "text")
-    return RunConfig(limits, fmt, args.timings)
 
 
 def _int(text: str, what: str) -> int:
@@ -87,21 +58,21 @@ def _fmt_ints(values) -> str:
 # Subcommand handlers
 
 
-def cmd_markov_list(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_markov_list(args) -> tuple[dict, list[str], int]:
     triples = markov.enumerate_triples(args.max)
     doc = {"schema": "markov-list@1", "bound": args.max,
            "triples": [t.entries for t in triples]}
     return doc, [str(t) for t in triples], 0
 
 
-def cmd_markov_char(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_markov_char(args) -> tuple[dict, list[str], int]:
     t = markov.triple(args.p, args.a, args.b)
     u = markov.characteristic_number(t)
     doc = {"schema": "markov-char@1", "triple": t.entries, "u": u}
     return doc, [str(u)], 0
 
 
-def cmd_ball_classify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_ball_classify(args) -> tuple[dict, list[str], int]:
     ball = markov.BallSpec(args.p, args.q)
     verdict = markov.classify_symplectic(ball)
     w = verdict.witness
@@ -112,34 +83,34 @@ def cmd_ball_classify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     return doc, [f"{ball}: {text}"], 0
 
 
-def cmd_ball_boundary(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_ball_boundary(args) -> tuple[dict, list[str], int]:
     from . import obstruction
     big_p, big_q = obstruction.ball_boundary(markov.BallSpec(args.p, args.q))
     doc = {"schema": "lens-space@1", "p": big_p, "q": big_q}
     return doc, [f"L({big_p},{big_q})"], 0
 
 
-def cmd_ball_plumbing(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_ball_plumbing(args) -> tuple[dict, list[str], int]:
     from . import obstruction
     weights = obstruction.ball_plumbing(markov.BallSpec(args.p, args.q))
     doc = {"schema": "plumbing-weights@1", "weights": weights}
     return doc, [f"[{_fmt_ints(weights)}]"], 0
 
 
-def cmd_cf_expand(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_cf_expand(args) -> tuple[dict, list[str], int]:
     e = contfrac.hj_expand(args.p, args.q)
     doc = {"schema": "hj-expansion@1", "coefficients": e}
     return doc, [f"[{_fmt_ints(e)}]"], 0
 
 
-def cmd_cf_eval(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_cf_eval(args) -> tuple[dict, list[str], int]:
     frac = contfrac.hj_eval(_int_list(args.coefficients, "coefficients"))
     doc = {"schema": "fraction@1",
            "numerator": frac.numerator, "denominator": frac.denominator}
     return doc, [f"{frac.numerator}/{frac.denominator}"], 0
 
 
-def cmd_cf_fib_identities(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_cf_fib_identities(args) -> tuple[dict, list[str], int]:
     first, second = contfrac.fibonacci_identities(args.n)
     v1 = contfrac.hj_eval(first)
     v2 = contfrac.hj_eval(second)
@@ -158,12 +129,12 @@ def cmd_cf_fib_identities(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     return doc, lines, 0
 
 
-def cmd_lattice_classes(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_lattice_classes(args) -> tuple[dict, list[str], int]:
     from . import obstruction
     from .lattice import linear_lattice, search_embedding_classes
     weights = _int_list(args.weights, "weights")
     lat = linear_lattice(weights)
-    classes = search_embedding_classes(lat, args.ambient, limits=cfg.limits).classes
+    classes = search_embedding_classes(lat, args.ambient, limits=args.limits).classes
     rows = [(cls, obstruction.class_summary(cls)) for cls in classes]
     doc = {
         "schema": "lattice-classes@1",
@@ -179,21 +150,21 @@ def cmd_lattice_classes(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     return doc, lines, 0
 
 
-def cmd_plumbing_reduce(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_plumbing_reduce(args) -> tuple[dict, list[str], int]:
     chain = _int_list(args.weights, "weights")
     final, count = plumbing.reduce(chain)
     doc = {"schema": "blowdown@1", "start": chain, "final": final, "blowdowns": count}
     return doc, [f"({_fmt_ints(final)}) after {count} blowdowns"], 0
 
 
-def cmd_plumbing_certify(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_plumbing_certify(args) -> tuple[dict, list[str], int]:
     cert = plumbing.simple_embedding_certificate(args.n)
     doc = {"schema": "blowdown-certificate@1", "n": args.n, **asdict(cert)}
     return doc, [f"chain ({_fmt_ints(cert.start)}) reduces to ({_fmt_ints(cert.final)}) "
                  f"after {cert.blowdowns} blowdowns; b2={cert.b2}"], 0
 
 
-def _obstruction_output(report, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def _obstruction_output(report, args) -> tuple[dict, list[str], int]:
     from . import obstruction
     balls = " ".join(str(b) for b in report.problem.balls)
     s = report.statistics
@@ -201,10 +172,10 @@ def _obstruction_output(report, cfg: RunConfig) -> tuple[dict, list[str], int]:
              f"(classes={s.classes}, leaves={s.leaves}, nodes={s.nodes})"]
     lines += [f"  witness generator ({_fmt_ints(w.generator)})" for w in report.witnesses]
     code = 2 if report.verdict == obstruction.INCONCLUSIVE else 0
-    return obstruction.report_to_doc(report, include_timing=cfg.timings), lines, code
+    return obstruction.report_to_doc(report, include_timing=args.timings), lines, code
 
 
-def cmd_obstruct(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_obstruct(args) -> tuple[dict, list[str], int]:
     from . import obstruction
     balls = []
     for text in args.balls:
@@ -212,13 +183,13 @@ def cmd_obstruct(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
         if len(pq) != 2:
             raise UsageError(f"ball must be two comma-separated integers, got {text!r}")
         balls.append(markov.BallSpec(*pq))
-    report = obstruction.check_obstruction(obstruction.build_problem(balls), limits=cfg.limits)
-    return _obstruction_output(report, cfg)
+    report = obstruction.check_obstruction(obstruction.build_problem(balls), limits=args.limits)
+    return _obstruction_output(report, args)
 
 
-def cmd_verify_example_b31(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_verify_example_b31(args) -> tuple[dict, list[str], int]:
     from . import obstruction
-    report = obstruction.example_b31_report(limits=cfg.limits)
+    report = obstruction.example_b31_report(limits=args.limits)
     doc = {
         "schema": "verify-example-b31@1",
         "class_count": report.class_count,
@@ -235,9 +206,9 @@ def cmd_verify_example_b31(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     return doc, lines, 0 if report.passed else 3
 
 
-def cmd_verify_lemma_cemb(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_verify_lemma_cemb(args) -> tuple[dict, list[str], int]:
     from . import obstruction
-    report = obstruction.lemma_cemb_report(args.n, args.m, limits=cfg.limits)
+    report = obstruction.lemma_cemb_report(args.n, args.m, limits=args.limits)
     doc = {
         "schema": "chain-classification@2",
         "n": report.n,
@@ -254,10 +225,10 @@ def cmd_verify_lemma_cemb(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
     return doc, lines, 0
 
 
-def cmd_verify_theorem2(args, cfg: RunConfig) -> tuple[dict, list[str], int]:
+def cmd_verify_theorem2(args) -> tuple[dict, list[str], int]:
     from . import obstruction
-    report = obstruction.theorem2_suite([(args.k, args.n)], limits=cfg.limits)[0]
-    doc, lines, code = _obstruction_output(report, cfg)
+    report = obstruction.theorem2_suite([(args.k, args.n)], limits=args.limits)[0]
+    doc, lines, code = _obstruction_output(report, args)
     if report.verdict == obstruction.NOT_OBSTRUCTED:
         print("unexpected witness for a pair of consecutive-Fibonacci balls", file=sys.stderr)
         code = 3
@@ -275,10 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "lattice-embedding obstructions for rational balls")
     parser.add_argument("--format", choices=("text", "json"), default=None,
                         help="output format (default: text; obstruct/verify default to json)")
-    parser.add_argument("--node-budget", type=int, default=None, metavar="N",
-                        help=f"search node budget (env {NODE_BUDGET_ENV})")
+    parser.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET, metavar="N",
+                        help="search node budget (default: %(default)s)")
     parser.add_argument("--time-budget", type=float, default=None, metavar="SECONDS",
-                        help=f"search wall-clock budget (env {TIME_BUDGET_ENV})")
+                        help="search wall-clock budget (default: none)")
     parser.add_argument("--timings", action="store_true",
                         help="include elapsed times in JSON output (breaks byte determinism)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -383,8 +354,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        cfg = _resolve_config(args)
-        doc, lines, code = args.func(args, cfg)
+        args.limits = SearchLimits(args.node_budget, args.time_budget)
+        doc, lines, code = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -394,8 +365,8 @@ def main(argv=None) -> int:
     except (InternalCheckError, AssertionError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(document_values(doc), indent=2) if cfg.fmt == "json"
-          else "\n".join(lines))
+    fmt = args.format or getattr(args, "default_format", "text")
+    print(json.dumps(document_values(doc), indent=2) if fmt == "json" else "\n".join(lines))
     return code
 
 

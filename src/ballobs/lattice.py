@@ -83,9 +83,11 @@ class GramLattice:
 
 def linear_lattice(weights) -> GramLattice:
     """The lattice of a weighted path: weights on the diagonal, -1 off it."""
-    w = tuple(int(a) for a in weights)
+    w = tuple(weights)
     if not w:
         raise UsageError("weight list must be nonempty")
+    if any(not isinstance(a, int) or isinstance(a, bool) for a in w):
+        raise UsageError(f"weights must be integers, got {w!r}")
     k = len(w)
     gram = tuple(tuple(w[i] if i == j else (-1 if abs(i - j) == 1 else 0)
                        for j in range(k)) for i in range(k))

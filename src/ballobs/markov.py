@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import DegenerateCaseError, InternalCheckError, LimitExceeded, UsageError
 
 # Cap on the number of triples a single enumeration may hold in memory.
-DEFAULT_MAX_TRIPLES = 1_000_000
+MAX_TRIPLES = 1_000_000
 
 
 def is_markov(a: int, b: int, c: int) -> bool:
@@ -79,12 +79,13 @@ def vieta_neighbor(t: MarkovTriple, position: int) -> MarkovTriple:
     return triple(y, z, 3 * y * z - x)
 
 
-def enumerate_triples(bound: int, max_triples: int = DEFAULT_MAX_TRIPLES) -> list[MarkovTriple]:
+def enumerate_triples(bound: int) -> list[MarkovTriple]:
     """All Markov triples with maximum entry <= bound, sorted lexicographically.
 
     Breadth-first walk of the Vieta tree from (1, 1, 1).  Moving away from the
     root strictly increases the maximum entry, so pruning branches whose
-    maximum exceeds ``bound`` loses nothing.
+    maximum exceeds ``bound`` loses nothing.  Holding more than
+    ``MAX_TRIPLES`` triples raises LimitExceeded.
     """
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise UsageError(f"bound must be a positive integer, got {bound!r}")
@@ -96,9 +97,9 @@ def enumerate_triples(bound: int, max_triples: int = DEFAULT_MAX_TRIPLES) -> lis
         for position in (1, 2, 3):
             n = vieta_neighbor(t, position)
             if n.c <= bound and n not in seen:
-                if len(seen) >= max_triples:
+                if len(seen) >= MAX_TRIPLES:
                     raise LimitExceeded(
-                        f"more than {max_triples} triples below bound {bound}",
+                        f"more than {MAX_TRIPLES} triples below bound {bound}",
                         stats={"triples": len(seen)})
                 seen.add(n)
                 queue.append(n)

@@ -40,6 +40,9 @@ OBSTRUCTED = "OBSTRUCTED"
 NOT_OBSTRUCTED = "NOT_OBSTRUCTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
+# Largest Fibonacci index theorem2_suite accepts.
+MAX_THEOREM2_INDEX = 5
+
 
 def ball_boundary(b: BallSpec) -> tuple[int, int]:
     """Lens parameters (p^2, pq - 1) of the boundary of B(p, q)."""
@@ -208,23 +211,22 @@ def full_embedding_classes(problem: ObstructionProblem,
     return tuple(sorted(out))
 
 
-def theorem2_suite(pairs, limits: SearchLimits | None = None,
-                   max_index: int = 5) -> list[ObstructionReport]:
+def theorem2_suite(pairs, limits: SearchLimits | None = None) -> list[ObstructionReport]:
     """Obstruction reports for disjoint pairs of consecutive-odd-Fibonacci balls.
 
     Each (k, n) checks B(F(2k+1), F(2k-1)) together with B(F(2n+1), F(2n-1)).
-    Indices above ``max_index`` are refused by default: every pair up to
-    (5, 5) (ambient rank 23) decides in well under a second, while each
-    further index multiplies the search nodes by about five, (6, 6) taking
-    6,684 nodes and about 0.6 s.
+    Indices above ``MAX_THEOREM2_INDEX`` are refused: every pair up to (5, 5)
+    (ambient rank 23) decides in well under a second, while each further
+    index multiplies the search nodes by about five, (6, 6) taking 6,684
+    nodes and about 0.6 s.  Larger pairs go to ``check_obstruction`` directly.
     """
     reports = []
     for k, n in pairs:
         if min(k, n) < 1:
             raise UsageError(f"indices must be >= 1, got {(k, n)}")
-        if max(k, n) > max_index:
+        if max(k, n) > MAX_THEOREM2_INDEX:
             raise UsageError(
-                f"index pair {(k, n)} above desk scale (max {max_index}); raise max_index to force")
+                f"index pair {(k, n)} above desk scale (max {MAX_THEOREM2_INDEX})")
         problem = build_problem([fibonacci_ball(k), fibonacci_ball(n)])
         reports.append(check_obstruction(problem, limits=limits))
     return reports

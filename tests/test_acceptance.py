@@ -170,8 +170,9 @@ def test_criterion_7_disjoint_pair_55_slow():
 
 
 @pytest.mark.slow
-def test_criterion_7_disjoint_pair_66_slow():
-    rep = obstruction.theorem2_suite([(6, 6)], max_index=6)[0]
+def test_criterion_7_disjoint_pair_66_slow(monkeypatch):
+    monkeypatch.setattr(obstruction, "MAX_THEOREM2_INDEX", 6)
+    rep = obstruction.theorem2_suite([(6, 6)])[0]
     s = rep.statistics
     ok = (rep.problem.ambient == 27 and rep.verdict == obstruction.OBSTRUCTED
           and not s.limit_hit and s.nodes == 6684 and s.leaves == s.classes > 0)

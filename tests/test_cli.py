@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ballobs import obstruction
+from ballobs import cli, obstruction
 from ballobs.cli import main
 from ballobs.errors import document_values
 from ballobs.markov import BallSpec
@@ -18,6 +18,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _handler_must_not_run(args):
+    raise AssertionError(f"handler ran for {args}")
 
 
 class TestGoldenText:
@@ -211,24 +215,29 @@ class TestExitCodes:
          "node budget must be positive"),
         (("--time-budget", "nan", "obstruct", "5,1", "13,2", "194,31"),
          "time budget must be positive"),
-        (("BALLOBS_TIME_BUDGET=nan", "obstruct", "5,1", "13,2", "194,31"),
+        (("--time-budget", "nan", "markov", "list", "--max", "30"),
          "time budget must be positive"),
         # argparse takes -1e3 for an option, not a value, unless it is joined
         # to its option
         (("--time-budget", "-1e3", "obstruct", "3,1"), "time budget must be positive"),
     ])
-    def test_usage_error_bad_budget(self, capsys, monkeypatch, argv, message):
-        # A leading NAME=value sets an environment variable, as in a shell.
-        if "=" in argv[0] and not argv[0].startswith("-"):
-            monkeypatch.setenv(*argv[0].split("=", 1))
-            argv = argv[1:]
+    def test_usage_error_bad_budget(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and message in err
 
-    def test_bad_env_budget_rejected_without_search(self, capsys, monkeypatch):
-        monkeypatch.setenv("BALLOBS_TIME_BUDGET", "-1")
-        code, out, err = run(capsys, "markov", "list", "--max", "30")
-        assert code == 1 and out == "" and "time budget must be positive" in err
+    def test_bad_budget_rejected_by_every_command(self, capsys, monkeypatch):
+        # Budgets are checked before any handler runs, searching or not: a
+        # handler that ran would fail its assertion and exit 3.
+        for name in dir(cli):
+            if name.startswith("cmd_"):
+                monkeypatch.setattr(cli, name, _handler_must_not_run)
+        for argv in SUBCOMMAND_GOLDEN:
+            if argv[0].startswith("-"):
+                continue  # sets its own budget
+            for budget in (("--node-budget", "0"), ("--time-budget", "nan")):
+                code, out, err = run(capsys, *budget, *argv)
+                assert (code, out) == (1, ""), (budget, argv)
+                assert "budget must be positive" in err, (budget, argv)
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
@@ -467,19 +476,11 @@ class TestDeterminism:
         second = run(capsys, *argv)
         assert first == second
 
-    def test_env_budget_override(self, capsys, monkeypatch):
+    def test_environment_sets_no_budget(self, capsys, monkeypatch):
+        # Budgets come from the flags alone, so exported values change nothing.
+        plain = run(capsys, "obstruct", "2,1", "5,2")
         monkeypatch.setenv("BALLOBS_NODE_BUDGET", "2")
-        code, out, _ = run(capsys, "obstruct", "2,1", "5,2")
-        assert code == 2
-        assert json.loads(out)["verdict"] == "INCONCLUSIVE"
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BALLOBS_NODE_BUDGET", "2")
-        code, out, _ = run(capsys, "--node-budget", "100000", "obstruct", "2,1", "5,2")
-        assert code == 0
-        assert json.loads(out)["verdict"] == "OBSTRUCTED"
-
-    def test_malformed_env_budget_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("BALLOBS_NODE_BUDGET", "a-lot")
-        code, _, err = run(capsys, "obstruct", "2,1")
-        assert code == 1 and "BALLOBS_NODE_BUDGET" in err
+        monkeypatch.setenv("BALLOBS_TIME_BUDGET", "nan")
+        code, out, err = run(capsys, "obstruct", "2,1", "5,2")
+        assert code == 0 and json.loads(out)["verdict"] == "OBSTRUCTED"
+        assert (code, out, err) == plain

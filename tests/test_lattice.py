@@ -57,6 +57,12 @@ class TestConstruction:
         with pytest.raises(UsageError):
             linear_lattice(())
 
+    @pytest.mark.parametrize("weights", [(2.5, 2), ("3",), (2.0,), (True, 2), (2, None)])
+    def test_non_integer_weight_rejected(self, weights):
+        # int() used to truncate 2.5 to 2 and parse "3" without complaint.
+        with pytest.raises(UsageError, match="weights must be integers"):
+            linear_lattice(weights)
+
     def test_direct_sum_block_structure(self):
         lat = direct_sum(L9, linear_lattice((2, 2, 2, 3)))
         assert lat.rank == 5

@@ -3,6 +3,7 @@ from math import isqrt
 
 import pytest
 
+from ballobs import markov
 from ballobs.errors import DegenerateCaseError, LimitExceeded, UsageError
 from ballobs.markov import (BallSpec, MarkovTriple, ball_params,
                             characteristic_number, classify_symplectic,
@@ -124,9 +125,10 @@ class TestEnumeration:
         with pytest.raises(UsageError):
             enumerate_triples(0)
 
-    def test_memory_limit(self):
+    def test_memory_limit(self, monkeypatch):
+        monkeypatch.setattr(markov, "MAX_TRIPLES", 3)
         with pytest.raises(LimitExceeded):
-            enumerate_triples(10 ** 6, max_triples=3)
+            enumerate_triples(10 ** 6)
 
     def test_sorted_lexicographically(self):
         ts = enumerate_triples(10 ** 5)

@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import operator
+import random
 import signal
 
 import pytest
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 from ballobs import kernels, lattice
 from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
-from ballobs.lattice import (GramLattice, SearchLimits, direct_sum, is_isometric_embedding,
-                             is_primitive_vector, linear_lattice, orthogonal_complement,
-                             search_embedding_classes)
+from ballobs.lattice import (MAX_AMBIENT, GramLattice, SearchLimits, direct_sum,
+                             is_isometric_embedding, is_primitive_vector, linear_lattice,
+                             orthogonal_complement, search_embedding_classes)
 from ballobs.markov import BallSpec, fibonacci_ball
 from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
                                  ObstructionProblem, Witness, ball_boundary, ball_plumbing,
@@ -23,6 +24,7 @@ from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
                                  example_b31_report, full_embedding_classes,
                                  lemma_cemb_report, report_from_doc,
                                  report_to_doc, theorem2_suite, verify_witness)
+from ballobs.plumbing import chain_determinant
 from test_exact_oracles import matrix_determinant
 
 
@@ -359,6 +361,100 @@ class TestTheorem2:
             # the contradiction the verdict rests on: both factors can never
             # simultaneously occupy a full 4n-coordinate block
             assert not (len(sup1) == 8 and len(sup2) == 8)
+
+
+def fibonacci(n):
+    """F(n), with F(1) = F(2) = 1."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def smooth_family_witness(k):
+    """The closed-form witness for B(F(2k+1), F(2k-1)), the paper's smooth family.
+
+    Columns e_0..e_(2k+1); rows in plumbing order, whose weights are 2,
+    3^(k-1), 2, 2, 3^(k-1).  The generator has norm 2F(2k)^2 + F(2k-1)F(2k)
+    + 1 = F(2k+1)^2 (docs/decisions.md).
+    """
+    m = 2 * k + 2
+
+    def row(minus, *plus):
+        r = [0] * m
+        if minus is not None:
+            r[minus] = -1
+        for c in plus:
+            r[c] = 1
+        return tuple(r)
+
+    rows = [row(None, 0, 1)]
+    rows += [row(2 * j - 1, 2 * j, 2 * j + 1) for j in range(1, k)]
+    rows += [row(2 * k - 1, 2 * k), row(2 * k, 2 * k + 1)]
+    rows += [row(2 * k - 2 * j, 2 * k - 2 * j + 1, 2 * k - 2 * j + 2) for j in range(1, k)]
+    generator = (fibonacci(2 * k), -fibonacci(2 * k))
+    generator += tuple(-fibonacci(i) for i in range(2 * k - 1, 0, -1)) + (-1,)
+    return Witness(tuple(rows), generator)
+
+
+class TestSmoothFamily:
+    """B(F(2k+1), F(2k-1)) embeds smoothly in CP^2 for every k, so each has a
+    Donaldson witness and is never OBSTRUCTED."""
+
+    def test_constructed_witness_up_to_the_cap(self):
+        ks = range(1, (MAX_AMBIENT - 2) // 2 + 1)
+        assert ks[-1] == 31
+        for k in ks:
+            problem = build_problem([fibonacci_ball(k)])
+            threes = (3,) * (k - 1)
+            assert ball_plumbing(fibonacci_ball(k)) == (2,) + threes + (2, 2) + threes
+            assert problem.ambient == 2 * k + 2
+            verify_witness(problem, smooth_family_witness(k))
+        with pytest.raises(UsageError, match="ambient rank"):
+            build_problem([fibonacci_ball(32)])
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_search_finds_only_the_constructed_witness(self, k):
+        rep = check_obstruction(build_problem([fibonacci_ball(k)]))
+        assert rep.verdict == NOT_OBSTRUCTED and not rep.statistics.limit_hit
+        assert rep.statistics.classes == 2
+        assert rep.witnesses == (smooth_family_witness(k),)
+
+
+class TestPlumbingEmbedsInFullRank:
+    """The positive plumbing P of the boundary of B(p, q), glued to -B(p, q),
+    closes up to a positive-definite manifold with b2 = rank P.  By
+    Donaldson's theorem Lambda_P then embeds in Z^rank, with index p."""
+
+    BALLS = sorted({BallSpec(p, q) for p in range(2, 41) for q in range(1, p)
+                    if math.gcd(p, q) == 1}, key=lambda b: (b.p, b.q))
+
+    def test_every_small_ball_embeds(self):
+        searched = 0
+        for ball in self.BALLS:
+            weights = ball_plumbing(ball)
+            if len(weights) > 40:
+                continue
+            result = search_embedding_classes(linear_lattice(weights), len(weights),
+                                              limits=SearchLimits(node_budget=10_000))
+            assert result.classes, ball
+            searched += 1
+        assert searched == 244
+
+    def test_non_square_determinant_never_embeds(self):
+        # A full-rank sublattice of Z^r has a square determinant.
+        rng = random.Random(16)
+        non_square = 0
+        for _ in range(200):
+            chain = tuple(rng.choice((2, 3, 4, 5, 7)) for _ in range(rng.randint(2, 7)))
+            det = chain_determinant(chain)
+            if math.isqrt(det) ** 2 == det:
+                continue
+            non_square += 1
+            result = search_embedding_classes(linear_lattice(chain), len(chain),
+                                              limits=SearchLimits(node_budget=10_000))
+            assert result.classes == (), chain
+        assert non_square == 191
 
 
 class TestLemmaCembReport:
