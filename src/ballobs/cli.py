@@ -17,7 +17,10 @@ Exit codes: 0 computed, 1 usage error, 2 budget exhausted (INCONCLUSIVE),
 
 The search modules, ``lattice`` and ``obstruction``, are imported inside the
 handlers that use them, so the commands that never search do not pay for
-loading them.
+loading them.  For the same reason nothing here imports ``dataclasses``
+(about 9 ms a process, with the ``inspect`` it loads) or ``fractions``
+(about 3 ms): the search handlers write each ``ClassSummary`` out field by
+field, and a ``BlowdownCertificate`` is a namedtuple.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict
 
 from . import contfrac, markov, plumbing
 from .errors import (DEFAULT_NODE_BUDGET, InternalCheckError, LimitExceeded, SearchLimits,
@@ -52,6 +54,11 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
 
 def _fmt_ints(values) -> str:
     return ",".join(str(v) for v in values)
+
+
+def _summary_doc(c) -> dict:
+    return {"support": c.support, "complement_rank": c.complement_rank,
+            "complement_norm": c.complement_norm}
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +148,7 @@ def cmd_lattice_classes(args) -> tuple[dict, list[str], int]:
         "weights": weights,
         "ambient": args.ambient,
         "class_count": len(classes),
-        "classes": [{"matrix": cls.matrix, **asdict(c)} for cls, c in rows],
+        "classes": [{"matrix": cls.matrix, **_summary_doc(c)} for cls, c in rows],
     }
     lines = [f"{len(classes)} classes of Lambda({_fmt_ints(weights)}) in Z^{args.ambient}"]
     for i, (_, c) in enumerate(rows, start=1):
@@ -159,7 +166,7 @@ def cmd_plumbing_reduce(args) -> tuple[dict, list[str], int]:
 
 def cmd_plumbing_certify(args) -> tuple[dict, list[str], int]:
     cert = plumbing.simple_embedding_certificate(args.n)
-    doc = {"schema": "blowdown-certificate@1", "n": args.n, **asdict(cert)}
+    doc = {"schema": "blowdown-certificate@1", "n": args.n, **cert._asdict()}
     return doc, [f"chain ({_fmt_ints(cert.start)}) reduces to ({_fmt_ints(cert.final)}) "
                  f"after {cert.blowdowns} blowdowns; b2={cert.b2}"], 0
 
@@ -215,7 +222,7 @@ def cmd_verify_lemma_cemb(args) -> tuple[dict, list[str], int]:
         "ambient": report.ambient,
         "weights": report.weights,
         "class_count": report.class_count,
-        "classes": [asdict(c) for c in report.classes],
+        "classes": [_summary_doc(c) for c in report.classes],
     }
     lines = [f"Lambda({_fmt_ints(report.weights)}) in Z^{report.ambient}: "
              f"{report.class_count} classes"]

@@ -9,7 +9,6 @@ plumbing whose weights expand p/(p - q).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import InternalCheckError, UsageError
 from .markov import odd_fibonacci
@@ -26,8 +25,13 @@ def validate_expansion(coeffs) -> tuple[int, ...]:
     return e
 
 
-def hj_eval(coeffs) -> Fraction:
-    """Evaluate [a_1, ..., a_k] to a fraction p/q in lowest terms, p > q >= 1."""
+def hj_eval(coeffs):
+    """Evaluate [a_1, ..., a_k] to a ``Fraction`` p/q in lowest terms, p > q >= 1.
+
+    ``fractions`` is imported here, not at module level, so that the commands
+    that never evaluate an expansion do not load it.
+    """
+    from fractions import Fraction
     e = validate_expansion(coeffs)
     num, den = e[-1], 1
     for a in reversed(e[:-1]):
@@ -78,6 +82,7 @@ def fibonacci_identities(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     if n < 2:
         raise UsageError(f"need n >= 2 (the second pattern uses a 3^(n-2) block), got {n!r}")
+    from fractions import Fraction
     first = (3,) * (n - 1) + (2,)
     second = (3,) * (n - 1) + (5,) + (3,) * (n - 2) + (2,)
     f_lo, f_hi = odd_fibonacci(n), odd_fibonacci(n + 1)

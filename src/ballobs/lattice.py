@@ -44,10 +44,6 @@ def _row_list(rows) -> list:
     return rows.tolist() if hasattr(rows, "tolist") else list(rows)
 
 
-def _as_int_rows(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
 def _nonzero_entries(rows) -> list[list[tuple[int, int]]]:
     # Each row's nonzero entries as (column, value) pairs, values as ints.
     return [[(c, int(x)) for c, x in enumerate(row) if x] for row in _row_list(rows)]
@@ -64,8 +60,8 @@ class GramLattice:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        g = _as_int_rows(self.gram)
-        if g != tuple(tuple(row) for row in self.gram):
+        g = tuple(tuple(row) for row in self.gram)
+        if any(not isinstance(x, int) or isinstance(x, bool) for row in g for x in row):
             raise UsageError("Gram matrix entries must be integers")
         if not g:
             raise UsageError("lattice must have rank >= 1")

@@ -14,8 +14,7 @@ is exact Python integer arithmetic.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .errors import DegenerateCaseError, InternalCheckError, LimitExceeded, UsageError
 
@@ -31,28 +30,25 @@ def is_markov(a: int, b: int, c: int) -> bool:
     return a * a + b * b + c * c == 3 * a * b * c
 
 
-@dataclass(frozen=True, order=True)
-class MarkovTriple:
+class MarkovTriple(namedtuple("MarkovTriple", "a b c")):
     """A solution of the Markov equation, stored sorted a <= b <= c."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.a <= self.b <= self.c):
-            raise UsageError(f"triple must be sorted positive integers, got {self.entries}")
-        if not is_markov(self.a, self.b, self.c):
-            raise UsageError(f"{self.entries} does not solve the Markov equation")
+    def __new__(cls, a: int, b: int, c: int):
+        if not (0 < a <= b <= c):
+            raise UsageError(f"triple must be sorted positive integers, got {(a, b, c)}")
+        if not is_markov(a, b, c):
+            raise UsageError(f"{(a, b, c)} does not solve the Markov equation")
         # Pairwise coprimality holds for every Markov solution; a failure here
         # would mean the equation check above is broken.
-        if (math.gcd(self.a, self.b) != 1 or math.gcd(self.a, self.c) != 1
-                or math.gcd(self.b, self.c) != 1):
-            raise InternalCheckError(f"Markov solution {self.entries} not pairwise coprime")
+        if math.gcd(a, b) != 1 or math.gcd(a, c) != 1 or math.gcd(b, c) != 1:
+            raise InternalCheckError(f"Markov solution {(a, b, c)} not pairwise coprime")
+        return super().__new__(cls, a, b, c)
 
     @property
     def entries(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
+        return tuple(self)
 
     def __str__(self):
         return f"({self.a},{self.b},{self.c})"
@@ -140,25 +136,23 @@ def odd_fibonacci(k: int) -> int:
     return cur
 
 
-@dataclass(frozen=True)
-class BallSpec:
+class BallSpec(namedtuple("BallSpec", "p q")):
     """Parameters (p, q) of the rational homology ball B(p, q).
 
     B(p, q) and B(p, p - q) are the same ball, so q is normalised to
     min(q, p - q) on construction.
     """
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not isinstance(self.q, int):
-            raise UsageError(f"ball parameters must be integers, got {(self.p, self.q)!r}")
-        if self.p < 2 or not (1 <= self.q < self.p):
-            raise UsageError(f"need p >= 2 and 1 <= q < p, got {(self.p, self.q)}")
-        if math.gcd(self.p, self.q) != 1:
-            raise UsageError(f"p and q must be coprime, got {(self.p, self.q)}")
-        object.__setattr__(self, "q", min(self.q, self.p - self.q))
+    def __new__(cls, p: int, q: int):
+        if not isinstance(p, int) or not isinstance(q, int):
+            raise UsageError(f"ball parameters must be integers, got {(p, q)!r}")
+        if p < 2 or not (1 <= q < p):
+            raise UsageError(f"need p >= 2 and 1 <= q < p, got {(p, q)}")
+        if math.gcd(p, q) != 1:
+            raise UsageError(f"p and q must be coprime, got {(p, q)}")
+        return super().__new__(cls, p, min(q, p - q))
 
     def __str__(self):
         return f"B({self.p},{self.q})"
@@ -182,10 +176,11 @@ def ball_params(t: MarkovTriple) -> list[BallSpec]:
     return out
 
 
-@dataclass(frozen=True)
-class SymplecticVerdict:
-    symplectic: bool
-    witness: MarkovTriple | None = None
+class SymplecticVerdict(namedtuple("SymplecticVerdict", "symplectic witness",
+                                   defaults=(None,))):
+    """Whether a ball embeds symplectically, and a MarkovTriple witness if so."""
+
+    __slots__ = ()
 
 
 def classify_symplectic(ball: BallSpec) -> SymplecticVerdict:

@@ -10,7 +10,7 @@ the bookkeeping behind the blow-up description of the associated closed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InternalCheckError, UsageError
 
@@ -90,14 +90,11 @@ def chain_determinant(chain) -> int:
     return cur
 
 
-@dataclass(frozen=True)
-class BlowdownCertificate:
-    """Record of a full reduction of a rational-blow-up chain."""
+class BlowdownCertificate(namedtuple("BlowdownCertificate", "start final blowdowns b2")):
+    """Record of a full reduction of a rational-blow-up chain: the start and
+    final chains (tuples of weights), the blow-down count and b2."""
 
-    start: tuple[int, ...]
-    final: tuple[int, ...]
-    blowdowns: int
-    b2: int
+    __slots__ = ()
 
 
 def simple_embedding_certificate(n: int) -> BlowdownCertificate:

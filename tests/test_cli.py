@@ -372,8 +372,11 @@ class TestDocumentValues:
 
 
 # Run in a fresh interpreter: import ballobs, run the CLI on the arguments, if
-# any, then report the exit code and which of the search modules got loaded.
+# any, then report the exit code and which of the search and record modules
+# got loaded.
 SEARCH_MODULES = ("ballobs.lattice", "ballobs.obstruction", "numpy", "ballobs.kernels")
+# What the cold modules avoid: dataclasses with the inspect it loads, and fractions.
+RECORD_MODULES = ("dataclasses", "inspect", "fractions")
 COLD_PROBE = f"""
 import json, sys
 import ballobs
@@ -381,8 +384,18 @@ code = 0
 if sys.argv[1:]:
     from ballobs.cli import main
     code = main(["--format", "json", *sys.argv[1:]])
-print(json.dumps([code, [name in sys.modules for name in {SEARCH_MODULES!r}]]))
+print(json.dumps([code, [name for name in {SEARCH_MODULES + RECORD_MODULES!r}
+                         if name in sys.modules]]))
 """
+# The modules a bare interpreter already holds, before anything is imported.
+BARE_PROBE = "import sys; names = sorted(sys.modules); import json; print(json.dumps(names))"
+COLD_COMMANDS = [
+    (),
+    ("markov", "list", "--max", "1000"),
+    ("ball", "classify", "5", "2"),
+    ("cf", "expand", "9", "7"),
+    ("plumbing", "certify", "5"),
+]
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The names ``ballobs`` exported before the search modules loaded lazily, by
@@ -443,20 +456,28 @@ def _fresh_python(*args) -> str:
 
 class TestColdImports:
     """Commands that never search load neither the search modules, lattice and
-    obstruction, nor numpy and the search kernel."""
+    obstruction, nor numpy and the search kernel, nor dataclasses, inspect
+    and fractions."""
 
     @pytest.mark.parametrize("argv, searches", [
-        ((), False),
-        (("markov", "list", "--max", "1000"), False),
-        (("ball", "classify", "5", "2"), False),
-        (("cf", "expand", "9", "7"), False),
-        (("plumbing", "certify", "5"), False),
+        *((argv, False) for argv in COLD_COMMANDS),
         (("obstruct", "3,1"), True),  # shows that the probe does see them
     ])
     def test_numpy_loaded_only_by_search(self, argv, searches):
         code, loaded = json.loads(_fresh_python(COLD_PROBE, *argv))
-        assert (code, dict(zip(SEARCH_MODULES, loaded))) == (
+        assert (code, {name: name in loaded for name in SEARCH_MODULES}) == (
             0, dict.fromkeys(SEARCH_MODULES, searches))
+
+    @pytest.mark.parametrize("argv, needed", [
+        *((argv, set()) for argv in COLD_COMMANDS),
+        (("cf", "eval", "3,5,2"), {"fractions"}),  # shows that the probe does see it
+    ])
+    def test_no_dataclasses_or_fractions_on_cold_path(self, argv, needed):
+        # Only what the command loads counts, not what the interpreter started with.
+        bare = set(json.loads(_fresh_python(BARE_PROBE)))
+        code, loaded = json.loads(_fresh_python(COLD_PROBE, *argv))
+        assert (code, set(loaded) & set(RECORD_MODULES) - bare) == (0, needed - bare)
+        assert needed <= set(loaded)
 
     def test_exports_unchanged(self):
         # Every name resolves, lazily or not, to its defining module's object.

@@ -87,7 +87,10 @@ class TestConstruction:
             GramLattice(((2.7,),))
         with pytest.raises(UsageError, match="integers"):
             GramLattice(((2, 0.5), (0.5, 2)))
-        assert GramLattice(((2.0,),)).gram == ((2,),)
+        # Rejected the way linear_lattice rejects them, not converted.
+        for gram in (((2.0,),), ((True,),)):
+            with pytest.raises(UsageError, match="integers"):
+                GramLattice(gram)
 
 
 class TestDeterminant:
@@ -467,6 +470,14 @@ class TestEnumeration:
         for bad in (2.5, True, "10"):
             with pytest.raises(UsageError, match="node budget must be an integer"):
                 SearchLimits(node_budget=bad)
+
+    def test_limits_record(self):
+        assert SearchLimits() == (10 ** 8, None)
+        assert SearchLimits(time_budget=2.5) == SearchLimits(10 ** 8, 2.5)
+        assert SearchLimits(node_budget=7).node_budget == 7
+        assert repr(SearchLimits(7)) == "SearchLimits(node_budget=7, time_budget=None)"
+        with pytest.raises(AttributeError):
+            SearchLimits().node_budget = 1
 
     def test_stats_deterministic(self):
         r1 = search_embedding_classes(CHAIN5, 9)

@@ -201,6 +201,51 @@ class TestBallSpec:
             BallSpec(5, 0)
 
 
+class TestRecords:
+    """MarkovTriple, BallSpec and SymplecticVerdict are immutable records that
+    keep their messages, reprs, strings and ordering."""
+
+    @pytest.mark.parametrize("record, args, message", [
+        (MarkovTriple, (2, 1, 1), "triple must be sorted positive integers, got (2, 1, 1)"),
+        (MarkovTriple, (1, 2, 3), "(1, 2, 3) does not solve the Markov equation"),
+        (BallSpec, (5.0, 2), "ball parameters must be integers, got (5.0, 2)"),
+        (BallSpec, (5, 5), "need p >= 2 and 1 <= q < p, got (5, 5)"),
+        (BallSpec, (9, 3), "p and q must be coprime, got (9, 3)"),
+    ])
+    def test_usage_messages(self, record, args, message):
+        with pytest.raises(UsageError) as info:
+            record(*args)
+        assert str(info.value) == message
+
+    def test_q_normalised_in_every_form(self):
+        # Keyword construction normalises too, and equal balls hash alike.
+        assert BallSpec(q=3, p=5) == BallSpec(5, 2)
+        assert hash(BallSpec(5, 3)) == hash(BallSpec(5, 2))
+
+    @pytest.mark.parametrize("record, field", [
+        (MarkovTriple(1, 2, 5), "a"), (BallSpec(5, 2), "q"),
+        (markov.SymplecticVerdict(False), "witness"),
+    ])
+    def test_assignment_rejected(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+
+    def test_repr_and_str(self):
+        t = MarkovTriple(1, 2, 5)
+        verdict = classify_symplectic(BallSpec(5, 1))
+        assert (repr(t), str(t)) == ("MarkovTriple(a=1, b=2, c=5)", "(1,2,5)")
+        assert (repr(BallSpec(13, 8)), str(BallSpec(13, 8))) == ("BallSpec(p=13, q=5)", "B(13,5)")
+        assert repr(verdict) == str(verdict) == (
+            "SymplecticVerdict(symplectic=True, witness=MarkovTriple(a=1, b=2, c=5))")
+        assert markov.SymplecticVerdict(False) == classify_symplectic(BallSpec(5, 2))
+
+    def test_triples_order_by_entries(self):
+        ts = enumerate_triples(200)
+        assert [t.entries for t in ts] == sorted(t.entries for t in ts)
+        assert MarkovTriple(1, 34, 89) < MarkovTriple(2, 5, 29) < MarkovTriple(2, 29, 169)
+        assert max(ts) == MarkovTriple(5, 13, 194)
+
+
 class TestBallParams:
     def test_one_one_two(self):
         assert ball_params(MarkovTriple(1, 1, 2)) == [BallSpec(2, 1)]

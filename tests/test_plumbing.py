@@ -163,6 +163,14 @@ class TestCertificate:
         with pytest.raises(UsageError):
             simple_embedding_certificate(1)
 
+    def test_record(self):
+        cert = simple_embedding_certificate(3)
+        assert repr(cert) == str(cert) == ("BlowdownCertificate(start=(-3, -3, -2, -1, -3, -2), "
+                                           "final=(-3, 0), blowdowns=4, b2=6)")
+        assert list(cert._asdict()) == ["start", "final", "blowdowns", "b2"]
+        with pytest.raises(AttributeError):
+            cert.b2 = 7
+
     def test_family(self):
         for n in range(2, 13):
             cert = simple_embedding_certificate(n)
