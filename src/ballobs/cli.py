@@ -21,12 +21,16 @@ loading them.  For the same reason nothing here imports ``dataclasses``
 (about 9 ms a process, with the ``inspect`` it loads) or ``fractions``
 (about 3 ms): the search handlers write each ``ClassSummary`` out field by
 field, and a ``BlowdownCertificate`` is a namedtuple.
+
+``main`` limits OpenBLAS to one thread before any handler can load numpy;
+library callers keep numpy's default, since only the process entry sets it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -355,6 +359,11 @@ def _protect_negative_numbers(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    # ballobs makes no BLAS call (its arrays are integer arrays), but OpenBLAS
+    # starts a spinning worker per extra core when numpy loads: a cold
+    # `obstruct 3,1` took 243 ms with it and 168 ms without (median of 16
+    # rounds, 2-core x86_64 guest).  Assigned, not defaulted: no value helps.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     argv = _protect_negative_numbers(list(sys.argv[1:] if argv is None else argv))
     try:
         args = build_parser().parse_args(argv)

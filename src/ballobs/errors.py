@@ -62,6 +62,11 @@ class SearchLimits(namedtuple("SearchLimits", "node_budget time_budget")):
             raise UsageError("time budget must be positive")
         return super().__new__(cls, node_budget, time_budget)
 
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, so both run the ``__new__`` checks.
+        return cls(*iterable)
+
 
 def document_values(value):
     """The document form of ``value``: every int that is not a bool becomes

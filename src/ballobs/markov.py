@@ -46,6 +46,11 @@ class MarkovTriple(namedtuple("MarkovTriple", "a b c")):
             raise InternalCheckError(f"Markov solution {(a, b, c)} not pairwise coprime")
         return super().__new__(cls, a, b, c)
 
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, so both run the ``__new__`` checks.
+        return cls(*iterable)
+
     @property
     def entries(self) -> tuple[int, int, int]:
         return tuple(self)
@@ -153,6 +158,11 @@ class BallSpec(namedtuple("BallSpec", "p q")):
         if math.gcd(p, q) != 1:
             raise UsageError(f"p and q must be coprime, got {(p, q)}")
         return super().__new__(cls, p, min(q, p - q))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, so both run the ``__new__`` checks.
+        return cls(*iterable)
 
     def __str__(self):
         return f"B({self.p},{self.q})"

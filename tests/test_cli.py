@@ -396,6 +396,29 @@ COLD_COMMANDS = [
     ("cf", "expand", "9", "7"),
     ("plumbing", "certify", "5"),
 ]
+SEARCH_COMMANDS = [
+    ("obstruct", "3,1"),
+    ("verify", "theorem2", "1", "2"),
+    ("verify", "example-b31"),
+    ("lattice", "classes", "--weights", "3,2,2,3", "--ambient", "8"),
+]
+# Run the CLI in a fresh interpreter, with numpy imported first if the first
+# argument asks for it, then report the exit code, stdout and the number of OS
+# threads the process holds.
+THREAD_PROBE = """
+import contextlib, io, json, os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+from ballobs.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["--format", "json", *sys.argv[2:]])
+print(json.dumps([code, out.getvalue(), len(os.listdir("/proc/self/task"))]))
+"""
+# With one core OpenBLAS starts no worker, so the threads cannot tell.
+needs_threads = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="needs /proc/self/task and at least two cores")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The names ``ballobs`` exported before the search modules loaded lazily, by
@@ -442,14 +465,18 @@ print(json.dumps(wrong))
 """
 
 
-def _child_env() -> dict:
+def _child_env(**extra) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    # An in-process ``main`` call earlier in the run sets this in os.environ;
+    # a child starts without it unless a test exports it.
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(extra)
     return env
 
 
-def _fresh_python(*args) -> str:
-    proc = subprocess.run([sys.executable, "-c", *args], env=_child_env(),
+def _fresh_python(*args, **extra_env) -> str:
+    proc = subprocess.run([sys.executable, "-c", *args], env=_child_env(**extra_env),
                           capture_output=True, text=True, check=True)
     return proc.stdout.splitlines()[-1]
 
@@ -457,7 +484,7 @@ def _fresh_python(*args) -> str:
 class TestColdImports:
     """Commands that never search load neither the search modules, lattice and
     obstruction, nor numpy and the search kernel, nor dataclasses, inspect
-    and fractions."""
+    and fractions.  Commands that search start no BLAS worker thread."""
 
     @pytest.mark.parametrize("argv, searches", [
         *((argv, False) for argv in COLD_COMMANDS),
@@ -478,6 +505,19 @@ class TestColdImports:
         code, loaded = json.loads(_fresh_python(COLD_PROBE, *argv))
         assert (code, set(loaded) & set(RECORD_MODULES) - bare) == (0, needed - bare)
         assert needed <= set(loaded)
+
+    @needs_threads
+    @pytest.mark.parametrize("argv", SEARCH_COMMANDS)
+    def test_search_starts_no_blas_threads(self, argv):
+        # main limits OpenBLAS to one thread before its handler loads numpy.
+        code, _, threads = json.loads(_fresh_python(THREAD_PROBE, "main-first", *argv))
+        assert (code, threads) == (0, 1)
+
+    @needs_threads
+    def test_numpy_loaded_first_starts_blas_threads(self):
+        # Shows that the probe sees the worker: too late to limit it.
+        code, _, threads = json.loads(_fresh_python(THREAD_PROBE, "numpy-first", "obstruct", "3,1"))
+        assert code == 0 and threads > 1
 
     def test_exports_unchanged(self):
         # Every name resolves, lazily or not, to its defining module's object.
@@ -505,3 +545,14 @@ class TestDeterminism:
         code, out, err = run(capsys, "obstruct", "2,1", "5,2")
         assert code == 0 and json.loads(out)["verdict"] == "OBSTRUCTED"
         assert (code, out, err) == plain
+
+    @needs_threads
+    def test_environment_sets_no_blas_threads(self):
+        # main assigns OPENBLAS_NUM_THREADS, so an exported value changes
+        # neither the output nor the thread count.
+        argv = ("obstruct", "2,1", "5,2")
+        plain = json.loads(_fresh_python(THREAD_PROBE, "main-first", *argv))
+        exported = json.loads(_fresh_python(THREAD_PROBE, "main-first", *argv,
+                                            OPENBLAS_NUM_THREADS="4"))
+        assert plain[0] == 0 and json.loads(plain[1])["verdict"] == "OBSTRUCTED"
+        assert exported == plain and plain[2] == 1

@@ -478,6 +478,12 @@ class TestEnumeration:
         assert repr(SearchLimits(7)) == "SearchLimits(node_budget=7, time_budget=None)"
         with pytest.raises(AttributeError):
             SearchLimits().node_budget = 1
+        # ``_replace`` goes through ``_make``, and both reach ``__new__``.
+        assert SearchLimits()._replace(time_budget=2.5) == SearchLimits(10 ** 8, 2.5)
+        with pytest.raises(UsageError, match="node budget must be positive"):
+            SearchLimits()._replace(node_budget=0)
+        with pytest.raises(UsageError, match="time budget must be positive"):
+            SearchLimits._make((7, -1.0))
 
     def test_stats_deterministic(self):
         r1 = search_embedding_classes(CHAIN5, 9)

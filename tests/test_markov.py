@@ -217,10 +217,24 @@ class TestRecords:
             record(*args)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BallSpec(5, 2)._replace(q=5), "need p >= 2 and 1 <= q < p, got (5, 5)"),
+        (lambda: BallSpec._make((9, 3)), "p and q must be coprime, got (9, 3)"),
+        (lambda: MarkovTriple._make((1, 2, 3)), "(1, 2, 3) does not solve the Markov equation"),
+    ])
+    def test_make_and_replace_validate(self, build, message):
+        # ``_replace`` goes through ``_make``, and both reach ``__new__``.
+        with pytest.raises(UsageError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_q_normalised_in_every_form(self):
         # Keyword construction normalises too, and equal balls hash alike.
         assert BallSpec(q=3, p=5) == BallSpec(5, 2)
         assert hash(BallSpec(5, 3)) == hash(BallSpec(5, 2))
+        assert BallSpec(5, 2)._replace(q=3) == BallSpec(5, 3)
+        assert BallSpec._make((13, 8)) == BallSpec(13, 5)
+        assert MarkovTriple._make((1, 2, 5)) == MarkovTriple(1, 2, 5)
 
     @pytest.mark.parametrize("record, field", [
         (MarkovTriple(1, 2, 5), "a"), (BallSpec(5, 2), "q"),
