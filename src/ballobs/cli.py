@@ -17,13 +17,16 @@ Exit codes: 0 computed, 1 usage error, 2 budget exhausted (INCONCLUSIVE),
 
 The search modules, ``lattice`` and ``obstruction``, are imported inside the
 handlers that use them, so the commands that never search do not pay for
-loading them.  For the same reason nothing here imports ``dataclasses``
-(about 9 ms a process, with the ``inspect`` it loads) or ``fractions``
-(about 3 ms): the search handlers write each ``ClassSummary`` out field by
-field, and a ``BlowdownCertificate`` is a namedtuple.
+loading them.  Records, such as a ``ClassSummary`` or a
+``BlowdownCertificate``, enter a document through ``_asdict()``.
 
-``main`` limits OpenBLAS to one thread before any handler can load numpy;
-library callers keep numpy's default, since only the process entry sets it.
+Under ``--timings`` the ``obstruct`` and ``verify theorem2`` handlers time
+their whole check, search, complements and witness re-verification, and
+write it as ``elapsed_ms``.
+
+``main`` limits OpenBLAS to one thread before any handler can load numpy,
+and restores the variable on return; library callers keep numpy's default,
+since only the process entry sets it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import json
 import os
 import re
 import sys
+import time
 
 from . import contfrac, markov, plumbing
 from .errors import (DEFAULT_NODE_BUDGET, InternalCheckError, LimitExceeded, SearchLimits,
@@ -58,11 +62,6 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
 
 def _fmt_ints(values) -> str:
     return ",".join(str(v) for v in values)
-
-
-def _summary_doc(c) -> dict:
-    return {"support": c.support, "complement_rank": c.complement_rank,
-            "complement_norm": c.complement_norm}
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ def cmd_lattice_classes(args) -> tuple[dict, list[str], int]:
         "weights": weights,
         "ambient": args.ambient,
         "class_count": len(classes),
-        "classes": [{"matrix": cls.matrix, **_summary_doc(c)} for cls, c in rows],
+        "classes": [{"matrix": cls.matrix, **c._asdict()} for cls, c in rows],
     }
     lines = [f"{len(classes)} classes of Lambda({_fmt_ints(weights)}) in Z^{args.ambient}"]
     for i, (_, c) in enumerate(rows, start=1):
@@ -175,7 +174,15 @@ def cmd_plumbing_certify(args) -> tuple[dict, list[str], int]:
                  f"after {cert.blowdowns} blowdowns; b2={cert.b2}"], 0
 
 
-def _obstruction_output(report, args) -> tuple[dict, list[str], int]:
+def _timed(args, check, *check_args):
+    # ``check(*check_args)`` under the run's limits, and under --timings its
+    # wall time in whole milliseconds, else None.
+    start = time.monotonic()
+    result = check(*check_args, limits=args.limits)
+    return result, int((time.monotonic() - start) * 1000) if args.timings else None
+
+
+def _obstruction_output(report, elapsed_ms) -> tuple[dict, list[str], int]:
     from . import obstruction
     balls = " ".join(str(b) for b in report.problem.balls)
     s = report.statistics
@@ -183,7 +190,7 @@ def _obstruction_output(report, args) -> tuple[dict, list[str], int]:
              f"(classes={s.classes}, leaves={s.leaves}, nodes={s.nodes})"]
     lines += [f"  witness generator ({_fmt_ints(w.generator)})" for w in report.witnesses]
     code = 2 if report.verdict == obstruction.INCONCLUSIVE else 0
-    return obstruction.report_to_doc(report, include_timing=args.timings), lines, code
+    return obstruction.report_to_doc(report, elapsed_ms), lines, code
 
 
 def cmd_obstruct(args) -> tuple[dict, list[str], int]:
@@ -194,8 +201,8 @@ def cmd_obstruct(args) -> tuple[dict, list[str], int]:
         if len(pq) != 2:
             raise UsageError(f"ball must be two comma-separated integers, got {text!r}")
         balls.append(markov.BallSpec(*pq))
-    report = obstruction.check_obstruction(obstruction.build_problem(balls), limits=args.limits)
-    return _obstruction_output(report, args)
+    problem = obstruction.build_problem(balls)
+    return _obstruction_output(*_timed(args, obstruction.check_obstruction, problem))
 
 
 def cmd_verify_example_b31(args) -> tuple[dict, list[str], int]:
@@ -226,7 +233,7 @@ def cmd_verify_lemma_cemb(args) -> tuple[dict, list[str], int]:
         "ambient": report.ambient,
         "weights": report.weights,
         "class_count": report.class_count,
-        "classes": [_summary_doc(c) for c in report.classes],
+        "classes": [c._asdict() for c in report.classes],
     }
     lines = [f"Lambda({_fmt_ints(report.weights)}) in Z^{report.ambient}: "
              f"{report.class_count} classes"]
@@ -238,8 +245,8 @@ def cmd_verify_lemma_cemb(args) -> tuple[dict, list[str], int]:
 
 def cmd_verify_theorem2(args) -> tuple[dict, list[str], int]:
     from . import obstruction
-    report = obstruction.theorem2_suite([(args.k, args.n)], limits=args.limits)[0]
-    doc, lines, code = _obstruction_output(report, args)
+    (report,), elapsed_ms = _timed(args, obstruction.theorem2_suite, [(args.k, args.n)])
+    doc, lines, code = _obstruction_output(report, elapsed_ms)
     if report.verdict == obstruction.NOT_OBSTRUCTED:
         print("unexpected witness for a pair of consecutive-Fibonacci balls", file=sys.stderr)
         code = 3
@@ -363,7 +370,20 @@ def main(argv=None) -> int:
     # starts a spinning worker per extra core when numpy loads: a cold
     # `obstruct 3,1` took 243 ms with it and 168 ms without (median of 16
     # rounds, 2-core x86_64 guest).  Assigned, not defaulted: no value helps.
+    # Restored on return, so that an in-process call leaves the environment
+    # of the rest of the process and of its children as it found it.
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        return _run(argv)
+    finally:
+        if saved is None:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+def _run(argv) -> int:
     argv = _protect_negative_numbers(list(sys.argv[1:] if argv is None else argv))
     try:
         args = build_parser().parse_args(argv)

@@ -5,11 +5,11 @@ integers: ``cli.main`` applies it to every handler's document and
 
 Everything here loads with every command, so it stays free of the search
 modules: a command that never searches validates its budgets and writes its
-document without importing them.  Nor do the modules a command that never
-searches loads (this one, ``markov``, ``contfrac``, ``plumbing`` and ``cli``)
-import ``dataclasses`` or ``fractions``: ``dataclasses`` pulls in ``inspect``
-and costs about 9 ms a process, ``fractions`` about 3 ms more, so their
-records are ``collections.namedtuple`` subclasses, which cost nothing extra.
+document without importing them.  Every record in the package is a
+``collections.namedtuple`` subclass like :class:`SearchLimits`: ``collections``
+is loaded anyway, while the standard library's record decorator would load
+``inspect``, about 9 ms a process.  ``fractions`` (about 3 ms) is imported
+only inside the two ``contfrac`` functions that build a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -73,13 +73,17 @@ def document_values(value):
     its decimal string, so that arbitrary precision survives any JSON
     consumer, and every tuple a list.  Dicts and lists are rebuilt, and bools,
     None and strings pass through, so the result converts to itself.
+
+    Containers are matched by exact type: a record is a tuple subclass, and
+    raises TypeError like any other type, so that no record reaches a
+    document as a bare list of its fields.
     """
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
         return str(int(value))
-    if isinstance(value, dict):
+    if type(value) is dict:
         return {key: document_values(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         return [document_values(item) for item in value]
     raise TypeError(f"a document holds no {type(value).__name__}")

@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
-# SearchLimits and DEFAULT_NODE_BUDGET live with the errors, so that commands
-# which never search validate budgets without loading this module; they are
-# re-exported here, where the search reads them.
-from .errors import (DEFAULT_NODE_BUDGET, InternalCheckError, LimitExceeded,  # noqa: F401
-                     SearchLimits, UsageError)
+# SearchLimits lives with the errors, so that commands which never search
+# validate budgets without loading this module.
+from .errors import InternalCheckError, LimitExceeded, SearchLimits, UsageError
 
 # int64 overflow in the kernel is impossible while diagonal norms stay small;
 # rank is capped where the exact minor check stays cheap.
@@ -53,14 +51,14 @@ def _nonzero_entries(rows) -> list[list[tuple[int, int]]]:
 # Gram lattices
 
 
-@dataclass(frozen=True)
-class GramLattice:
-    """A finite-rank lattice presented by a symmetric integer Gram matrix."""
+class GramLattice(namedtuple("GramLattice", "gram")):
+    """A finite-rank lattice presented by a symmetric integer Gram matrix,
+    held as a tuple of row tuples."""
 
-    gram: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        g = tuple(tuple(row) for row in self.gram)
+    def __new__(cls, gram):
+        g = tuple(tuple(row) for row in gram)
         if any(not isinstance(x, int) or isinstance(x, bool) for row in g for x in row):
             raise UsageError("Gram matrix entries must be integers")
         if not g:
@@ -70,7 +68,12 @@ class GramLattice:
             raise UsageError("Gram matrix must be square")
         if any(g[i][j] != g[j][i] for i in range(k) for j in range(i)):
             raise UsageError("Gram matrix must be symmetric")
-        object.__setattr__(self, "gram", g)
+        return super().__new__(cls, g)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, so both run the ``__new__`` checks.
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:
@@ -268,11 +271,11 @@ def integer_kernel(rows, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(kernel)
 
 
-@dataclass(frozen=True)
-class OrthogonalComplement:
-    """Saturated orthogonal complement of an embedded sublattice in Z^m."""
+class OrthogonalComplement(namedtuple("OrthogonalComplement", "basis")):
+    """Saturated orthogonal complement of an embedded sublattice in Z^m,
+    given by a basis of row tuples."""
 
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -302,24 +305,20 @@ def orthogonal_complement(rows, m: int) -> OrthogonalComplement:
 # Embedding enumeration
 
 
-@dataclass(frozen=True)
-class SearchStats:
-    nodes: int
-    leaves: int
-    classes: int
-    limit_hit: bool = False
-    elapsed_ms: int = field(compare=False, default=0)
+class SearchStats(namedtuple("SearchStats", "nodes leaves classes limit_hit",
+                             defaults=(False,))):
+    """Counters of one search: the nodes visited, the leaves and classes
+    found, and whether a budget stopped it.  Counters only, so that two runs
+    of one search give equal statistics; wall time is measured by callers."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EmbeddingClass:
-    """Canonical representative of an embedding orbit."""
+class EmbeddingClass(namedtuple("EmbeddingClass", "matrix")):
+    """Canonical representative of an embedding orbit, its matrix a tuple of
+    row tuples."""
 
-    matrix: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.matrix)
+    __slots__ = ()
 
     @property
     def ambient(self) -> int:
@@ -332,10 +331,10 @@ class EmbeddingClass:
                      if any(row[j] for row in self.matrix))
 
 
-@dataclass(frozen=True)
-class EmbeddingSearchResult:
-    classes: tuple[EmbeddingClass, ...]
-    stats: SearchStats
+class EmbeddingSearchResult(namedtuple("EmbeddingSearchResult", "classes stats")):
+    """The classes a search found, in order, and its SearchStats."""
+
+    __slots__ = ()
 
 
 def _square_parts(n: int, max_parts: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -366,7 +365,6 @@ _CHUNK = 32
 _ROW_DTYPE = "int16"
 
 
-@dataclass
 class _Frame:
     """The children of one expanded chunk, waiting to be expanded in turn.
 
@@ -375,11 +373,11 @@ class _Frame:
     expanded.
     """
 
-    rows: np.ndarray
-    parent: np.ndarray
-    new: np.ndarray
-    used: list[int]
-    next: int = 0
+    __slots__ = ("rows", "parent", "new", "used", "next")
+
+    def __init__(self, rows, parent, new, used: list[int]):
+        self.rows, self.parent, self.new, self.used = rows, parent, new, used
+        self.next = 0
 
 
 def search_embedding_classes(l: GramLattice, m: int,
@@ -454,13 +452,11 @@ def search_embedding_classes(l: GramLattice, m: int,
     gram = np.array(l.gram, dtype=np.int64)
     found: list[tuple[tuple[int, ...], ...]] = []
     nodes = 0
-    start = time.monotonic()
-    deadline = None if limits.time_budget is None else start + limits.time_budget
+    deadline = None if limits.time_budget is None else time.monotonic() + limits.time_budget
 
     def stats(hit: bool) -> SearchStats:
         # Leaves and classes correspond one to one, so both are len(found).
-        return SearchStats(nodes=nodes, leaves=len(found), classes=len(found), limit_hit=hit,
-                           elapsed_ms=int((time.monotonic() - start) * 1000))
+        return SearchStats(nodes, len(found), len(found), hit)
 
     def partial() -> tuple[EmbeddingClass, ...]:
         return tuple(EmbeddingClass(mat) for mat in sorted(found))

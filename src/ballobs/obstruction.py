@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .contfrac import lens_plumbing
 from .errors import (InternalCheckError, LimitExceeded, SearchLimits, UsageError,
                      document_values)
-from .lattice import (MAX_AMBIENT, EmbeddingClass, GramLattice, SearchStats, canonical_form,
+from .lattice import (MAX_AMBIENT, EmbeddingClass, SearchStats, canonical_form,
                       direct_sum, is_isometric_embedding, is_primitive_vector,
                       linear_lattice, orthogonal_complement, search_embedding_classes)
 from .markov import BallSpec, fibonacci_ball
@@ -59,15 +59,13 @@ def ball_plumbing(b: BallSpec, max_length: int | None = None) -> tuple[int, ...]
     return lens_plumbing(big_p, big_q, max_length)
 
 
-@dataclass(frozen=True)
-class ObstructionProblem:
-    """The lattice problem attached to a list of balls."""
+class ObstructionProblem(namedtuple("ObstructionProblem",
+                                     "balls m_norm components ambient c_lattice")):
+    """The lattice problem attached to a list of balls: the balls, the
+    Lambda_M norm prod(p_i^2), each ball's plumbing lattice, the ambient rank
+    m and Lambda_C, the direct sum of the components in order."""
 
-    balls: tuple[BallSpec, ...]
-    m_norm: int
-    components: tuple[GramLattice, ...]
-    ambient: int
-    c_lattice: GramLattice  # the direct sum of the components, in order
+    __slots__ = ()
 
 
 def build_problem(balls) -> ObstructionProblem:
@@ -96,8 +94,7 @@ def build_problem(balls) -> ObstructionProblem:
     return ObstructionProblem(balls, m_norm, components, 1 + c_lattice.rank, c_lattice)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", "embedding generator")):
     """A Lambda_C embedding class satisfying every obstruction condition.
 
     ``embedding`` holds the canonical Lambda_C image rows; ``generator`` is
@@ -105,16 +102,15 @@ class Witness:
     to sign).
     """
 
-    embedding: tuple[tuple[int, ...], ...]
-    generator: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    problem: ObstructionProblem
-    verdict: str
-    witnesses: tuple[Witness, ...]
-    statistics: SearchStats
+class ObstructionReport(namedtuple("ObstructionReport",
+                                   "problem verdict witnesses statistics")):
+    """The verdict on a problem, its sorted witnesses and the SearchStats of
+    the search behind it."""
+
+    __slots__ = ()
 
 
 def verify_witness(problem: ObstructionProblem, witness: Witness) -> None:
@@ -236,11 +232,11 @@ def theorem2_suite(pairs, limits: SearchLimits | None = None) -> list[Obstructio
 # Chain-lattice classification report
 
 
-@dataclass(frozen=True)
-class ClassSummary:
-    support: int
-    complement_rank: int
-    complement_norm: int | None
+class ClassSummary(namedtuple("ClassSummary", "support complement_rank complement_norm")):
+    """The support size of a class and the rank and, at rank one, the
+    generator norm of its complement."""
+
+    __slots__ = ()
 
 
 def class_summary(cls: EmbeddingClass) -> ClassSummary:
@@ -254,14 +250,12 @@ def class_summary(cls: EmbeddingClass) -> ClassSummary:
     return ClassSummary(len(sup), comp.rank, norm1)
 
 
-@dataclass(frozen=True)
-class ChainClassificationReport:
-    n: int
-    ambient: int
-    weights: tuple[int, ...]
-    class_count: int
-    classes: tuple[ClassSummary, ...]
-    statistics: SearchStats
+class ChainClassificationReport(namedtuple(
+        "ChainClassificationReport", "n ambient weights class_count classes statistics")):
+    """The classes of a chain lattice in Z^ambient, as sorted ClassSummary
+    records, with the SearchStats of their search."""
+
+    __slots__ = ()
 
 
 def lemma_cemb_report(n: int, m: int,
@@ -286,15 +280,13 @@ def lemma_cemb_report(n: int, m: int,
                                      result.stats)
 
 
-@dataclass(frozen=True)
-class ExampleB31Report:
-    """Reproduction of the single-ball B(3, 1) computation in Z^5."""
+class ExampleB31Report(namedtuple("ExampleB31Report", "class_count verdict m_zero_pairings "
+                                                      "c_zero_pairings passed")):
+    """Reproduction of the single-ball B(3, 1) computation in Z^5: the count
+    of direct-sum classes, the verdict, the unit vectors (1-based) missing
+    each factor, and whether all of it is as expected."""
 
-    class_count: int
-    verdict: str
-    m_zero_pairings: tuple[int, ...]
-    c_zero_pairings: tuple[int, ...]
-    passed: bool
+    __slots__ = ()
 
 
 def example_b31_report(limits: SearchLimits | None = None) -> ExampleB31Report:
@@ -325,17 +317,16 @@ def example_b31_report(limits: SearchLimits | None = None) -> ExampleB31Report:
 # Machine-readable documents (integers as decimal strings, no floats)
 
 
-def report_to_doc(report: ObstructionReport, include_timing: bool = False) -> dict:
+def report_to_doc(report: ObstructionReport, elapsed_ms: int | None = None) -> dict:
     """Serialise a report through :func:`ballobs.errors.document_values`, so
     integer values become decimal strings.
 
-    Timing is omitted by default so identical runs emit identical documents.
+    The statistics get an ``elapsed_ms`` entry only when ``elapsed_ms`` is
+    given, so identical runs emit identical documents by default.
     """
-    s = report.statistics
-    stats = {"nodes": s.nodes, "leaves": s.leaves, "classes": s.classes,
-             "limit_hit": s.limit_hit}
-    if include_timing:
-        stats["elapsed_ms"] = s.elapsed_ms
+    stats = report.statistics._asdict()
+    if elapsed_ms is not None:
+        stats["elapsed_ms"] = elapsed_ms
     return document_values({
         "schema": "obstruction-report@2",
         "problem": {
@@ -373,9 +364,10 @@ def report_from_doc(doc: dict) -> ObstructionReport:
                           for w in doc["witnesses"])
         stats = doc["statistics"]
         limit_hit = stats["limit_hit"]
-        statistics = SearchStats(nodes=int(stats["nodes"]), leaves=int(stats["leaves"]),
-                                 classes=int(stats["classes"]), limit_hit=limit_hit,
-                                 elapsed_ms=int(stats.get("elapsed_ms", 0)))
+        statistics = SearchStats(int(stats["nodes"]), int(stats["leaves"]),
+                                 int(stats["classes"]), limit_hit)
+        # Read only to rebuild the document compared against below.
+        elapsed_ms = int(stats["elapsed_ms"]) if "elapsed_ms" in stats else None
         verdict = doc["verdict"]
     except KeyError as exc:
         raise UsageError(f"report document lacks the key {exc}") from None
@@ -388,7 +380,7 @@ def report_from_doc(doc: dict) -> ObstructionReport:
     if verdict not in (OBSTRUCTED, NOT_OBSTRUCTED, INCONCLUSIVE):
         raise UsageError(f"unknown verdict {verdict!r}")
     report = ObstructionReport(build_problem(balls), verdict, witnesses, statistics)
-    if report_to_doc(report, include_timing="elapsed_ms" in stats) != doc:
+    if report_to_doc(report, elapsed_ms) != doc:
         raise UsageError("malformed report document: inconsistent with its ball list, or "
                          "not in the form report_to_doc writes")
     if verdict != _verdict(witnesses, statistics):

@@ -10,6 +10,7 @@ import pytest
 from ballobs import cli, obstruction
 from ballobs.cli import main
 from ballobs.errors import document_values
+from ballobs.lattice import SearchStats
 from ballobs.markov import BallSpec
 from ballobs.obstruction import build_problem, check_obstruction, report_from_doc
 
@@ -48,6 +49,15 @@ class TestGoldenText:
         assert code == 0
         assert out == ("chain (-3,-2,-1,-2) reduces to (-3,0) "
                        "after 2 blowdowns; b2=4\n")
+
+    def test_plumbing_certify_long_chain(self):
+        # 200,000 vertices: the reduction is linear in the chain length.
+        proc = subprocess.run(
+            [sys.executable, "-m", "ballobs.cli", "--format", "json", "plumbing", "certify",
+             "100000"], env=_child_env(), capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert (doc["blowdowns"], doc["b2"], doc["final"]) == ("199998", "200000", ["-3", "0"])
 
     def test_markov_list(self, capsys):
         code, out, _ = run(capsys, "markov", "list", "--max", "30")
@@ -122,6 +132,24 @@ class TestObstructCommand:
         code, out, _ = run(capsys, "--node-budget", "2", "obstruct", "2,1", "5,2")
         assert code == 2
         assert json.loads(out)["verdict"] == "INCONCLUSIVE"
+
+
+class TestTimings:
+    """``--timings`` adds ``elapsed_ms`` to a report's statistics and changes
+    nothing else."""
+
+    @pytest.mark.parametrize("argv", [("obstruct", "3,1"), ("verify", "theorem2", "1", "2")])
+    def test_elapsed_ms_only(self, capsys, argv):
+        code, plain, _ = run(capsys, *argv)
+        timed_code, out, _ = run(capsys, "--timings", *argv)
+        assert code == timed_code == 0
+        doc = json.loads(out)
+        stats = doc["statistics"]
+        assert list(stats) == ["nodes", "leaves", "classes", "limit_hit", "elapsed_ms"]
+        assert stats["elapsed_ms"] == str(int(stats["elapsed_ms"]))
+        assert report_from_doc(doc) == report_from_doc(json.loads(plain))
+        del stats["elapsed_ms"]
+        assert json.dumps(doc, indent=2) + "\n" == plain
 
 
 class TestVerifyCommands:
@@ -222,6 +250,20 @@ class TestExitCodes:
         (("--time-budget", "-1e3", "obstruct", "3,1"), "time budget must be positive"),
     ])
     def test_usage_error_bad_budget(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("lattice", "classes", "--weights", "2", "--ambient", "0"),
+         "must be a positive integer"),
+        (("lattice", "classes", "--weights", "2", "--ambient", "65"),
+         "exceeds the supported maximum 64"),
+        (("lattice", "classes", "--weights", "1000001", "--ambient", "2"),
+         "diagonal entries above 1000000"),
+        (("obstruct", "3,1,2"), "two comma-separated integers"),
+        (("obstruct", ","), "comma-separated integer list"),
+    ])
+    def test_usage_error_bad_argument(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and message in err
 
@@ -365,7 +407,10 @@ class TestDocumentValues:
         assert json.dumps(once) == json.dumps(expected)
         assert json.dumps(document_values(once)) == json.dumps(once)
 
-    @pytest.mark.parametrize("value", [1.5, {"x": [float("nan")]}, {1, 2}])
+    @pytest.mark.parametrize("value", [1.5, {"x": [float("nan")]}, {1, 2},
+                                       # records are tuples, but never a bare list of values
+                                       SearchStats(1, 1, 1), BallSpec(5, 2),
+                                       {"ball": [BallSpec(5, 2)]}])
     def test_other_types_rejected(self, value):
         with pytest.raises(TypeError):
             document_values(value)
@@ -375,7 +420,8 @@ class TestDocumentValues:
 # any, then report the exit code and which of the search and record modules
 # got loaded.
 SEARCH_MODULES = ("ballobs.lattice", "ballobs.obstruction", "numpy", "ballobs.kernels")
-# What the cold modules avoid: dataclasses with the inspect it loads, and fractions.
+# What the package avoids: dataclasses with the inspect it loads, and fractions
+# outside the two functions that build a Fraction.
 RECORD_MODULES = ("dataclasses", "inspect", "fractions")
 COLD_PROBE = f"""
 import json, sys
@@ -468,8 +514,8 @@ print(json.dumps(wrong))
 def _child_env(**extra) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    # An in-process ``main`` call earlier in the run sets this in os.environ;
-    # a child starts without it unless a test exports it.
+    # A value exported to the test run would change the thread counts; a
+    # child starts without it unless a test exports it.
     env.pop("OPENBLAS_NUM_THREADS", None)
     env.update(extra)
     return env
@@ -483,8 +529,10 @@ def _fresh_python(*args, **extra_env) -> str:
 
 class TestColdImports:
     """Commands that never search load neither the search modules, lattice and
-    obstruction, nor numpy and the search kernel, nor dataclasses, inspect
-    and fractions.  Commands that search start no BLAS worker thread."""
+    obstruction, nor numpy and the search kernel.  No command loads
+    dataclasses, only a search loads inspect (through numpy), and only
+    ``cf eval`` and ``cf fib-identities`` load fractions.  Commands that
+    search start no BLAS worker thread."""
 
     @pytest.mark.parametrize("argv, searches", [
         *((argv, False) for argv in COLD_COMMANDS),
@@ -498,6 +546,10 @@ class TestColdImports:
     @pytest.mark.parametrize("argv, needed", [
         *((argv, set()) for argv in COLD_COMMANDS),
         (("cf", "eval", "3,5,2"), {"fractions"}),  # shows that the probe does see it
+        (("cf", "fib-identities", "2"), {"fractions"}),
+        # these load the search modules, but not numpy
+        (("ball", "boundary", "3", "1"), set()),
+        (("ball", "plumbing", "3", "1"), set()),
     ])
     def test_no_dataclasses_or_fractions_on_cold_path(self, argv, needed):
         # Only what the command loads counts, not what the interpreter started with.
@@ -518,6 +570,13 @@ class TestColdImports:
         # Shows that the probe sees the worker: too late to limit it.
         code, _, threads = json.loads(_fresh_python(THREAD_PROBE, "numpy-first", "obstruct", "3,1"))
         assert code == 0 and threads > 1
+
+    @pytest.mark.parametrize("argv", SEARCH_COMMANDS)
+    def test_search_loads_no_dataclasses_or_fractions(self, argv):
+        # numpy, which a search loads, imports inspect, so only these two count.
+        bare = set(json.loads(_fresh_python(BARE_PROBE)))
+        code, loaded = json.loads(_fresh_python(COLD_PROBE, *argv))
+        assert (code, set(loaded) & {"dataclasses", "fractions"} - bare) == (0, set())
 
     def test_exports_unchanged(self):
         # Every name resolves, lazily or not, to its defining module's object.
@@ -545,6 +604,19 @@ class TestDeterminism:
         code, out, err = run(capsys, "obstruct", "2,1", "5,2")
         assert code == 0 and json.loads(out)["verdict"] == "OBSTRUCTED"
         assert (code, out, err) == plain
+
+    @pytest.mark.parametrize("exported", [None, "4"])
+    @pytest.mark.parametrize("argv", [("cf", "expand", "9", "7"), ("obstruct", "3,1"),
+                                      ("cf", "expand", "9", "6")])
+    def test_main_restores_environment(self, capsys, monkeypatch, argv, exported):
+        # main sets OPENBLAS_NUM_THREADS only for the call, whatever its exit.
+        if exported is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", exported)
+        before = dict(os.environ)
+        run(capsys, *argv)
+        assert dict(os.environ) == before
 
     @needs_threads
     def test_environment_sets_no_blas_threads(self):

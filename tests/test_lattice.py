@@ -78,6 +78,20 @@ class TestConstruction:
         with pytest.raises(UsageError):
             GramLattice(((1, 2), (3, 1)))
 
+    def test_record(self):
+        # A namedtuple that normalises rows to tuples and checks them in
+        # ``__new__``; ``_make`` and ``_replace`` go through it too.
+        lat = GramLattice([[2, -1], [-1, 2]])
+        assert lat.gram == ((2, -1), (-1, 2)) and lat.rank == 2
+        assert repr(lat) == "GramLattice(gram=((2, -1), (-1, 2)))"
+        assert GramLattice._make([[[3]]]) == linear_lattice((3,))
+        with pytest.raises(UsageError, match="symmetric"):
+            lat._replace(gram=((1, 2), (3, 1)))
+        with pytest.raises(UsageError, match="rank >= 1"):
+            GramLattice._make([()])
+        with pytest.raises(AttributeError):
+            lat.gram = ((1,),)
+
     def test_reversed(self):
         rev = reverse_basis(CHAIN5)
         assert rev.gram == linear_lattice((2, 3, 2, 2, 3)).gram
@@ -488,7 +502,7 @@ class TestEnumeration:
     def test_stats_deterministic(self):
         r1 = search_embedding_classes(CHAIN5, 9)
         r2 = search_embedding_classes(CHAIN5, 9)
-        assert r1.stats == r2.stats  # elapsed_ms excluded from equality
+        assert r1.stats == r2.stats
         assert r1.classes == r2.classes
 
     @pytest.mark.parametrize("n, nodes, classes", [(2, 12, 3), (3, 23, 5), (4, 54, 12),
