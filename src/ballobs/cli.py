@@ -21,12 +21,14 @@ loading them.  Records, such as a ``ClassSummary`` or a
 ``BlowdownCertificate``, enter a document through ``_asdict()``.
 
 Under ``--timings`` the ``obstruct`` and ``verify theorem2`` handlers time
-their whole check, search, complements and witness re-verification, and
-write it as ``elapsed_ms``.
+their whole check, search, complements and witness re-verification, but not
+the loading of numpy, and write it as ``elapsed_ms``.
 
 ``main`` limits OpenBLAS to one thread before any handler can load numpy,
-and restores the variable on return; library callers keep numpy's default,
-since only the process entry sets it.
+and restores the variable on return for the caller's children and later
+readers.  numpy loaded during an in-process ``main`` call keeps one BLAS
+thread for the rest of that process; the library functions, called
+directly, leave numpy's default.
 """
 
 from __future__ import annotations
@@ -176,7 +178,10 @@ def cmd_plumbing_certify(args) -> tuple[dict, list[str], int]:
 
 def _timed(args, check, *check_args):
     # ``check(*check_args)`` under the run's limits, and under --timings its
-    # wall time in whole milliseconds, else None.
+    # wall time in whole milliseconds, else None.  The check searches, so the
+    # search kernel, and numpy with it, is loaded before the clock starts:
+    # in a fresh process the time is the check's, not the import's.
+    from . import kernels  # noqa: F401
     start = time.monotonic()
     result = check(*check_args, limits=args.limits)
     return result, int((time.monotonic() - start) * 1000) if args.timings else None
@@ -370,8 +375,9 @@ def main(argv=None) -> int:
     # starts a spinning worker per extra core when numpy loads: a cold
     # `obstruct 3,1` took 243 ms with it and 168 ms without (median of 16
     # rounds, 2-core x86_64 guest).  Assigned, not defaulted: no value helps.
-    # Restored on return, so that an in-process call leaves the environment
-    # of the rest of the process and of its children as it found it.
+    # Restored on return, for the children and later readers of an in-process
+    # caller; numpy loaded during the call keeps one BLAS thread for the rest
+    # of that process.
     saved = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:

@@ -68,36 +68,14 @@ def reduce(chain) -> tuple[tuple[int, ...], int]:
     The rightmost -1 is taken at every step.  This fixed order makes the
     output reproducible and, on the rational-blow-up chains, lands on the
     chain (-3, 0) rather than one of its blow-down-equivalent relabelings.
-
-    Linear time: the chain is a doubly linked list, and a stack holds the
-    positions of its -1 weights, the rightmost on top.  A blow-down raises
-    only the two neighbours of the vertex it removes.  A neighbour that
-    reaches -1 is the new rightmost -1 (the right one, if both do), so it
-    is pushed; one that was -1 and is now 0 is skipped when it comes up.
-    Weights never fall, so each position is pushed at most once.
     """
-    w = list(chain)
-    n = len(w)
-    left, right = list(range(-1, n - 1)), list(range(1, n + 1))
-    stack = [i for i, x in enumerate(w) if x == -1]
+    c = tuple(chain)
     count = 0
-    while stack:
-        i = stack.pop()
-        if w[i] != -1:
-            continue
-        w[i] = None  # blown down
+    while -1 in c:
+        i = len(c) - 1 - c[::-1].index(-1)
+        c = blow_down(c, i + 1)
         count += 1
-        l, r = left[i], right[i]
-        for j in (l, r):  # left first, so a right neighbour at -1 ends on top
-            if 0 <= j < n:
-                w[j] += 1
-                if w[j] == -1:
-                    stack.append(j)
-        if l >= 0:
-            right[l] = r
-        if r < n:
-            left[r] = l
-    return tuple(x for x in w if x is not None), count
+    return c, count
 
 
 def chain_determinant(chain) -> int:

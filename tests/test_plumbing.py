@@ -2,8 +2,6 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ballobs.errors import UsageError
 from ballobs.plumbing import (blow_down, blow_up, chain_determinant, rb_chain,
@@ -36,18 +34,6 @@ def det_by_expansion(chain):
     mat = [[chain[i] if i == j else (-1 if abs(i - j) == 1 else 0)
             for j in range(n)] for i in range(n)]
     return minor_det(mat)
-
-
-def reduce_by_rescanning(chain):
-    """Oracle for ``reduce``: rescan the whole chain for its rightmost -1
-    before every blow-down, quadratic in the chain length."""
-    c = tuple(chain)
-    count = 0
-    while -1 in c:
-        i = len(c) - 1 - c[::-1].index(-1)
-        c = blow_down(c, i + 1)
-        count += 1
-    return c, count
 
 
 class TestRbChain:
@@ -121,17 +107,6 @@ class TestReduce:
     def test_rb_chain_family(self):
         for n in range(2, 13):
             assert reduce(rb_chain(n)) == ((-3, 0), 2 * n - 2)
-
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-    @given(chain=st.lists(st.integers(-4, 1), max_size=40))
-    def test_matches_rescanning_oracle(self, chain):
-        assert reduce(chain) == reduce_by_rescanning(chain)
-
-    def test_long_chain_in_linear_time(self):
-        # Far too long for the oracle: each blow-down turns its left
-        # neighbour into the next -1, until the chain is gone.
-        chain = (-2,) * 50000 + (-1,)
-        assert reduce(chain) == ((), 50001)
 
 
 class TestDeterminant:
