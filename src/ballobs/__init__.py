@@ -14,8 +14,8 @@ from .markov import (BallSpec, MarkovTriple, SymplecticVerdict, ball_params,
                      enumerate_triples, fibonacci_ball,
                      fibonacci_symplectic_table, is_markov, odd_fibonacci,
                      triple, vieta_neighbor)
-from .contfrac import (fibonacci_identities, hj_eval, hj_expand, hj_reverse,
-                       lens_plumbing)
+from .contfrac import (ball_boundary, ball_plumbing, fibonacci_identities, hj_eval,
+                       hj_expand, hj_reverse, lens_plumbing)
 from .plumbing import (BlowdownCertificate, blow_down, blow_up,
                        chain_determinant, rb_chain, reduce,
                        simple_embedding_certificate)
@@ -31,8 +31,7 @@ _LAZY = dict.fromkeys(
      "search_embedding_classes"), "lattice")
 _LAZY.update(dict.fromkeys(
     ("obstruction", "ObstructionProblem", "ObstructionReport", "Witness",
-     "ball_boundary", "ball_plumbing", "build_problem", "check_obstruction",
-     "full_embedding_classes", "lemma_cemb_report", "report_from_doc",
+     "build_problem", "check_obstruction", "lemma_cemb_report", "report_from_doc",
      "report_to_doc", "theorem2_suite"), "obstruction"))
 # So that ``from ballobs import *`` still gives every name, loading both.
 __all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)

@@ -20,9 +20,10 @@ handlers that use them, so the commands that never search do not pay for
 loading them.  Records, such as a ``ClassSummary`` or a
 ``BlowdownCertificate``, enter a document through ``_asdict()``.
 
-Under ``--timings`` the ``obstruct`` and ``verify theorem2`` handlers time
-their whole check, search, complements and witness re-verification, but not
-the loading of numpy, and write it as ``elapsed_ms``.
+Under ``--timings`` every handler that searches (``obstruct``, ``verify`` and
+``lattice classes``) times its whole check, search, complements and witness
+re-verification, but not the loading of numpy, and writes it as
+``elapsed_ms``: in a report's statistics, else as the document's last key.
 
 ``main`` limits OpenBLAS to one thread before any handler can load numpy,
 and restores the variable on return for the caller's children and later
@@ -96,15 +97,13 @@ def cmd_ball_classify(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_ball_boundary(args) -> tuple[dict, list[str], int]:
-    from . import obstruction
-    big_p, big_q = obstruction.ball_boundary(markov.BallSpec(args.p, args.q))
+    big_p, big_q = contfrac.ball_boundary(markov.BallSpec(args.p, args.q))
     doc = {"schema": "lens-space@1", "p": big_p, "q": big_q}
     return doc, [f"L({big_p},{big_q})"], 0
 
 
 def cmd_ball_plumbing(args) -> tuple[dict, list[str], int]:
-    from . import obstruction
-    weights = obstruction.ball_plumbing(markov.BallSpec(args.p, args.q))
+    weights = contfrac.ball_plumbing(markov.BallSpec(args.p, args.q))
     doc = {"schema": "plumbing-weights@1", "weights": weights}
     return doc, [f"[{_fmt_ints(weights)}]"], 0
 
@@ -145,8 +144,9 @@ def cmd_lattice_classes(args) -> tuple[dict, list[str], int]:
     from . import obstruction
     from .lattice import linear_lattice, search_embedding_classes
     weights = _int_list(args.weights, "weights")
-    lat = linear_lattice(weights)
-    classes = search_embedding_classes(lat, args.ambient, limits=args.limits).classes
+    result, elapsed_ms = _timed(args, search_embedding_classes, linear_lattice(weights),
+                                args.ambient)
+    classes = result.classes
     rows = [(cls, obstruction.class_summary(cls)) for cls in classes]
     doc = {
         "schema": "lattice-classes@1",
@@ -155,6 +155,8 @@ def cmd_lattice_classes(args) -> tuple[dict, list[str], int]:
         "class_count": len(classes),
         "classes": [{"matrix": cls.matrix, **c._asdict()} for cls, c in rows],
     }
+    if elapsed_ms is not None:
+        doc["elapsed_ms"] = elapsed_ms
     lines = [f"{len(classes)} classes of Lambda({_fmt_ints(weights)}) in Z^{args.ambient}"]
     for i, (_, c) in enumerate(rows, start=1):
         extra = "" if c.complement_norm is None else f", generator norm {c.complement_norm}"
@@ -212,7 +214,7 @@ def cmd_obstruct(args) -> tuple[dict, list[str], int]:
 
 def cmd_verify_example_b31(args) -> tuple[dict, list[str], int]:
     from . import obstruction
-    report = obstruction.example_b31_report(limits=args.limits)
+    report, elapsed_ms = _timed(args, obstruction.example_b31_report)
     doc = {
         "schema": "verify-example-b31@1",
         "class_count": report.class_count,
@@ -221,6 +223,8 @@ def cmd_verify_example_b31(args) -> tuple[dict, list[str], int]:
         "unit_vectors_missing_c_factor": report.c_zero_pairings,
         "passed": report.passed,
     }
+    if elapsed_ms is not None:
+        doc["elapsed_ms"] = elapsed_ms
     lines = [f"direct-sum classes in Z^5: {report.class_count}",
              f"verdict: {report.verdict}",
              f"unit vectors missing the rank-one factor: {_fmt_ints(report.m_zero_pairings)}",
@@ -231,7 +235,7 @@ def cmd_verify_example_b31(args) -> tuple[dict, list[str], int]:
 
 def cmd_verify_lemma_cemb(args) -> tuple[dict, list[str], int]:
     from . import obstruction
-    report = obstruction.lemma_cemb_report(args.n, args.m, limits=args.limits)
+    report, elapsed_ms = _timed(args, obstruction.lemma_cemb_report, args.n, args.m)
     doc = {
         "schema": "chain-classification@2",
         "n": report.n,
@@ -240,6 +244,8 @@ def cmd_verify_lemma_cemb(args) -> tuple[dict, list[str], int]:
         "class_count": report.class_count,
         "classes": [c._asdict() for c in report.classes],
     }
+    if elapsed_ms is not None:
+        doc["elapsed_ms"] = elapsed_ms
     lines = [f"Lambda({_fmt_ints(report.weights)}) in Z^{report.ambient}: "
              f"{report.class_count} classes"]
     for c in report.classes:

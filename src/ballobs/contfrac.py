@@ -3,7 +3,8 @@
 [a_1, ..., a_k] denotes a_1 - 1/(a_2 - 1/(... - 1/a_k)).  When every a_i >= 2
 these expansions are in bijection with fractions p/q, p > q >= 1, and encode
 the weights of the linear plumbing bounded by a lens space: L(p, q) bounds the
-plumbing whose weights expand p/(p - q).
+plumbing whose weights expand p/(p - q).  The rational ball B(p, q) is bounded
+by L(p^2, pq - 1).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import InternalCheckError, UsageError
-from .markov import odd_fibonacci
+from .markov import BallSpec, odd_fibonacci
 
 
 def validate_expansion(coeffs) -> tuple[int, ...]:
@@ -102,3 +103,17 @@ def lens_plumbing(p: int, q: int, max_length: int | None = None) -> tuple[int, .
     if not isinstance(p, int) or not isinstance(q, int) or not p > q >= 1:
         raise UsageError(f"need lens parameters p > q >= 1, got {(p, q)!r}")
     return hj_expand(p, p - q, max_length)
+
+
+def ball_boundary(b: BallSpec) -> tuple[int, int]:
+    """Lens parameters (p^2, pq - 1) of the boundary of B(p, q)."""
+    return b.p * b.p, b.p * b.q - 1
+
+
+def ball_plumbing(b: BallSpec, max_length: int | None = None) -> tuple[int, ...]:
+    """Weights of the positive-definite linear plumbing sharing the boundary of B(p, q).
+
+    B(p, 1) has about p of them; ``max_length`` bounds the expansion as in
+    :func:`hj_expand`.
+    """
+    return lens_plumbing(*ball_boundary(b), max_length)

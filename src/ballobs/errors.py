@@ -45,6 +45,13 @@ class InternalCheckError(RuntimeError):
     """An internal consistency assertion failed; this is a bug, not bad input."""
 
 
+def checked_make(cls, iterable):
+    """A record's ``_make``, as ``_make = classmethod(checked_make)``: it
+    builds through ``cls(*iterable)``, so ``_make`` and ``_replace``, which
+    calls it, run the record's ``__new__`` checks."""
+    return cls(*iterable)
+
+
 class SearchLimits(namedtuple("SearchLimits", "node_budget time_budget")):
     """Budgets for a single enumeration, an int node budget and an optional
     time budget in seconds; exceeding either aborts the search with a
@@ -62,10 +69,7 @@ class SearchLimits(namedtuple("SearchLimits", "node_budget time_budget")):
             raise UsageError("time budget must be positive")
         return super().__new__(cls, node_budget, time_budget)
 
-    @classmethod
-    def _make(cls, iterable):
-        # ``_replace`` builds through ``_make``, so both run the ``__new__`` checks.
-        return cls(*iterable)
+    _make = classmethod(checked_make)
 
 
 def document_values(value):

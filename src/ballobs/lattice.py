@@ -29,7 +29,7 @@ from collections.abc import Iterator
 
 # SearchLimits lives with the errors, so that commands which never search
 # validate budgets without loading this module.
-from .errors import InternalCheckError, LimitExceeded, SearchLimits, UsageError
+from .errors import InternalCheckError, LimitExceeded, SearchLimits, UsageError, checked_make
 
 # int64 overflow in the kernel is impossible while diagonal norms stay small;
 # rank is capped where the exact minor check stays cheap.
@@ -70,10 +70,7 @@ class GramLattice(namedtuple("GramLattice", "gram")):
             raise UsageError("Gram matrix must be symmetric")
         return super().__new__(cls, g)
 
-    @classmethod
-    def _make(cls, iterable):
-        # ``_replace`` builds through ``_make``, so both run the ``__new__`` checks.
-        return cls(*iterable)
+    _make = classmethod(checked_make)
 
     @property
     def rank(self) -> int:

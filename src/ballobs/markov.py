@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from collections import deque, namedtuple
 
-from .errors import DegenerateCaseError, InternalCheckError, LimitExceeded, UsageError
+from .errors import (DegenerateCaseError, InternalCheckError, LimitExceeded, UsageError,
+                     checked_make)
 
 # Cap on the number of triples a single enumeration may hold in memory.
 MAX_TRIPLES = 1_000_000
@@ -46,10 +47,7 @@ class MarkovTriple(namedtuple("MarkovTriple", "a b c")):
             raise InternalCheckError(f"Markov solution {(a, b, c)} not pairwise coprime")
         return super().__new__(cls, a, b, c)
 
-    @classmethod
-    def _make(cls, iterable):
-        # ``_replace`` builds through ``_make``, so both run the ``__new__`` checks.
-        return cls(*iterable)
+    _make = classmethod(checked_make)
 
     @property
     def entries(self) -> tuple[int, int, int]:
@@ -151,7 +149,7 @@ class BallSpec(namedtuple("BallSpec", "p q")):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int):
-        if not isinstance(p, int) or not isinstance(q, int):
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in (p, q)):
             raise UsageError(f"ball parameters must be integers, got {(p, q)!r}")
         if p < 2 or not (1 <= q < p):
             raise UsageError(f"need p >= 2 and 1 <= q < p, got {(p, q)}")
@@ -159,10 +157,7 @@ class BallSpec(namedtuple("BallSpec", "p q")):
             raise UsageError(f"p and q must be coprime, got {(p, q)}")
         return super().__new__(cls, p, min(q, p - q))
 
-    @classmethod
-    def _make(cls, iterable):
-        # ``_replace`` builds through ``_make``, so both run the ``__new__`` checks.
-        return cls(*iterable)
+    _make = classmethod(checked_make)
 
     def __str__(self):
         return f"B({self.p},{self.q})"

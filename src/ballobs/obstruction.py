@@ -28,7 +28,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .contfrac import lens_plumbing
+from .contfrac import ball_boundary, lens_plumbing
 from .errors import (InternalCheckError, LimitExceeded, SearchLimits, UsageError,
                      document_values)
 from .lattice import (MAX_AMBIENT, EmbeddingClass, SearchStats, canonical_form,
@@ -42,21 +42,6 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 # Largest Fibonacci index theorem2_suite accepts.
 MAX_THEOREM2_INDEX = 5
-
-
-def ball_boundary(b: BallSpec) -> tuple[int, int]:
-    """Lens parameters (p^2, pq - 1) of the boundary of B(p, q)."""
-    return b.p * b.p, b.p * b.q - 1
-
-
-def ball_plumbing(b: BallSpec, max_length: int | None = None) -> tuple[int, ...]:
-    """Weights of the positive-definite linear plumbing sharing the boundary of B(p, q).
-
-    B(p, 1) has about p of them; ``max_length`` bounds the expansion as in
-    :func:`ballobs.contfrac.hj_expand`.
-    """
-    big_p, big_q = ball_boundary(b)
-    return lens_plumbing(big_p, big_q, max_length)
 
 
 class ObstructionProblem(namedtuple("ObstructionProblem",
@@ -82,7 +67,9 @@ def build_problem(balls) -> ObstructionProblem:
     components = []
     for b in balls:
         try:
-            weights = ball_plumbing(b, max_length=room)
+            # Through this module's lens_plumbing, which perfbench's tracer
+            # wraps to time the contfrac layer.
+            weights = lens_plumbing(*ball_boundary(b), max_length=room)
         except UsageError:
             raise UsageError(f"ambient rank exceeds the supported maximum {MAX_AMBIENT}") from None
         room -= len(weights)
@@ -148,26 +135,11 @@ def _verdict(witnesses, stats: SearchStats) -> str:
     return INCONCLUSIVE if stats.limit_hit else OBSTRUCTED
 
 
-def check_obstruction(problem: ObstructionProblem,
-                      limits: SearchLimits | None = None) -> ObstructionReport:
-    """Decide the embedding obstruction for the given ball list.
-
-    NOT_OBSTRUCTED requires an explicit witness (re-verified from scratch);
-    OBSTRUCTED requires the enumeration to have completed exhaustively;
-    INCONCLUSIVE reports budget exhaustion without a witness.  Only Lambda_C
-    is enumerated; Lambda_M is read off the rank-one complement, whose
-    generator ``integer_kernel`` returns with its first nonzero entry
-    positive.
-    """
+def _decide(problem: ObstructionProblem, classes, stats: SearchStats) -> ObstructionReport:
+    # The report on ``problem`` from the sorted Lambda_C classes of a search
+    # and its stats.  Each class gives at most one witness, so the witnesses
+    # come out sorted too.
     m = problem.ambient
-    try:
-        result = search_embedding_classes(problem.c_lattice, m, limits=limits)
-        classes, stats = result.classes, result.stats
-    except LimitExceeded as exc:
-        # budget exhaustion still yields the classes found so far
-        classes, stats = exc.partial_classes, exc.stats
-    # Classes arrive sorted and each gives at most one witness, so the
-    # witnesses come out sorted too.
     witnesses = []
     for cls in classes:
         comp = orthogonal_complement(cls.matrix, m)
@@ -181,30 +153,23 @@ def check_obstruction(problem: ObstructionProblem,
     return ObstructionReport(problem, _verdict(witnesses, stats), tuple(witnesses), stats)
 
 
-def full_embedding_classes(problem: ObstructionProblem,
-                           limits: SearchLimits | None = None) -> tuple:
-    """Canonical classes of full Lambda_M (+) Lambda_C embeddings in Z^m.
+def check_obstruction(problem: ObstructionProblem,
+                      limits: SearchLimits | None = None) -> ObstructionReport:
+    """Decide the embedding obstruction for the given ball list.
 
-    Enumerates the Lambda_C classes and stacks each admissible multiple +-c w
-    of the complement generator (c^2 w.w = m_norm) on top.  The tests check
-    the result against a wholesale enumeration of the direct sum.
+    NOT_OBSTRUCTED requires an explicit witness (re-verified from scratch);
+    OBSTRUCTED requires the enumeration to have completed exhaustively;
+    INCONCLUSIVE reports budget exhaustion without a witness.  Only Lambda_C
+    is enumerated; Lambda_M is read off the rank-one complement, whose
+    generator ``integer_kernel`` returns with its first nonzero entry
+    positive.
     """
-    m = problem.ambient
-    result = search_embedding_classes(problem.c_lattice, m, limits=limits)
-    out = set()
-    for cls in result.classes:
-        comp = orthogonal_complement(cls.matrix, m)
-        w = comp.generator
-        w2 = comp.generator_norm
-        if problem.m_norm % w2:
-            continue
-        c = math.isqrt(problem.m_norm // w2)
-        if c * c * w2 != problem.m_norm:
-            continue
-        for sign in (1, -1):
-            top = tuple(sign * c * x for x in w)
-            out.add(canonical_form((top,) + cls.matrix))
-    return tuple(sorted(out))
+    try:
+        result = search_embedding_classes(problem.c_lattice, problem.ambient, limits=limits)
+    except LimitExceeded as exc:
+        # budget exhaustion still yields the classes found so far
+        return _decide(problem, exc.partial_classes, exc.stats)
+    return _decide(problem, result.classes, result.stats)
 
 
 def theorem2_suite(pairs, limits: SearchLimits | None = None) -> list[ObstructionReport]:
@@ -296,10 +261,22 @@ def example_b31_report(limits: SearchLimits | None = None) -> ExampleB31Report:
     (2, 2, 2, 3) embeds in Z^5 in exactly one way up to symmetry, and that
     embedding fails the unit-pairing conditions: four ambient coordinates
     miss the rank-one factor and the remaining one misses the chain factor.
+    One search gives both: the verdict, and the direct-sum classes, which
+    stack each admissible multiple +-c w of a class's complement generator
+    (c^2 w.w = m_norm) on its rows.  A budget that runs out raises.
     """
     problem = build_problem([BallSpec(3, 1)])
-    fulls = full_embedding_classes(problem, limits=limits)
-    report = check_obstruction(problem, limits=limits)
+    result = search_embedding_classes(problem.c_lattice, problem.ambient, limits=limits)
+    report = _decide(problem, result.classes, result.stats)
+    fulls = set()
+    for cls in result.classes:
+        comp = orthogonal_complement(cls.matrix, problem.ambient)
+        c = math.isqrt(problem.m_norm // comp.generator_norm)
+        if c * c * comp.generator_norm == problem.m_norm:
+            # Both signs: they can canonicalise to different classes.
+            fulls.update(canonical_form((tuple(sign * c * x for x in comp.generator),)
+                                        + cls.matrix) for sign in (1, -1))
+    fulls = sorted(fulls)
     m_zero: tuple[int, ...] = ()
     c_zero: tuple[int, ...] = ()
     if fulls:

@@ -16,6 +16,7 @@ import pytest
 from ballobs import contfrac, markov, obstruction, plumbing
 from ballobs.lattice import (direct_sum, linear_lattice, orthogonal_complement,
                              search_embedding_classes)
+from test_obstruction import full_embedding_classes
 
 
 def _line(num, label, ok):
@@ -200,6 +201,6 @@ def test_criterion_9_strategy_equivalence():
         pr = obstruction.build_problem(balls)
         lat_full = direct_sum(linear_lattice((pr.m_norm,)), pr.c_lattice)
         by_direct = search_embedding_classes(lat_full, pr.ambient).classes
-        ok &= (obstruction.full_embedding_classes(pr)
+        ok &= (full_embedding_classes(pr)
                == tuple(cls.matrix for cls in by_direct))
     assert _line(9, "complement route vs direct-sum enumeration", ok)

@@ -125,24 +125,37 @@ class TestObstructCommand:
         assert json.loads(out)["verdict"] == "INCONCLUSIVE"
 
 
+# Every command that searches.
+TIMED_COMMANDS = [
+    ("obstruct", "3,1"),
+    ("verify", "theorem2", "1", "2"),
+    ("verify", "example-b31"),
+    ("verify", "lemma-cemb", "2", "8"),
+    ("lattice", "classes", "--weights", "3,2,2,3", "--ambient", "8"),
+]
+
+
 class TestTimings:
-    """``--timings`` adds ``elapsed_ms`` to a report's statistics and changes
+    """``--timings`` adds ``elapsed_ms`` to the document of every command that
+    searches, in a report's statistics or else as the last key, and changes
     nothing else."""
 
-    @pytest.mark.parametrize("argv", [("obstruct", "3,1"), ("verify", "theorem2", "1", "2")])
+    @pytest.mark.parametrize("argv", TIMED_COMMANDS)
     def test_elapsed_ms_only(self, capsys, argv):
-        code, plain, _ = run(capsys, *argv)
-        timed_code, out, _ = run(capsys, "--timings", *argv)
+        code, plain, _ = run(capsys, "--format", "json", *argv)
+        timed_code, out, _ = run(capsys, "--format", "json", "--timings", *argv)
         assert code == timed_code == 0
         doc = json.loads(out)
-        stats = doc["statistics"]
-        assert list(stats) == ["nodes", "leaves", "classes", "limit_hit", "elapsed_ms"]
-        assert stats["elapsed_ms"] == str(int(stats["elapsed_ms"]))
-        assert report_from_doc(doc) == report_from_doc(json.loads(plain))
-        del stats["elapsed_ms"]
+        timed = doc.get("statistics", doc)
+        if timed is not doc:
+            assert list(timed) == ["nodes", "leaves", "classes", "limit_hit", "elapsed_ms"]
+            assert report_from_doc(doc) == report_from_doc(json.loads(plain))
+        assert list(timed)[-1] == "elapsed_ms"
+        assert timed["elapsed_ms"] == str(int(timed["elapsed_ms"]))
+        del timed["elapsed_ms"]
         assert json.dumps(doc, indent=2) + "\n" == plain
 
-    @pytest.mark.parametrize("argv", [("obstruct", "3,1"), ("verify", "theorem2", "1", "2")])
+    @pytest.mark.parametrize("argv", TIMED_COMMANDS)
     def test_fresh_process_times_the_check_only(self, argv):
         # numpy and the kernel load before the clock starts, so a fresh
         # process does not count their import as the check's.
@@ -160,6 +173,21 @@ class TestVerifyCommands:
         assert doc["class_count"] == "1"
         assert doc["unit_vectors_missing_m_factor"] == ["2", "3", "4", "5"]
         assert doc["unit_vectors_missing_c_factor"] == ["1"]
+
+    def test_example_b31_searches_once(self, capsys, monkeypatch):
+        calls = []
+        search = obstruction.search_embedding_classes
+        monkeypatch.setattr(obstruction, "search_embedding_classes",
+                            lambda *a, **k: calls.append(a) or search(*a, **k))
+        code, _, _ = run(capsys, "verify", "example-b31")
+        assert (code, len(calls)) == (0, 1)
+
+    @pytest.mark.parametrize("budget, code", [("3", 2), ("4", 2), ("5", 0)])
+    def test_example_b31_budget(self, capsys, budget, code):
+        # The search takes 5 nodes; a budget that runs out is exit 2.
+        got, out, err = run(capsys, "--node-budget", budget, "verify", "example-b31")
+        assert got == code
+        assert (out == "") == (code == 2) and ("limit exceeded" in err) == (code == 2)
 
     def test_lemma_cemb(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma-cemb", "2", "9")
@@ -447,7 +475,8 @@ class Clock:
 cli.time = Clock
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = cli.main(["--timings", "--format", "json", *sys.argv[1:]])
-print(json.dumps([code, notes, json.loads(out.getvalue())["statistics"]["elapsed_ms"]]))
+doc = json.loads(out.getvalue())
+print(json.dumps([code, notes, doc.get("statistics", doc)["elapsed_ms"]]))
 """
 # The modules a bare interpreter already holds, before anything is imported.
 BARE_PROBE = "import sys; names = sorted(sys.modules); import json; print(json.dumps(names))"
@@ -457,6 +486,8 @@ COLD_COMMANDS = [
     ("ball", "classify", "5", "2"),
     ("cf", "expand", "9", "7"),
     ("plumbing", "certify", "5"),
+    ("ball", "boundary", "3", "1"),
+    ("ball", "plumbing", "3", "1"),
 ]
 SEARCH_COMMANDS = [
     ("obstruct", "3,1"),
@@ -492,8 +523,8 @@ EXPORTS = {
                "characteristic_number", "classify_symplectic", "enumerate_triples",
                "fibonacci_ball", "fibonacci_symplectic_table", "is_markov", "odd_fibonacci",
                "triple", "vieta_neighbor"),
-    "contfrac": ("fibonacci_identities", "hj_eval", "hj_expand", "hj_reverse",
-                 "lens_plumbing"),
+    "contfrac": ("ball_boundary", "ball_plumbing", "fibonacci_identities", "hj_eval",
+                 "hj_expand", "hj_reverse", "lens_plumbing"),
     "plumbing": ("BlowdownCertificate", "blow_down", "blow_up", "chain_determinant",
                  "rb_chain", "reduce", "simple_embedding_certificate"),
     "lattice": ("EmbeddingClass", "EmbeddingSearchResult", "GramLattice",
@@ -501,9 +532,8 @@ EXPORTS = {
                 "direct_sum", "integer_kernel", "is_isometric_embedding",
                 "is_positive_definite", "is_primitive_vector", "linear_lattice",
                 "orthogonal_complement", "search_embedding_classes"),
-    "obstruction": ("ObstructionProblem", "ObstructionReport", "Witness", "ball_boundary",
-                    "ball_plumbing", "build_problem", "check_obstruction",
-                    "full_embedding_classes", "lemma_cemb_report", "report_from_doc",
+    "obstruction": ("ObstructionProblem", "ObstructionReport", "Witness", "build_problem",
+                    "check_obstruction", "lemma_cemb_report", "report_from_doc",
                     "report_to_doc", "theorem2_suite"),
 }
 # Looks each name up on ballobs first, then on its module, then in the
@@ -563,9 +593,6 @@ class TestColdImports:
         *((argv, set()) for argv in COLD_COMMANDS),
         (("cf", "eval", "3,5,2"), {"fractions"}),  # shows that the probe does see it
         (("cf", "fib-identities", "2"), {"fractions"}),
-        # these load the search modules, but not numpy
-        (("ball", "boundary", "3", "1"), set()),
-        (("ball", "plumbing", "3", "1"), set()),
         # numpy, which a search loads, imports inspect
         *((argv, {"inspect"}) for argv in SEARCH_COMMANDS),
     ])

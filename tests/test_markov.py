@@ -211,6 +211,7 @@ class TestRecords:
         (BallSpec, (5.0, 2), "ball parameters must be integers, got (5.0, 2)"),
         (BallSpec, (5, 5), "need p >= 2 and 1 <= q < p, got (5, 5)"),
         (BallSpec, (9, 3), "p and q must be coprime, got (9, 3)"),
+        (BallSpec, (3, True), "ball parameters must be integers, got (3, True)"),
     ])
     def test_usage_messages(self, record, args, message):
         with pytest.raises(UsageError) as info:

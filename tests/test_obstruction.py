@@ -11,17 +11,16 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from ballobs import kernels, lattice
+from ballobs import kernels, lattice, obstruction
 from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
-from ballobs.lattice import (MAX_AMBIENT, GramLattice, SearchLimits, direct_sum,
-                             is_isometric_embedding, is_primitive_vector, linear_lattice,
-                             orthogonal_complement, search_embedding_classes)
+from ballobs.contfrac import ball_boundary, ball_plumbing
+from ballobs.lattice import (MAX_AMBIENT, GramLattice, SearchLimits, canonical_form,
+                             direct_sum, is_isometric_embedding, is_primitive_vector,
+                             linear_lattice, orthogonal_complement, search_embedding_classes)
 from ballobs.markov import BallSpec, fibonacci_ball
 from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
-                                 ObstructionProblem, Witness, ball_boundary, ball_plumbing,
-                                 build_problem, check_obstruction,
-                                 example_b31_report, full_embedding_classes,
-                                 lemma_cemb_report, report_from_doc,
+                                 ObstructionProblem, Witness, build_problem, check_obstruction,
+                                 example_b31_report, lemma_cemb_report, report_from_doc,
                                  report_to_doc, theorem2_suite, verify_witness)
 from ballobs.plumbing import chain_determinant
 from test_exact_oracles import matrix_determinant
@@ -36,6 +35,31 @@ def direct_sum_classes(problem):
     """
     lat_full = direct_sum(linear_lattice((problem.m_norm,)), problem.c_lattice)
     return search_embedding_classes(lat_full, problem.ambient).classes
+
+
+def full_embedding_classes(problem, limits=None):
+    """Canonical classes of full Lambda_M (+) Lambda_C embeddings in Z^m.
+
+    Enumerates the Lambda_C classes and stacks each admissible multiple +-c w
+    of the complement generator (c^2 w.w = m_norm) on top: the bridge from
+    the complement route to :func:`direct_sum_classes`.
+    """
+    m = problem.ambient
+    result = search_embedding_classes(problem.c_lattice, m, limits=limits)
+    out = set()
+    for cls in result.classes:
+        comp = orthogonal_complement(cls.matrix, m)
+        w = comp.generator
+        w2 = comp.generator_norm
+        if problem.m_norm % w2:
+            continue
+        c = math.isqrt(problem.m_norm // w2)
+        if c * c * w2 != problem.m_norm:
+            continue
+        for sign in (1, -1):
+            top = tuple(sign * c * x for x in w)
+            out.add(canonical_form((top,) + cls.matrix))
+    return tuple(sorted(out))
 
 
 def canonical_with_vector(rows, w):
@@ -134,6 +158,16 @@ class TestBuildProblem:
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             build_problem([])
+
+    def test_plumbing_read_through_lens_plumbing(self, monkeypatch):
+        # perfbench/tracer.py times the contfrac layer by wrapping this name.
+        calls = []
+        lens_plumbing = obstruction.lens_plumbing
+        monkeypatch.setattr(obstruction, "lens_plumbing",
+                            lambda *a, **k: calls.append(a) or lens_plumbing(*a, **k))
+        pr = build_problem([BallSpec(2, 1), BallSpec(5, 2)])
+        assert calls == [(4, 1), (25, 9)]
+        assert [c.rank for c in pr.components] == [3, 5]
 
 
 class TestCheckObstruction:
@@ -492,6 +526,16 @@ class TestExampleB31Report:
         assert rep.m_zero_pairings == (2, 3, 4, 5)
         assert rep.c_zero_pairings == (1,)
         assert rep.passed
+
+    @pytest.mark.parametrize("ball, count", [(BallSpec(3, 1), 1), (BallSpec(2, 1), 3)])
+    def test_class_count_matches_oracle(self, monkeypatch, ball, count):
+        # The direct-sum classes come off the one search.  On B(2,1) the two
+        # signs of the generator canonicalise to different classes.
+        pr = build_problem([ball])
+        monkeypatch.setattr(obstruction, "build_problem", lambda balls: pr)
+        assert example_b31_report().class_count == count
+        assert full_embedding_classes(pr) == tuple(cls.matrix for cls in direct_sum_classes(pr))
+        assert len(direct_sum_classes(pr)) == count
 
 
 class TestVerifyWitnessRejects:
