@@ -144,20 +144,22 @@ def cmd_lattice_classes(args) -> tuple[dict, list[str], int]:
     from . import obstruction
     from .lattice import linear_lattice, search_embedding_classes
     weights = _int_list(args.weights, "weights")
-    result, elapsed_ms = _timed(args, search_embedding_classes, linear_lattice(weights),
-                                args.ambient)
-    classes = result.classes
-    rows = [(cls, obstruction.class_summary(cls)) for cls in classes]
+
+    def check(lat, m, limits):  # timed together: the search and each complement
+        classes = search_embedding_classes(lat, m, limits=limits).classes
+        return [(cls, obstruction.class_summary(cls)) for cls in classes]
+
+    rows, elapsed_ms = _timed(args, check, linear_lattice(weights), args.ambient)
     doc = {
         "schema": "lattice-classes@1",
         "weights": weights,
         "ambient": args.ambient,
-        "class_count": len(classes),
+        "class_count": len(rows),
         "classes": [{"matrix": cls.matrix, **c._asdict()} for cls, c in rows],
     }
     if elapsed_ms is not None:
         doc["elapsed_ms"] = elapsed_ms
-    lines = [f"{len(classes)} classes of Lambda({_fmt_ints(weights)}) in Z^{args.ambient}"]
+    lines = [f"{len(rows)} classes of Lambda({_fmt_ints(weights)}) in Z^{args.ambient}"]
     for i, (_, c) in enumerate(rows, start=1):
         extra = "" if c.complement_norm is None else f", generator norm {c.complement_norm}"
         lines.append(f"class {i}: support {c.support}, complement rank {c.complement_rank}{extra}")

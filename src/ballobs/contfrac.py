@@ -110,10 +110,7 @@ def ball_boundary(b: BallSpec) -> tuple[int, int]:
     return b.p * b.p, b.p * b.q - 1
 
 
-def ball_plumbing(b: BallSpec, max_length: int | None = None) -> tuple[int, ...]:
-    """Weights of the positive-definite linear plumbing sharing the boundary of B(p, q).
-
-    B(p, 1) has about p of them; ``max_length`` bounds the expansion as in
-    :func:`hj_expand`.
-    """
-    return lens_plumbing(*ball_boundary(b), max_length)
+def ball_plumbing(b: BallSpec) -> tuple[int, ...]:
+    """Weights of the positive-definite linear plumbing sharing the boundary of
+    B(p, q); B(p, 1) has about p of them."""
+    return lens_plumbing(*ball_boundary(b))

@@ -135,22 +135,33 @@ def _verdict(witnesses, stats: SearchStats) -> str:
     return INCONCLUSIVE if stats.limit_hit else OBSTRUCTED
 
 
-def _decide(problem: ObstructionProblem, classes, stats: SearchStats) -> ObstructionReport:
-    # The report on ``problem`` from the sorted Lambda_C classes of a search
-    # and its stats.  Each class gives at most one witness, so the witnesses
-    # come out sorted too.
-    m = problem.ambient
+def _decide(problem: ObstructionProblem, classes, comps, stats: SearchStats) -> ObstructionReport:
+    # The report from the sorted Lambda_C classes of a search, their
+    # complements and its stats.  Each class gives at most one witness, so
+    # the witnesses come out sorted too.
     witnesses = []
-    for cls in classes:
-        comp = orthogonal_complement(cls.matrix, m)
+    for cls, comp in zip(classes, comps):
         if comp.rank != 1:
             raise InternalCheckError("corank-one embedding with complement rank != 1")
         w = comp.generator
-        if comp.generator_norm == problem.m_norm and all(w) and len(cls.support) == m:
+        if comp.generator_norm == problem.m_norm and all(w) and len(cls.support) == len(w):
             witness = Witness(cls.matrix, w)
             verify_witness(problem, witness)
             witnesses.append(witness)
     return ObstructionReport(problem, _verdict(witnesses, stats), tuple(witnesses), stats)
+
+
+def _direct_sum_classes(problem: ObstructionProblem, classes, comps) -> tuple:
+    # The sorted canonical Lambda_M (+) Lambda_C classes: +c w and -c w, for
+    # c^2 w.w = m_norm, each stacked on the rows of w's class (the two signs
+    # can canonicalise to different classes).
+    fulls = set()
+    for cls, comp in zip(classes, comps):
+        c = math.isqrt(problem.m_norm // comp.generator_norm)
+        if c * c * comp.generator_norm == problem.m_norm:
+            fulls.update(canonical_form((tuple(sign * c * x for x in comp.generator),)
+                                        + cls.matrix) for sign in (1, -1))
+    return tuple(sorted(fulls))
 
 
 def check_obstruction(problem: ObstructionProblem,
@@ -166,10 +177,12 @@ def check_obstruction(problem: ObstructionProblem,
     """
     try:
         result = search_embedding_classes(problem.c_lattice, problem.ambient, limits=limits)
+        classes, stats = result.classes, result.stats
     except LimitExceeded as exc:
         # budget exhaustion still yields the classes found so far
-        return _decide(problem, exc.partial_classes, exc.stats)
-    return _decide(problem, result.classes, result.stats)
+        classes, stats = exc.partial_classes, exc.stats
+    comps = [orthogonal_complement(cls.matrix, problem.ambient) for cls in classes]
+    return _decide(problem, classes, comps, stats)
 
 
 def theorem2_suite(pairs, limits: SearchLimits | None = None) -> list[ObstructionReport]:
@@ -261,22 +274,14 @@ def example_b31_report(limits: SearchLimits | None = None) -> ExampleB31Report:
     (2, 2, 2, 3) embeds in Z^5 in exactly one way up to symmetry, and that
     embedding fails the unit-pairing conditions: four ambient coordinates
     miss the rank-one factor and the remaining one misses the chain factor.
-    One search gives both: the verdict, and the direct-sum classes, which
-    stack each admissible multiple +-c w of a class's complement generator
-    (c^2 w.w = m_norm) on its rows.  A budget that runs out raises.
+    One search gives both the verdict and the direct-sum classes, read off
+    the same complements.  A budget that runs out raises.
     """
     problem = build_problem([BallSpec(3, 1)])
     result = search_embedding_classes(problem.c_lattice, problem.ambient, limits=limits)
-    report = _decide(problem, result.classes, result.stats)
-    fulls = set()
-    for cls in result.classes:
-        comp = orthogonal_complement(cls.matrix, problem.ambient)
-        c = math.isqrt(problem.m_norm // comp.generator_norm)
-        if c * c * comp.generator_norm == problem.m_norm:
-            # Both signs: they can canonicalise to different classes.
-            fulls.update(canonical_form((tuple(sign * c * x for x in comp.generator),)
-                                        + cls.matrix) for sign in (1, -1))
-    fulls = sorted(fulls)
+    comps = [orthogonal_complement(cls.matrix, problem.ambient) for cls in result.classes]
+    report = _decide(problem, result.classes, comps, result.stats)
+    fulls = _direct_sum_classes(problem, result.classes, comps)
     m_zero: tuple[int, ...] = ()
     c_zero: tuple[int, ...] = ()
     if fulls:

@@ -156,6 +156,19 @@ class TestTimings:
         assert json.dumps(doc, indent=2) + "\n" == plain
 
     @pytest.mark.parametrize("argv", TIMED_COMMANDS)
+    def test_complements_inside_the_clock(self, capsys, monkeypatch, argv):
+        # Every complement the check takes falls between the clock's two reads.
+        reads, seen = [], []
+        monkeypatch.setattr(cli, "time", type("Clock", (), {
+            "monotonic": staticmethod(lambda: reads.append(None) or 0.0)}))
+        complement = obstruction.orthogonal_complement
+        monkeypatch.setattr(obstruction, "orthogonal_complement",
+                            lambda *a: seen.append(len(reads)) or complement(*a))
+        code, _, _ = run(capsys, "--timings", *argv)
+        assert (code, len(reads)) == (0, 2)
+        assert seen and set(seen) == {1}
+
+    @pytest.mark.parametrize("argv", TIMED_COMMANDS)
     def test_fresh_process_times_the_check_only(self, argv):
         # numpy and the kernel load before the clock starts, so a fresh
         # process does not count their import as the check's.

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from ballobs import kernels, lattice, obstruction
 from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
 from ballobs.contfrac import ball_boundary, ball_plumbing
-from ballobs.lattice import (MAX_AMBIENT, GramLattice, SearchLimits, canonical_form,
-                             direct_sum, is_isometric_embedding, is_primitive_vector,
-                             linear_lattice, orthogonal_complement, search_embedding_classes)
+from ballobs.lattice import (MAX_AMBIENT, GramLattice, SearchLimits, direct_sum,
+                             is_isometric_embedding, is_primitive_vector, linear_lattice,
+                             orthogonal_complement, search_embedding_classes)
 from ballobs.markov import BallSpec, fibonacci_ball
 from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
                                  ObstructionProblem, Witness, build_problem, check_obstruction,
@@ -38,28 +38,13 @@ def direct_sum_classes(problem):
 
 
 def full_embedding_classes(problem, limits=None):
-    """Canonical classes of full Lambda_M (+) Lambda_C embeddings in Z^m.
-
-    Enumerates the Lambda_C classes and stacks each admissible multiple +-c w
-    of the complement generator (c^2 w.w = m_norm) on top: the bridge from
-    the complement route to :func:`direct_sum_classes`.
-    """
+    """Canonical classes of full Lambda_M (+) Lambda_C embeddings in Z^m, by
+    the production stacking step on one Lambda_C search: the bridge from the
+    complement route to :func:`direct_sum_classes`."""
     m = problem.ambient
-    result = search_embedding_classes(problem.c_lattice, m, limits=limits)
-    out = set()
-    for cls in result.classes:
-        comp = orthogonal_complement(cls.matrix, m)
-        w = comp.generator
-        w2 = comp.generator_norm
-        if problem.m_norm % w2:
-            continue
-        c = math.isqrt(problem.m_norm // w2)
-        if c * c * w2 != problem.m_norm:
-            continue
-        for sign in (1, -1):
-            top = tuple(sign * c * x for x in w)
-            out.add(canonical_form((top,) + cls.matrix))
-    return tuple(sorted(out))
+    classes = search_embedding_classes(problem.c_lattice, m, limits=limits).classes
+    comps = [orthogonal_complement(cls.matrix, m) for cls in classes]
+    return obstruction._direct_sum_classes(problem, classes, comps)
 
 
 def canonical_with_vector(rows, w):
@@ -316,6 +301,15 @@ class TestStrategyEquivalence:
         by_oracle = tuple(cls.matrix for cls in direct_sum_classes(pr))
         assert full_embedding_classes(pr) == by_oracle
         assert len(by_oracle) >= 1
+
+    @pytest.mark.parametrize("m_norm, count", [(8, 0), (16, 3)])
+    def test_other_m_norm(self, m_norm, count):
+        # B(2,1)'s complement generators have norms 4 and 1: m_norm 16 admits
+        # c = 2 and c = 4, m_norm 8 no c at all.
+        pr = build_problem([BallSpec(2, 1)])._replace(m_norm=m_norm)
+        by_oracle = tuple(cls.matrix for cls in direct_sum_classes(pr))
+        assert full_embedding_classes(pr) == by_oracle
+        assert len(by_oracle) == count
 
     @pytest.mark.parametrize("balls", ORACLE_BALLS)
     def test_verdicts_match(self, balls):
