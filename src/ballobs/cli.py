@@ -142,8 +142,10 @@ def cmd_cf_fib_identities(args) -> tuple[dict, list[str], int]:
 
 def cmd_lattice_classes(args) -> tuple[dict, list[str], int]:
     from . import obstruction
-    from .lattice import linear_lattice, search_embedding_classes
+    from .lattice import MAX_AMBIENT, linear_lattice, search_embedding_classes
     weights = _int_list(args.weights, "weights")
+    if len(weights) > MAX_AMBIENT:  # checked before the Gram matrix is built
+        raise UsageError(f"at most {MAX_AMBIENT} weights are supported, got {len(weights)}")
 
     def check(lat, m, limits):  # timed together: the search and each complement
         classes = search_embedding_classes(lat, m, limits=limits).classes

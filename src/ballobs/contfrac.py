@@ -49,7 +49,7 @@ def hj_expand(p: int, q: int, max_length: int | None = None) -> tuple[int, ...]:
     The expansion can have about p/q coefficients, so a caller that can use
     at most ``max_length`` of them gets a UsageError after that many steps.
     """
-    if not isinstance(p, int) or not isinstance(q, int):
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (p, q)):
         raise UsageError(f"p and q must be integers, got {(p, q)!r}")
     if not p > q >= 1:
         raise UsageError(f"need p > q >= 1, got {(p, q)}")
@@ -100,7 +100,7 @@ def lens_plumbing(p: int, q: int, max_length: int | None = None) -> tuple[int, .
     These expand p/(p - q), so every weight is >= 2.  ``max_length`` bounds
     the expansion as in :func:`hj_expand`.
     """
-    if not isinstance(p, int) or not isinstance(q, int) or not p > q >= 1:
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (p, q)) or not p > q >= 1:
         raise UsageError(f"need lens parameters p > q >= 1, got {(p, q)!r}")
     return hj_expand(p, p - q, max_length)
 

@@ -64,6 +64,8 @@ class SearchLimits(namedtuple("SearchLimits", "node_budget time_budget")):
             raise UsageError(f"node budget must be an integer, got {node_budget!r}")
         if node_budget < 1:
             raise UsageError("node budget must be positive")
+        if isinstance(time_budget, bool):
+            raise UsageError(f"time budget must be a number, got {time_budget!r}")
         # Written so that NaN, which compares false both ways, is rejected.
         if time_budget is not None and not time_budget > 0:
             raise UsageError("time budget must be positive")

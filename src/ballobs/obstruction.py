@@ -220,12 +220,18 @@ class ClassSummary(namedtuple("ClassSummary", "support complement_rank complemen
 def class_summary(cls: EmbeddingClass) -> ClassSummary:
     """The support size of a class and its complement data inside the
     coordinate sublattice spanned by the support: rank, and generator norm
-    when the rank is one."""
+    when the rank is one.
+
+    The restricted rows keep the lattice's positive-definite Gram matrix, so
+    they are independent and the rank is the support size minus theirs; the
+    complement itself is taken only for its generator, at rank one."""
     sup = cls.support
-    restricted = tuple(tuple(row[j] for j in sup) for row in cls.matrix)
-    comp = orthogonal_complement(restricted, len(sup))
-    norm1 = comp.generator_norm if comp.rank == 1 else None
-    return ClassSummary(len(sup), comp.rank, norm1)
+    rank = len(sup) - len(cls.matrix)
+    norm1 = None
+    if rank == 1:
+        restricted = tuple(tuple(row[j] for j in sup) for row in cls.matrix)
+        norm1 = orthogonal_complement(restricted, len(sup)).generator_norm
+    return ClassSummary(len(sup), rank, norm1)
 
 
 class ChainClassificationReport(namedtuple(
@@ -249,6 +255,8 @@ def lemma_cemb_report(n: int, m: int,
         raise UsageError(f"need n >= 2, got {n!r}")
     if m < 4 * n:
         raise UsageError(f"need m >= 4n = {4 * n} to see all classes, got {m}")
+    if m > MAX_AMBIENT:  # the search's own check, made before the Gram matrix is built
+        raise UsageError(f"ambient rank {m} exceeds the supported maximum {MAX_AMBIENT}")
     weights = (3,) * (n - 1) + (2, 2) + (3,) * (n - 1) + (2,)
     lat = linear_lattice(weights)
     result = search_embedding_classes(lat, m, limits=limits)

@@ -29,8 +29,8 @@ def blow_down(chain, index: int) -> tuple[int, ...]:
     neighbour gains 1.  Isolated: the vertex disappears.
     """
     c = tuple(chain)
-    if not 1 <= index <= len(c):
-        raise UsageError(f"index {index} out of range for chain of length {len(c)}")
+    if not isinstance(index, int) or isinstance(index, bool) or not 1 <= index <= len(c):
+        raise UsageError(f"index must be an integer from 1 to {len(c)}, got {index!r}")
     i = index - 1
     if c[i] != -1:
         raise UsageError(f"weight at index {index} is {c[i]}, not -1")
@@ -51,8 +51,8 @@ def blow_up(chain, gap: int) -> tuple[int, ...]:
     chain this creates the isolated (-1).
     """
     c = tuple(chain)
-    if not 0 <= gap <= len(c):
-        raise UsageError(f"gap {gap} out of range for chain of length {len(c)}")
+    if not isinstance(gap, int) or isinstance(gap, bool) or not 0 <= gap <= len(c):
+        raise UsageError(f"gap must be an integer from 0 to {len(c)}, got {gap!r}")
     if not c:
         return (-1,)
     if gap == 0:

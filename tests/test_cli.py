@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ballobs import cli, obstruction
+from ballobs import cli, lattice, obstruction
 from ballobs.cli import main
 from ballobs.errors import document_values
 from ballobs.lattice import SearchStats
@@ -307,6 +307,26 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and message in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "lemma-cemb", "32", "128"),
+         "ambient rank 128 exceeds the supported maximum 64"),
+        (("lattice", "classes", "--weights", ",".join(["2"] * 65), "--ambient", "9"),
+         "at most 64 weights are supported, got 65"),
+    ])
+    def test_size_checked_before_the_gram(self, capsys, monkeypatch, argv, message):
+        # Both sizes grow a Gram matrix quadratically, so each is refused
+        # before any lattice of rank above the maximum is built.
+        new = lattice.GramLattice.__new__
+
+        def spy(cls, gram):
+            gram = tuple(gram)
+            assert len(gram) <= lattice.MAX_AMBIENT, f"built a rank-{len(gram)} lattice"
+            return new(cls, gram)
+
+        monkeypatch.setattr(lattice.GramLattice, "__new__", spy)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and message in err
+
     def test_bad_budget_rejected_by_every_command(self, capsys, monkeypatch):
         # Budgets are checked before any handler runs, searching or not: a
         # handler that ran would fail its assertion and exit 3.
@@ -527,9 +547,9 @@ needs_threads = pytest.mark.skipif(
     reason="needs /proc/self/task and at least two cores")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# The names ``ballobs`` exported before the search modules loaded lazily, by
-# the module that defines them.
-EXPORTS = {
+# Names the package once re-exported, by the module that defines them, which
+# is now their one home.
+MODULE_NAMES = {
     "errors": ("DegenerateCaseError", "InternalCheckError", "LimitExceeded", "UsageError",
                "SearchLimits"),
     "markov": ("BallSpec", "MarkovTriple", "SymplecticVerdict", "ball_params",
@@ -549,24 +569,17 @@ EXPORTS = {
                     "check_obstruction", "lemma_cemb_report", "report_from_doc",
                     "report_to_doc", "theorem2_suite"),
 }
-# Looks each name up on ballobs first, then on its module, then in the
-# namespace of ``from ballobs import *``; prints the misses.
-EXPORTS_PROBE = """
+# Imports ballobs alone, then prints the ballobs modules that loaded, the names
+# whose lookup on the package raises AttributeError, and the names missing
+# from the module that defines them.
+PACKAGE_PROBE = """
 import importlib, json, sys
 import ballobs
-exports = json.loads(sys.argv[1])
-wrong = []
-for home, names in exports.items():
-    if getattr(ballobs, home) is not importlib.import_module("ballobs." + home):
-        wrong.append(home)
-    wrong += [name for name in names
-              if getattr(ballobs, name) is not getattr(sys.modules["ballobs." + home], name)]
-star = {}
-exec("from ballobs import *", star)
-for home, names in exports.items():
-    wrong += [f"* {name}" for name in [home, *names]
-              if star.get(name) is not getattr(ballobs, name)]
-print(json.dumps(wrong))
+loaded = sorted(name for name in sys.modules if name.startswith("ballobs"))
+absent = [name for name in ("check_obstruction", "BallSpec") if not hasattr(ballobs, name)]
+missing = [f"{home}.{name}" for home, names in json.loads(sys.argv[1]).items()
+           for name in names if not hasattr(importlib.import_module("ballobs." + home), name)]
+print(json.dumps([loaded, absent, missing]))
 """
 
 
@@ -629,9 +642,11 @@ class TestColdImports:
         code, _, threads = json.loads(_fresh_python(THREAD_PROBE, "numpy-first", "obstruct", "3,1"))
         assert code == 0 and threads > 1
 
-    def test_exports_unchanged(self):
-        # Every name resolves, lazily or not, to its defining module's object.
-        assert json.loads(_fresh_python(EXPORTS_PROBE, json.dumps(EXPORTS))) == []
+    def test_package_holds_no_names(self):
+        # ``import ballobs`` loads no submodule, and each name is reached on
+        # its module only.
+        assert json.loads(_fresh_python(PACKAGE_PROBE, json.dumps(MODULE_NAMES))) == [
+            ["ballobs"], ["check_obstruction", "BallSpec"], []]
 
 
 class TestDeterminism:

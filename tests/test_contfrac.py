@@ -48,6 +48,12 @@ class TestExpand:
         with pytest.raises(UsageError):
             hj_expand(3, 3)
 
+    @pytest.mark.parametrize("p, q", [(5, True), (True, 1), (5, 2.0)])
+    def test_rejects_non_integers(self, p, q):
+        # A bool is an int to Python, but never a parameter here.
+        with pytest.raises(UsageError, match="must be integers"):
+            hj_expand(p, q)
+
     def test_max_length(self):
         # 10^7/(10^7 - 1) expands to 10^7 - 1 twos: bounded, it stops at once.
         assert hj_expand(9, 7, max_length=4) == (2, 2, 2, 3)
@@ -144,3 +150,5 @@ class TestLensPlumbing:
             lens_plumbing(4, 2)
         with pytest.raises(UsageError):
             lens_plumbing(3, 0)
+        with pytest.raises(UsageError, match="lens parameters"):
+            lens_plumbing(5, True)

@@ -484,6 +484,9 @@ class TestEnumeration:
         for bad in (2.5, True, "10"):
             with pytest.raises(UsageError, match="node budget must be an integer"):
                 SearchLimits(node_budget=bad)
+        for bad in (True, False):
+            with pytest.raises(UsageError, match="time budget must be a number"):
+                SearchLimits(10, bad)
 
     def test_limits_record(self):
         assert SearchLimits() == (10 ** 8, None)

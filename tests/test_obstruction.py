@@ -511,6 +511,19 @@ class TestLemmaCembReport:
         with pytest.raises(UsageError):
             lemma_cemb_report(2, 7)
 
+    @pytest.mark.parametrize("weights, m", [
+        *(((3,) * (n - 1) + (2, 2) + (3,) * (n - 1) + (2,), 4 * n) for n in range(2, 6)),
+        ((3, 2, 2, 3, 2), 9),
+    ])
+    def test_summary_matches_complement(self, weights, m):
+        # Oracle: the complement of the restricted rows, taken whatever its
+        # rank, where class_summary counts the rank and takes it only at one.
+        for cls in search_embedding_classes(linear_lattice(weights), m).classes:
+            sup = cls.support
+            comp = orthogonal_complement([[row[j] for j in sup] for row in cls.matrix], len(sup))
+            norm = comp.generator_norm if comp.rank == 1 else None
+            assert obstruction.class_summary(cls) == (len(sup), comp.rank, norm)
+
 
 class TestExampleB31Report:
     def test_reproduction(self):

@@ -72,6 +72,9 @@ class TestBlowDown:
     def test_index_out_of_range(self):
         with pytest.raises(UsageError):
             blow_down((-1,), 2)
+        for bad in (True, 1.0):
+            with pytest.raises(UsageError, match="index must be an integer"):
+                blow_down((-1, -2), bad)
 
     def test_length_decreases(self):
         chain = rb_chain(5)
@@ -92,6 +95,11 @@ class TestBlowUp:
             up = blow_up(chain, gap)
             assert up[gap] == -1
             assert blow_down(up, gap + 1) == chain
+
+    def test_gap_out_of_range(self):
+        for bad in (-1, 3, True, 1.0):
+            with pytest.raises(UsageError, match="gap must be an integer from 0 to 2"):
+                blow_up((-3, -2), bad)
 
 
 class TestReduce:
