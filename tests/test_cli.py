@@ -642,7 +642,7 @@ class TestColdImports:
         code, _, threads = json.loads(_fresh_python(THREAD_PROBE, "numpy-first", "obstruct", "3,1"))
         assert code == 0 and threads > 1
 
-    def test_package_holds_no_names(self):
+    def test_names_live_on_their_modules(self):
         # ``import ballobs`` loads no submodule, and each name is reached on
         # its module only.
         assert json.loads(_fresh_python(PACKAGE_PROBE, json.dumps(MODULE_NAMES))) == [
