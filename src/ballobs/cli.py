@@ -260,9 +260,17 @@ def cmd_verify_lemma_cemb(args) -> tuple[dict, list[str], int]:
 
 def cmd_verify_theorem2(args) -> tuple[dict, list[str], int]:
     from . import obstruction
-    (report,), elapsed_ms = _timed(args, obstruction.theorem2_suite, [(args.k, args.n)])
-    doc, lines, code = _obstruction_output(report, elapsed_ms)
-    if report.verdict == obstruction.NOT_OBSTRUCTED:
+    from .lattice import MAX_AMBIENT
+    # fibonacci_ball(k)'s bigint loop grows with the square of k, so each
+    # index is checked before it runs.  The k-th ball's plumbing has 2k+1
+    # vertices: above MAX_AMBIENT it cannot fit, and build_problem refuses
+    # the rest.
+    if max(args.k, args.n) > MAX_AMBIENT:
+        raise UsageError(f"ambient rank exceeds the supported maximum {MAX_AMBIENT}")
+    problem = obstruction.build_problem([markov.fibonacci_ball(args.k),
+                                         markov.fibonacci_ball(args.n)])
+    doc, lines, code = _obstruction_output(*_timed(args, obstruction.check_obstruction, problem))
+    if doc["verdict"] == obstruction.NOT_OBSTRUCTED:
         print("unexpected witness for a pair of consecutive-Fibonacci balls", file=sys.stderr)
         code = 3
     return doc, lines, code

@@ -51,6 +51,9 @@ def hj_expand(p: int, q: int, max_length: int | None = None) -> tuple[int, ...]:
     """
     if any(not isinstance(x, int) or isinstance(x, bool) for x in (p, q)):
         raise UsageError(f"p and q must be integers, got {(p, q)!r}")
+    if max_length is not None and (not isinstance(max_length, int)
+                                   or isinstance(max_length, bool) or max_length < 0):
+        raise UsageError(f"max_length must be None or an integer >= 0, got {max_length!r}")
     if not p > q >= 1:
         raise UsageError(f"need p > q >= 1, got {(p, q)}")
     if math.gcd(p, q) != 1:

@@ -34,14 +34,11 @@ from .errors import (InternalCheckError, LimitExceeded, SearchLimits, UsageError
 from .lattice import (MAX_AMBIENT, EmbeddingClass, SearchStats, canonical_form,
                       direct_sum, is_isometric_embedding, is_primitive_vector,
                       linear_lattice, orthogonal_complement, search_embedding_classes)
-from .markov import BallSpec, fibonacci_ball
+from .markov import BallSpec
 
 OBSTRUCTED = "OBSTRUCTED"
 NOT_OBSTRUCTED = "NOT_OBSTRUCTED"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-# Largest Fibonacci index theorem2_suite accepts.
-MAX_THEOREM2_INDEX = 5
 
 
 class ObstructionProblem(namedtuple("ObstructionProblem",
@@ -185,27 +182,6 @@ def check_obstruction(problem: ObstructionProblem,
     return _decide(problem, classes, comps, stats)
 
 
-def theorem2_suite(pairs, limits: SearchLimits | None = None) -> list[ObstructionReport]:
-    """Obstruction reports for disjoint pairs of consecutive-odd-Fibonacci balls.
-
-    Each (k, n) checks B(F(2k+1), F(2k-1)) together with B(F(2n+1), F(2n-1)).
-    Indices above ``MAX_THEOREM2_INDEX`` are refused: every pair up to (5, 5)
-    (ambient rank 23) decides in well under a second, while each further
-    index multiplies the search nodes by about five, (6, 6) taking 6,684
-    nodes and about 0.6 s.  Larger pairs go to ``check_obstruction`` directly.
-    """
-    reports = []
-    for k, n in pairs:
-        if min(k, n) < 1:
-            raise UsageError(f"indices must be >= 1, got {(k, n)}")
-        if max(k, n) > MAX_THEOREM2_INDEX:
-            raise UsageError(
-                f"index pair {(k, n)} above desk scale (max {MAX_THEOREM2_INDEX})")
-        problem = build_problem([fibonacci_ball(k), fibonacci_ball(n)])
-        reports.append(check_obstruction(problem, limits=limits))
-    return reports
-
-
 # ---------------------------------------------------------------------------
 # Chain-lattice classification report
 
@@ -251,6 +227,8 @@ def lemma_cemb_report(n: int, m: int,
     corank-one complement of norm F(2n+1)^2 in the middle one; from n = 3 on,
     further classes appear alongside those three.
     """
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (n, m)):
+        raise UsageError(f"n and m must be integers, got {(n, m)!r}")
     if n < 2:
         raise UsageError(f"need n >= 2, got {n!r}")
     if m < 4 * n:

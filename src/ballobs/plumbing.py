@@ -17,8 +17,8 @@ from .errors import InternalCheckError, UsageError
 
 def rb_chain(n: int) -> tuple[int, ...]:
     """The length-2n chain (-3)^(n-1), -2, -1, (-3)^(n-2), -2 for n >= 2."""
-    if n < 2:
-        raise UsageError(f"need n >= 2, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise UsageError(f"need an integer n >= 2, got {n!r}")
     return (-3,) * (n - 1) + (-2, -1) + (-3,) * (n - 2) + (-2,)
 
 
@@ -103,8 +103,6 @@ def simple_embedding_certificate(n: int) -> BlowdownCertificate:
     The reduction takes exactly 2n - 2 blow-downs, so the closed manifold the
     chain describes has second Betti number b2 = 2n (= 1 + (2n - 1)).
     """
-    if n < 2:
-        raise UsageError(f"need n >= 2, got {n!r}")
     start = rb_chain(n)
     final, count = reduce(start)
     if final != (-3, 0) or count != 2 * n - 2:

@@ -16,7 +16,7 @@ import pytest
 from ballobs import contfrac, markov, obstruction, plumbing
 from ballobs.lattice import (direct_sum, linear_lattice, orthogonal_complement,
                              search_embedding_classes)
-from test_obstruction import full_embedding_classes
+from test_obstruction import fib_pair_report, full_embedding_classes
 
 
 def _line(num, label, ok):
@@ -145,7 +145,7 @@ def test_criterion_6_chain_classification_n3_slow():
 
 
 def test_criterion_7_disjoint_pairs():
-    reports = obstruction.theorem2_suite([(1, 2), (1, 3), (2, 2)])
+    reports = [fib_pair_report(*pair) for pair in ((1, 2), (1, 3), (2, 2))]
     ok = all(r.verdict == obstruction.OBSTRUCTED and not r.statistics.limit_hit
              and r.statistics.leaves > 0 for r in reports)
     for balls in ([markov.BallSpec(2, 1)], [markov.BallSpec(5, 2)]):
@@ -157,23 +157,22 @@ def test_criterion_7_disjoint_pairs():
 
 
 def test_criterion_7_disjoint_pair_23_slow():
-    rep = obstruction.theorem2_suite([(2, 3)])[0]
+    rep = fib_pair_report(2, 3)
     ok = (rep.verdict == obstruction.OBSTRUCTED and not rep.statistics.limit_hit
           and rep.statistics.leaves > 0)
     assert _line("7-slow", "disjoint pair (2,3)", ok)
 
 
 def test_criterion_7_disjoint_pair_55_slow():
-    rep = obstruction.theorem2_suite([(5, 5)])[0]
+    rep = fib_pair_report(5, 5)
     ok = (rep.problem.ambient == 23 and rep.verdict == obstruction.OBSTRUCTED
           and not rep.statistics.limit_hit and rep.statistics.leaves > 0)
     assert _line("7-slow", "disjoint pair (5,5)", ok)
 
 
 @pytest.mark.slow
-def test_criterion_7_disjoint_pair_66_slow(monkeypatch):
-    monkeypatch.setattr(obstruction, "MAX_THEOREM2_INDEX", 6)
-    rep = obstruction.theorem2_suite([(6, 6)])[0]
+def test_criterion_7_disjoint_pair_66_slow():
+    rep = fib_pair_report(6, 6)
     s = rep.statistics
     ok = (rep.problem.ambient == 27 and rep.verdict == obstruction.OBSTRUCTED
           and not s.limit_hit and s.nodes == 6684 and s.leaves == s.classes > 0)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ballobs import cli, lattice, obstruction
+from ballobs import cli, lattice, markov, obstruction
 from ballobs.cli import main
 from ballobs.errors import document_values
 from ballobs.lattice import SearchStats
@@ -218,7 +218,7 @@ class TestVerifyCommands:
         # Theorem 2 rules a witness out; stand in a witnessed report to reach
         # the branch that flags one.
         witnessed = check_obstruction(build_problem([BallSpec(2, 1)]))
-        monkeypatch.setattr(obstruction, "theorem2_suite", lambda *a, **k: [witnessed])
+        monkeypatch.setattr(obstruction, "check_obstruction", lambda *a, **k: witnessed)
         code, out, err = run(capsys, "verify", "theorem2", "1", "2")
         assert code == 3
         assert json.loads(out)["verdict"] == "NOT_OBSTRUCTED"
@@ -226,6 +226,26 @@ class TestVerifyCommands:
 
     def test_theorem2_inconclusive_exit(self, capsys):
         code, out, _ = run(capsys, "--node-budget", "2", "verify", "theorem2", "1", "2")
+        assert code == 2
+        assert json.loads(out)["verdict"] == "INCONCLUSIVE"
+
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    @pytest.mark.parametrize("k, n", [(1, 2), (2, 3), (1, 7)])
+    def test_theorem2_is_obstruct_on_fibonacci_balls(self, capsys, k, n, fmt):
+        balls = [f"{b.p},{b.q}" for b in map(markov.fibonacci_ball, (k, n))]
+        expected = run(capsys, "--format", fmt, "obstruct", *balls)
+        assert expected[0] == 0
+        assert run(capsys, "--format", fmt, "verify", "theorem2", str(k), str(n)) == expected
+
+    def test_theorem2_17_decides(self, capsys):
+        code, out, _ = run(capsys, "verify", "theorem2", "1", "7")
+        doc = json.loads(out)
+        assert code == 0 and doc["verdict"] == "OBSTRUCTED"
+        assert doc["statistics"]["nodes"] == "319"
+
+    def test_theorem2_node_budget_bounds_the_largest_pair(self, capsys):
+        # (15, 15), ambient 63, is the largest square pair within the rank cap.
+        code, out, _ = run(capsys, "--node-budget", "1000", "verify", "theorem2", "15", "15")
         assert code == 2
         assert json.loads(out)["verdict"] == "INCONCLUSIVE"
 
@@ -243,9 +263,20 @@ class TestExitCodes:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
 
-    def test_usage_error_desk_scale(self, capsys):
-        code, _, err = run(capsys, "verify", "theorem2", "1", "7")
-        assert code == 1 and "desk scale" in err
+    def test_usage_error_rank_cap(self, capsys, monkeypatch):
+        # An index is refused before its Fibonacci number, whose cost grows
+        # with the square of the index, is computed.
+        ball = markov.fibonacci_ball
+
+        def spy(k):
+            assert k <= lattice.MAX_AMBIENT, f"computed fibonacci_ball({k})"
+            return ball(k)
+
+        monkeypatch.setattr(markov, "fibonacci_ball", spy)
+        for k, n in (("16", "15"), ("1000000", "1")):
+            code, out, err = run(capsys, "verify", "theorem2", k, n)
+            assert code == 1 and out == ""
+            assert "ambient rank exceeds the supported maximum 64" in err
 
     def test_usage_error_not_positive_definite_rank17(self, capsys):
         code, out, err = run(capsys, "lattice", "classes", "--weights", ",".join(["1"] * 17),
@@ -402,7 +433,7 @@ SUBCOMMAND_GOLDEN = {
     ("verify", "theorem2", "1", "2"): (0,
         (58, "0b136ec832e4d49cc0a0faa65c9ef03c5958f9344c2b78d723c8d97ae58beb3f"),
         (543, "3bb8e9c640aada12d0d27b19221a81e60ec49c79a4ab8cffbfa88c821ab84470")),
-    ("verify", "theorem2", "1", "7"): (1, _NO_OUTPUT, _NO_OUTPUT),
+    ("verify", "theorem2", "16", "15"): (1, _NO_OUTPUT, _NO_OUTPUT),
     ("cf", "expand", "7", "9"): (1, _NO_OUTPUT, _NO_OUTPUT),
 }
 
@@ -567,7 +598,7 @@ MODULE_NAMES = {
                 "orthogonal_complement", "search_embedding_classes"),
     "obstruction": ("ObstructionProblem", "ObstructionReport", "Witness", "build_problem",
                     "check_obstruction", "lemma_cemb_report", "report_from_doc",
-                    "report_to_doc", "theorem2_suite"),
+                    "report_to_doc"),
 }
 # Imports ballobs alone, then prints the ballobs modules that loaded, the names
 # whose lookup on the package raises AttributeError, and the names missing

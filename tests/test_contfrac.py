@@ -61,6 +61,13 @@ class TestExpand:
             with pytest.raises(UsageError, match=f"more than {bound} coefficients"):
                 hj_expand(p, q, max_length=bound)
 
+    @pytest.mark.parametrize("bad", [2.5, -1, "3", True])
+    def test_rejects_bad_max_length(self, bad):
+        with pytest.raises(UsageError, match="max_length must be"):
+            hj_expand(9, 7, max_length=bad)
+        with pytest.raises(UsageError, match="max_length must be"):
+            lens_plumbing(9, 2, max_length=bad)
+
     def test_round_trip_expansions(self):
         # hj_expand(hj_eval(e)) == e for all coefficient words over [2, 5]
         # of length up to 8 (exhaustive; the all->=2 expansion is unique).

@@ -21,9 +21,15 @@ from ballobs.markov import BallSpec, fibonacci_ball
 from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
                                  ObstructionProblem, Witness, build_problem, check_obstruction,
                                  example_b31_report, lemma_cemb_report, report_from_doc,
-                                 report_to_doc, theorem2_suite, verify_witness)
+                                 report_to_doc, verify_witness)
 from ballobs.plumbing import chain_determinant
 from test_exact_oracles import matrix_determinant
+
+
+def fib_pair_report(k, n, limits=None):
+    """The report on the Fibonacci balls of indices k and n, the pair that
+    ``verify theorem2 k n`` checks."""
+    return check_obstruction(build_problem([fibonacci_ball(k), fibonacci_ball(n)]), limits)
 
 
 def direct_sum_classes(problem):
@@ -347,25 +353,32 @@ class TestPrimitivity:
 
 class TestTheorem2:
     @pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 2), (3, 3), (4, 4),
-                                      (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+                                      (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (1, 7)])
     def test_desk_scale_pairs_obstructed(self, pair):
-        rep = theorem2_suite([pair])[0]
+        rep = fib_pair_report(*pair)
         assert rep.verdict == OBSTRUCTED
         assert not rep.statistics.limit_hit
         # the search is orderly: every leaf is a distinct class
         assert rep.statistics.leaves == rep.statistics.classes > 0
 
     def test_pair_problem_shape(self):
-        rep = theorem2_suite([(1, 2)])[0]
+        rep = fib_pair_report(1, 2)
         assert [b.p for b in rep.problem.balls] == [2, 5]
         assert rep.problem.ambient == 9
         assert rep.problem.m_norm == 100
 
     def test_rejects_out_of_scale(self):
-        with pytest.raises(UsageError):
-            theorem2_suite([(1, 6)])
-        with pytest.raises(UsageError):
-            theorem2_suite([(0, 1)])
+        with pytest.raises(UsageError, match="need n >= 1"):
+            fib_pair_report(0, 1)
+        with pytest.raises(UsageError, match="exceeds the supported maximum 64"):
+            fib_pair_report(16, 15)  # ambient 1 + 33 + 31 = 65
+
+    @pytest.mark.parametrize("k", range(1, 30))
+    def test_plumbing_has_2k_plus_1_vertices(self, k):
+        # The fact the CLI's index check rests on: a pair (k, n) has ambient
+        # rank 2k + 2n + 3, within MAX_AMBIENT exactly when k + n <= 30.
+        weights = ball_plumbing(fibonacci_ball(k))
+        assert len(weights) == 2 * k + 1 and set(weights) <= {2, 3}
 
     def test_projection_orthogonality(self):
         # For the (2, 2) pair, the two factor images project orthogonally to
@@ -510,6 +523,9 @@ class TestLemmaCembReport:
             lemma_cemb_report(1, 8)
         with pytest.raises(UsageError):
             lemma_cemb_report(2, 7)
+        for n, m in ((2.5, 10), (True, 10), ("2", 10), (2, "10"), (2, 9.5)):
+            with pytest.raises(UsageError, match="must be integers"):
+                lemma_cemb_report(n, m)
 
     @pytest.mark.parametrize("weights, m", [
         *(((3,) * (n - 1) + (2, 2) + (3,) * (n - 1) + (2,), 4 * n) for n in range(2, 6)),

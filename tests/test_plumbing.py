@@ -47,6 +47,13 @@ class TestRbChain:
         with pytest.raises(UsageError):
             rb_chain(1)
 
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(UsageError, match="need an integer n >= 2"):
+            rb_chain(bad)
+        with pytest.raises(UsageError, match="need an integer n >= 2"):
+            simple_embedding_certificate(bad)
+
     def test_length(self):
         for n in range(2, 13):
             assert len(rb_chain(n)) == 2 * n
