@@ -84,7 +84,7 @@ def fibonacci_identities(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     F(2n+1)/F(2n-1), the second to F(2n+1)^2 / (F(2n+1) F(2n-1) - 1); both are
     verified before returning.
     """
-    if n < 2:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise UsageError(f"need n >= 2 (the second pattern uses a 3^(n-2) block), got {n!r}")
     from fractions import Fraction
     first = (3,) * (n - 1) + (2,)

@@ -205,14 +205,6 @@ def canonical_form(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*cols)) if cols else tuple(() for _ in rows)
 
 
-def is_primitive_vector(v) -> bool:
-    """True iff the gcd of the coordinates is 1.  The zero vector is rejected."""
-    vv = [abs(int(x)) for x in v]
-    if not any(vv):
-        raise UsageError("primitivity is undefined for the zero vector")
-    return math.gcd(*vv) == 1
-
-
 def integer_kernel(rows, m: int) -> tuple[tuple[int, ...], ...]:
     """Basis of {x in Z^m : x . r = 0 for every row r}.
 
@@ -268,34 +260,15 @@ def integer_kernel(rows, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(kernel)
 
 
-class OrthogonalComplement(namedtuple("OrthogonalComplement", "basis")):
-    """Saturated orthogonal complement of an embedded sublattice in Z^m,
-    given by a basis of row tuples."""
-
-    __slots__ = ()
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    @property
-    def generator(self) -> tuple[int, ...]:
-        if self.rank != 1:
-            raise UsageError(f"complement has rank {self.rank}, not 1")
-        return self.basis[0]
-
-    @property
-    def generator_norm(self) -> int:
-        g = self.generator
-        return sum(x * x for x in g)
-
-
-def orthogonal_complement(rows, m: int) -> OrthogonalComplement:
-    """Saturated complement of the row span in Z^m.
-
-    For a corank-one embedding the basis is a single primitive generator.
-    """
-    return OrthogonalComplement(integer_kernel(rows, m))
+def orthogonal_complement(rows, m: int) -> tuple[int, ...]:
+    """Generator of the saturated complement of the row span in Z^m, which
+    has rank one for a corank-one embedding: primitive, with its first
+    nonzero entry positive, as :func:`integer_kernel` gives it.  Any other
+    rank raises InternalCheckError; ``integer_kernel`` takes any rank."""
+    basis = integer_kernel(rows, m)
+    if len(basis) != 1:
+        raise InternalCheckError(f"complement has rank {len(basis)}, not 1")
+    return basis[0]
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +291,9 @@ class EmbeddingClass(namedtuple("EmbeddingClass", "matrix")):
     __slots__ = ()
 
     @property
-    def ambient(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-    @property
     def support(self) -> tuple[int, ...]:
         """Indices (0-based) of the ambient coordinates the image touches."""
-        return tuple(j for j in range(self.ambient)
-                     if any(row[j] for row in self.matrix))
+        return tuple(j for j, col in enumerate(zip(*self.matrix)) if any(col))
 
 
 class EmbeddingSearchResult(namedtuple("EmbeddingSearchResult", "classes stats")):

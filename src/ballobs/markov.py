@@ -37,7 +37,8 @@ class MarkovTriple(namedtuple("MarkovTriple", "a b c")):
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, c: int):
-        if not (0 < a <= b <= c):
+        if (any(not isinstance(x, int) or isinstance(x, bool) for x in (a, b, c))
+                or not 0 < a <= b <= c):
             raise UsageError(f"triple must be sorted positive integers, got {(a, b, c)}")
         if not is_markov(a, b, c):
             raise UsageError(f"{(a, b, c)} does not solve the Markov equation")
@@ -59,6 +60,8 @@ class MarkovTriple(namedtuple("MarkovTriple", "a b c")):
 
 def triple(a: int, b: int, c: int) -> MarkovTriple:
     """Build a MarkovTriple from entries given in any order."""
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (a, b, c)):
+        raise UsageError(f"entries must be positive integers, got {(a, b, c)!r}")
     x, y, z = sorted((a, b, c))
     return MarkovTriple(x, y, z)
 
@@ -70,7 +73,7 @@ def vieta_neighbor(t: MarkovTriple, position: int) -> MarkovTriple:
     by the other root of that quadratic gives another solution; this is the
     edge relation of the Markov tree.
     """
-    if position not in (1, 2, 3):
+    if not isinstance(position, int) or isinstance(position, bool) or position not in (1, 2, 3):
         raise UsageError(f"position must be 1, 2 or 3, got {position!r}")
     entries = list(t.entries)
     x = entries.pop(position - 1)
@@ -212,7 +215,7 @@ def classify_symplectic(ball: BallSpec) -> SymplecticVerdict:
 
 def fibonacci_ball(n: int) -> BallSpec:
     """B(F(2n+1), F(2n-1)) for n >= 1."""
-    if n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise UsageError(f"need n >= 1, got {n!r}")
     return BallSpec(odd_fibonacci(n + 1), odd_fibonacci(n))
 
@@ -224,6 +227,6 @@ def fibonacci_symplectic_table(n_max: int) -> list[tuple[int, SymplecticVerdict]
     force -1 = 9 u^2 = -9 mod F(2n+1), and no odd Fibonacci number above 2
     divides 8.
     """
-    if n_max < 1:
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise UsageError(f"need n_max >= 1, got {n_max!r}")
     return [(n, classify_symplectic(fibonacci_ball(n))) for n in range(1, n_max + 1)]

@@ -32,8 +32,8 @@ from .contfrac import ball_boundary, lens_plumbing
 from .errors import (InternalCheckError, LimitExceeded, SearchLimits, UsageError,
                      document_values)
 from .lattice import (MAX_AMBIENT, EmbeddingClass, SearchStats, canonical_form,
-                      direct_sum, is_isometric_embedding, is_primitive_vector,
-                      linear_lattice, orthogonal_complement, search_embedding_classes)
+                      direct_sum, is_isometric_embedding, linear_lattice,
+                      orthogonal_complement, search_embedding_classes)
 from .markov import BallSpec
 
 OBSTRUCTED = "OBSTRUCTED"
@@ -119,7 +119,8 @@ def verify_witness(problem: ObstructionProblem, witness: Witness) -> None:
             or sum(x * x for x in w) != problem.m_norm
             or any(sum(map(operator.mul, w, row)) for row in rows)):
         raise InternalCheckError("witness rows do not realise the direct-sum Gram matrix")
-    if not is_primitive_vector(w):
+    # w.w == m_norm > 0 above, so w is not the zero vector.
+    if math.gcd(*w) != 1:
         raise InternalCheckError("witness generator is not primitive")
     if 0 in w or not all(map(any, zip(*rows))):
         raise InternalCheckError("witness fails the unit-pairing conditions")
@@ -132,32 +133,30 @@ def _verdict(witnesses, stats: SearchStats) -> str:
     return INCONCLUSIVE if stats.limit_hit else OBSTRUCTED
 
 
-def _decide(problem: ObstructionProblem, classes, comps, stats: SearchStats) -> ObstructionReport:
+def _decide(problem: ObstructionProblem, classes, gens, stats: SearchStats) -> ObstructionReport:
     # The report from the sorted Lambda_C classes of a search, their
-    # complements and its stats.  Each class gives at most one witness, so
-    # the witnesses come out sorted too.
+    # complement generators and its stats.  Each class gives at most one
+    # witness, so the witnesses come out sorted too.
     witnesses = []
-    for cls, comp in zip(classes, comps):
-        if comp.rank != 1:
-            raise InternalCheckError("corank-one embedding with complement rank != 1")
-        w = comp.generator
-        if comp.generator_norm == problem.m_norm and all(w) and len(cls.support) == len(w):
+    for cls, w in zip(classes, gens):
+        if sum(x * x for x in w) == problem.m_norm and all(w) and len(cls.support) == len(w):
             witness = Witness(cls.matrix, w)
             verify_witness(problem, witness)
             witnesses.append(witness)
     return ObstructionReport(problem, _verdict(witnesses, stats), tuple(witnesses), stats)
 
 
-def _direct_sum_classes(problem: ObstructionProblem, classes, comps) -> tuple:
+def _direct_sum_classes(problem: ObstructionProblem, classes, gens) -> tuple:
     # The sorted canonical Lambda_M (+) Lambda_C classes: +c w and -c w, for
     # c^2 w.w = m_norm, each stacked on the rows of w's class (the two signs
     # can canonicalise to different classes).
     fulls = set()
-    for cls, comp in zip(classes, comps):
-        c = math.isqrt(problem.m_norm // comp.generator_norm)
-        if c * c * comp.generator_norm == problem.m_norm:
-            fulls.update(canonical_form((tuple(sign * c * x for x in comp.generator),)
-                                        + cls.matrix) for sign in (1, -1))
+    for cls, w in zip(classes, gens):
+        norm = sum(x * x for x in w)
+        c = math.isqrt(problem.m_norm // norm)
+        if c * c * norm == problem.m_norm:
+            fulls.update(canonical_form((tuple(sign * c * x for x in w),) + cls.matrix)
+                         for sign in (1, -1))
     return tuple(sorted(fulls))
 
 
@@ -168,9 +167,9 @@ def check_obstruction(problem: ObstructionProblem,
     NOT_OBSTRUCTED requires an explicit witness (re-verified from scratch);
     OBSTRUCTED requires the enumeration to have completed exhaustively;
     INCONCLUSIVE reports budget exhaustion without a witness.  Only Lambda_C
-    is enumerated; Lambda_M is read off the rank-one complement, whose
-    generator ``integer_kernel`` returns with its first nonzero entry
-    positive.
+    is enumerated; Lambda_M is read off the generator of the rank-one
+    complement, which ``orthogonal_complement`` returns primitive and with
+    its first nonzero entry positive.
     """
     try:
         result = search_embedding_classes(problem.c_lattice, problem.ambient, limits=limits)
@@ -178,8 +177,8 @@ def check_obstruction(problem: ObstructionProblem,
     except LimitExceeded as exc:
         # budget exhaustion still yields the classes found so far
         classes, stats = exc.partial_classes, exc.stats
-    comps = [orthogonal_complement(cls.matrix, problem.ambient) for cls in classes]
-    return _decide(problem, classes, comps, stats)
+    gens = [orthogonal_complement(cls.matrix, problem.ambient) for cls in classes]
+    return _decide(problem, classes, gens, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +205,7 @@ def class_summary(cls: EmbeddingClass) -> ClassSummary:
     norm1 = None
     if rank == 1:
         restricted = tuple(tuple(row[j] for j in sup) for row in cls.matrix)
-        norm1 = orthogonal_complement(restricted, len(sup)).generator_norm
+        norm1 = sum(x * x for x in orthogonal_complement(restricted, len(sup)))
     return ClassSummary(len(sup), rank, norm1)
 
 
@@ -265,9 +264,9 @@ def example_b31_report(limits: SearchLimits | None = None) -> ExampleB31Report:
     """
     problem = build_problem([BallSpec(3, 1)])
     result = search_embedding_classes(problem.c_lattice, problem.ambient, limits=limits)
-    comps = [orthogonal_complement(cls.matrix, problem.ambient) for cls in result.classes]
-    report = _decide(problem, result.classes, comps, result.stats)
-    fulls = _direct_sum_classes(problem, result.classes, comps)
+    gens = [orthogonal_complement(cls.matrix, problem.ambient) for cls in result.classes]
+    report = _decide(problem, result.classes, gens, result.stats)
+    fulls = _direct_sum_classes(problem, result.classes, gens)
     m_zero: tuple[int, ...] = ()
     c_zero: tuple[int, ...] = ()
     if fulls:

@@ -22,25 +22,33 @@ def rb_chain(n: int) -> tuple[int, ...]:
     return (-3,) * (n - 1) + (-2, -1) + (-3,) * (n - 2) + (-2,)
 
 
+def _weights(chain) -> tuple[int, ...]:
+    # The chain as a tuple, each weight an int and not a bool.
+    c = tuple(chain)
+    if any(not isinstance(a, int) or isinstance(a, bool) for a in c):
+        raise UsageError(f"weights must be integers, got {c!r}")
+    return c
+
+
 def blow_down(chain, index: int) -> tuple[int, ...]:
     """Blow down the -1 at ``index`` (1-based).
 
     Interior: both neighbours gain 1 and become adjacent.  End: the single
     neighbour gains 1.  Isolated: the vertex disappears.
     """
-    c = tuple(chain)
+    c = _weights(chain)
     if not isinstance(index, int) or isinstance(index, bool) or not 1 <= index <= len(c):
         raise UsageError(f"index must be an integer from 1 to {len(c)}, got {index!r}")
-    i = index - 1
-    if c[i] != -1:
-        raise UsageError(f"weight at index {index} is {c[i]}, not -1")
-    if len(c) == 1:
-        return ()
-    if i == 0:
-        return (c[1] + 1,) + c[2:]
-    if i == len(c) - 1:
-        return c[:-2] + (c[-2] + 1,)
-    return c[:i - 1] + (c[i - 1] + 1, c[i + 1] + 1) + c[i + 2:]
+    if c[index - 1] != -1:
+        raise UsageError(f"weight at index {index} is {c[index - 1]}, not -1")
+    return _blow_down(c, index - 1)
+
+
+def _blow_down(c: tuple[int, ...], i: int) -> tuple[int, ...]:
+    # Blow down the -1 at 0-based position i of a checked chain.
+    left = c[:i - 1] + (c[i - 1] + 1,) if i else ()
+    right = (c[i + 1] + 1,) + c[i + 2:] if i + 1 < len(c) else ()
+    return left + right
 
 
 def blow_up(chain, gap: int) -> tuple[int, ...]:
@@ -50,7 +58,7 @@ def blow_up(chain, gap: int) -> tuple[int, ...]:
     an interior gap splits that edge, decrementing both sides.  On the empty
     chain this creates the isolated (-1).
     """
-    c = tuple(chain)
+    c = _weights(chain)
     if not isinstance(gap, int) or isinstance(gap, bool) or not 0 <= gap <= len(c):
         raise UsageError(f"gap must be an integer from 0 to {len(c)}, got {gap!r}")
     if not c:
@@ -69,11 +77,10 @@ def reduce(chain) -> tuple[tuple[int, ...], int]:
     output reproducible and, on the rational-blow-up chains, lands on the
     chain (-3, 0) rather than one of its blow-down-equivalent relabelings.
     """
-    c = tuple(chain)
+    c = _weights(chain)
     count = 0
     while -1 in c:
-        i = len(c) - 1 - c[::-1].index(-1)
-        c = blow_down(c, i + 1)
+        c = _blow_down(c, len(c) - 1 - c[::-1].index(-1))
         count += 1
     return c, count
 
@@ -85,7 +92,7 @@ def chain_determinant(chain) -> int:
     The empty chain has determinant 1 (empty matrix).
     """
     prev, cur = 0, 1
-    for a in chain:
+    for a in _weights(chain):
         prev, cur = cur, a * cur - prev
     return cur
 

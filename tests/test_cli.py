@@ -591,10 +591,9 @@ MODULE_NAMES = {
                  "hj_expand", "hj_reverse", "lens_plumbing"),
     "plumbing": ("BlowdownCertificate", "blow_down", "blow_up", "chain_determinant",
                  "rb_chain", "reduce", "simple_embedding_certificate"),
-    "lattice": ("EmbeddingClass", "EmbeddingSearchResult", "GramLattice",
-                "OrthogonalComplement", "SearchLimits", "SearchStats", "canonical_form",
-                "direct_sum", "integer_kernel", "is_isometric_embedding",
-                "is_positive_definite", "is_primitive_vector", "linear_lattice",
+    "lattice": ("EmbeddingClass", "EmbeddingSearchResult", "GramLattice", "SearchLimits",
+                "SearchStats", "canonical_form", "direct_sum", "integer_kernel",
+                "is_isometric_embedding", "is_positive_definite", "linear_lattice",
                 "orthogonal_complement", "search_embedding_classes"),
     "obstruction": ("ObstructionProblem", "ObstructionReport", "Witness", "build_problem",
                     "check_obstruction", "lemma_cemb_report", "report_from_doc",

@@ -130,6 +130,11 @@ class TestFibonacciIdentities:
         with pytest.raises(UsageError):
             fibonacci_identities(1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True])
+    def test_non_integers_rejected(self, n):
+        with pytest.raises(UsageError, match="need n >= 2"):
+            fibonacci_identities(n)
+
     def test_range_to_twelve(self):
         for n in range(2, 13):
             first, second = fibonacci_identities(n)

@@ -7,13 +7,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ballobs.errors import LimitExceeded, UsageError
+from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
 from ballobs.lattice import (GramLattice, SearchLimits, _square_parts,
                              canonical_form, direct_sum, integer_kernel,
                              is_isometric_embedding, is_positive_definite,
-                             is_primitive_vector, leading_principal_minors,
-                             linear_lattice, orthogonal_complement,
-                             search_embedding_classes)
+                             leading_principal_minors, linear_lattice,
+                             orthogonal_complement, search_embedding_classes)
 from test_exact_oracles import matrix_determinant
 
 L222 = linear_lattice((2, 2, 2))
@@ -218,20 +217,6 @@ class TestCanonicalForm:
         assert len(classes) == orbit_count == 2
 
 
-class TestPrimitiveVector:
-    @pytest.mark.parametrize("v, expected", [
-        ((3, 0, 0, 0, 0), False),
-        ((1, 1, 1, 1), True),
-        ((2, 4, 6), False),
-    ])
-    def test_examples(self, v, expected):
-        assert is_primitive_vector(v) is expected
-
-    def test_zero_rejected(self):
-        with pytest.raises(UsageError):
-            is_primitive_vector((0, 0))
-
-
 class TestIntegerKernel:
     def test_orthogonality_and_rank(self):
         rows = ((-1, 1, 0, 0), (0, -1, 1, 0), (0, 0, -1, 1))
@@ -299,24 +284,27 @@ def _solve_exact(mat, rhs):
 class TestOrthogonalComplement:
     def test_chain_in_z4(self):
         rows = ((-1, 1, 0, 0), (0, -1, 1, 0), (0, 0, -1, 1))
-        comp = orthogonal_complement(rows, 4)
-        assert comp.rank == 1
-        assert comp.generator == (1, 1, 1, 1)
-        assert comp.generator_norm == 4
+        assert orthogonal_complement(rows, 4) == (1, 1, 1, 1)
 
     def test_full_rank_zero_complement(self):
         rows = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
-        comp = orthogonal_complement(rows, 3)
-        assert comp.rank == 0 and comp.basis == ()
+        assert integer_kernel(rows, 3) == ()
+        with pytest.raises(InternalCheckError, match="rank 0"):
+            orthogonal_complement(rows, 3)
+
+    def test_rank2_complement_raises(self):
+        rows = ((1, -1, 0),)
+        assert integer_kernel(rows, 3) == ((1, 1, 0), (0, 0, 1))
+        with pytest.raises(InternalCheckError, match="rank 2"):
+            orthogonal_complement(rows, 3)
 
     def test_second_class_norm_equals_lattice_determinant(self):
         classes = search_embedding_classes(CHAIN5, 6).classes
         norms = []
         for cls in classes:
-            comp = orthogonal_complement(cls.matrix, 6)
-            if comp.rank == 1:
-                norms.append(comp.generator_norm)
-                assert is_primitive_vector(comp.generator)
+            gen = orthogonal_complement(cls.matrix, 6)
+            norms.append(sum(x * x for x in gen))
+            assert math.gcd(*gen) == 1
         assert matrix_determinant(CHAIN5.gram) == 25
         assert 25 in norms
 
@@ -369,9 +357,9 @@ class TestEnumeration:
         classes = search_embedding_classes(L222, 4).classes
         rank4 = [c for c in classes if len(c.support) == 4]
         assert len(rank4) == 1
-        comp = orthogonal_complement(rank4[0].matrix, 4)
-        assert comp.rank == 1 and comp.generator_norm == 4
-        assert sorted(abs(x) for x in comp.generator) == [1, 1, 1, 1]
+        gen = orthogonal_complement(rank4[0].matrix, 4)
+        assert sum(x * x for x in gen) == 4
+        assert sorted(abs(x) for x in gen) == [1, 1, 1, 1]
 
     def test_example_direct_sum_unique(self):
         lat = direct_sum(L9, linear_lattice((2, 2, 2, 3)))
@@ -403,9 +391,10 @@ class TestEnumeration:
         for cls in classes:
             sup = cls.support
             restricted = tuple(tuple(row[j] for j in sup) for row in cls.matrix)
-            comp = orthogonal_complement(restricted, len(sup))
+            basis = integer_kernel(restricted, len(sup))
+            assert len(basis) == len(sup) - 5
             if len(sup) == 6:
-                assert comp.rank == 1 and comp.generator_norm == 25
+                assert sum(x * x for x in basis[0]) == 25
 
     def test_rank5_chain_full_support_class_is_the_known_one(self):
         classes = search_embedding_classes(CHAIN5, 8).classes
@@ -435,9 +424,9 @@ class TestEnumeration:
             assert canonical_form(cls.matrix) == cls.matrix
         assert len({len(c.support) for c in classes}) == 5
         support8 = [c for c in classes if len(c.support) == 8]
-        comp = orthogonal_complement(
+        gen = orthogonal_complement(
             tuple(tuple(row[j] for j in support8[0].support) for row in support8[0].matrix), 8)
-        assert comp.rank == 1 and comp.generator_norm == 169
+        assert sum(x * x for x in gen) == 169
 
     def test_counts_independent_of_vertex_order(self):
         for lat, m in [(CHAIN5, 8), (linear_lattice((3, 2, 2, 3)), 7),

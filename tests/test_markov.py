@@ -78,6 +78,11 @@ class TestTripleValidation:
     def test_factory_sorts(self):
         assert triple(5, 1, 2) == MarkovTriple(1, 2, 5)
 
+    @pytest.mark.parametrize("args", [("1", "2", "5"), ("1", 2, 5), (5.0, 1, 2), (2, True, 1)])
+    def test_factory_rejects_non_integers(self, args):
+        with pytest.raises(UsageError, match="entries must be positive integers"):
+            triple(*args)
+
 
 class TestVieta:
     @pytest.mark.parametrize("t, pos, expected", [
@@ -91,6 +96,11 @@ class TestVieta:
     def test_bad_position(self):
         with pytest.raises(UsageError):
             vieta_neighbor(MarkovTriple(1, 1, 1), 4)
+
+    @pytest.mark.parametrize("position", [True, 1.0, "1"])
+    def test_non_integer_position(self, position):
+        with pytest.raises(UsageError, match="position must be 1, 2 or 3"):
+            vieta_neighbor(MarkovTriple(1, 1, 2), position)
 
     def test_involution(self):
         # Moving an entry and then moving the replaced value returns the triple.
@@ -212,6 +222,10 @@ class TestRecords:
         (BallSpec, (5, 5), "need p >= 2 and 1 <= q < p, got (5, 5)"),
         (BallSpec, (9, 3), "p and q must be coprime, got (9, 3)"),
         (BallSpec, (3, True), "ball parameters must be integers, got (3, True)"),
+        (MarkovTriple, ("1", "1", "2"),
+         "triple must be sorted positive integers, got ('1', '1', '2')"),
+        (MarkovTriple, (1, 1, 2.0), "triple must be sorted positive integers, got (1, 1, 2.0)"),
+        (MarkovTriple, (True, 1, 2), "triple must be sorted positive integers, got (True, 1, 2)"),
     ])
     def test_usage_messages(self, record, args, message):
         with pytest.raises(UsageError) as info:
@@ -309,6 +323,16 @@ class TestFibonacciTable:
     def test_only_n1_symplectic(self):
         table = fibonacci_symplectic_table(8)
         assert [n for n, v in table if v.symplectic] == [1]
+
+    @pytest.mark.parametrize("n", ["3", 2.5, 2.0, True, 0])
+    def test_fibonacci_ball_index(self, n):
+        with pytest.raises(UsageError, match=rf"need n >= 1, got {n!r}$"):
+            fibonacci_ball(n)
+
+    @pytest.mark.parametrize("n_max", ["3", 2.0, True, 0])
+    def test_table_bound(self, n_max):
+        with pytest.raises(UsageError, match="need n_max >= 1"):
+            fibonacci_symplectic_table(n_max)
 
     def test_divisibility_argument(self):
         # Independent check: q = +-3u would force -1 = q^2 = 9 u^2 = -9 mod p,

@@ -15,7 +15,7 @@ from ballobs import kernels, lattice, obstruction
 from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
 from ballobs.contfrac import ball_boundary, ball_plumbing
 from ballobs.lattice import (MAX_AMBIENT, GramLattice, SearchLimits, direct_sum,
-                             is_isometric_embedding, is_primitive_vector, linear_lattice,
+                             integer_kernel, is_isometric_embedding, linear_lattice,
                              orthogonal_complement, search_embedding_classes)
 from ballobs.markov import BallSpec, fibonacci_ball
 from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
@@ -49,8 +49,8 @@ def full_embedding_classes(problem, limits=None):
     complement route to :func:`direct_sum_classes`."""
     m = problem.ambient
     classes = search_embedding_classes(problem.c_lattice, m, limits=limits).classes
-    comps = [orthogonal_complement(cls.matrix, m) for cls in classes]
-    return obstruction._direct_sum_classes(problem, classes, comps)
+    gens = [orthogonal_complement(cls.matrix, m) for cls in classes]
+    return obstruction._direct_sum_classes(problem, classes, gens)
 
 
 def canonical_with_vector(rows, w):
@@ -80,7 +80,7 @@ def direct_sum_witnesses(problem):
             continue
         if not all(any(row[j] for row in c_rows) for j in range(m)):
             continue
-        if not is_primitive_vector(w):
+        if math.gcd(*w) != 1:
             continue
         canon, gen = canonical_with_vector(c_rows, w)
         if next(x for x in gen if x) < 0:
@@ -346,7 +346,7 @@ class TestPrimitivity:
             minors = [matrix_determinant([row[:j] + row[j + 1:] for row in cls.matrix])
                       for j in range(m)]
             index = math.gcd(*minors)
-            norm = orthogonal_complement(cls.matrix, m).generator_norm
+            norm = sum(x * x for x in orthogonal_complement(cls.matrix, m))
             assert (index == 1) == (norm == pr.m_norm), cls.matrix
             assert norm * index * index == pr.m_norm, cls.matrix
 
@@ -536,9 +536,9 @@ class TestLemmaCembReport:
         # rank, where class_summary counts the rank and takes it only at one.
         for cls in search_embedding_classes(linear_lattice(weights), m).classes:
             sup = cls.support
-            comp = orthogonal_complement([[row[j] for j in sup] for row in cls.matrix], len(sup))
-            norm = comp.generator_norm if comp.rank == 1 else None
-            assert obstruction.class_summary(cls) == (len(sup), comp.rank, norm)
+            basis = integer_kernel([[row[j] for j in sup] for row in cls.matrix], len(sup))
+            norm = sum(x * x for x in basis[0]) if len(basis) == 1 else None
+            assert obstruction.class_summary(cls) == (len(sup), len(basis), norm)
 
 
 class TestExampleB31Report:

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from ballobs import plumbing
 from ballobs.errors import UsageError
 from ballobs.plumbing import (blow_down, blow_up, chain_determinant, rb_chain,
                               reduce, simple_embedding_certificate)
@@ -107,6 +108,29 @@ class TestBlowUp:
         for bad in (-1, 3, True, 1.0):
             with pytest.raises(UsageError, match="gap must be an integer from 0 to 2"):
                 blow_up((-3, -2), bad)
+
+
+class TestWeights:
+    # Each chain function takes int weights only, bools excluded.
+    @pytest.mark.parametrize("chain", [["x"], (True, -1), [-1.0], [2.5, 2], (-2, None)])
+    @pytest.mark.parametrize("call", [
+        lambda c: blow_down(c, 1),
+        lambda c: blow_up(c, 0),
+        reduce,
+        chain_determinant,
+    ], ids=["blow_down", "blow_up", "reduce", "chain_determinant"])
+    def test_non_integer_weights_rejected(self, chain, call):
+        with pytest.raises(UsageError, match="weights must be integers"):
+            call(chain)
+
+    def test_reduce_checks_once(self, monkeypatch):
+        # The blow-downs inside reduce work on the checked chain; only the
+        # entry check reads the weights.
+        calls = []
+        check = plumbing._weights
+        monkeypatch.setattr(plumbing, "_weights", lambda c: calls.append(c) or check(c))
+        assert plumbing.reduce(rb_chain(6)) == ((-3, 0), 10)
+        assert len(calls) == 1
 
 
 class TestReduce:
