@@ -15,7 +15,8 @@ keeps one representative per such swap (the search's tie rule, see
 :func:`ballobs.lattice.search_embedding_classes`), reading the ties off each
 owner's own rows.  A single query is a batch of one.
 
-Two methods answer this one contract, chosen by the norm alone:
+Three methods answer this one contract, chosen by the norm and, at norm 3,
+by whether some dot is nonzero:
 
 * The layer-by-layer scan (:func:`_scan`) answers every norm.  A call costs
   mostly numpy's per-operation overhead, paid once per scanned column, so
@@ -29,10 +30,13 @@ Two methods answer this one contract, chosen by the norm alone:
   int64 hashes; it can only keep too much, never too little, and every hit
   is re-checked exactly, so the hash never decides an answer.  The scan is
   its test oracle.
-
-Norm 3 stays on the scan: its candidates add +-e_a +- e_b +- e_c, cubic in
-the width, and a pair-plus-sorted-lookup version of the closed form took
-twice the scan's time per call.
+* The anchored closed form (:func:`_anchored`) answers norm 3 when some dot
+  is nonzero, the rows that set the cost of every Fibonacci search.  Such
+  an x is +-e_a plus one of the norm-2 candidates, with a on the support of
+  a row whose dot is nonzero, so the same hash test runs once per support
+  column and sign: its size grows with that support, not with a third
+  free column.  The scan is its test oracle too.  Norm 3 with all dots
+  zero, and every larger norm, stay on the scan.
 
 Integer width.  Answers are always int64.  The scan computes in int32 when a
 bound read off the call's own inputs proves every intermediate exact:
@@ -41,9 +45,9 @@ a row (:func:`_scan_dtype` argues it: every deficit, its square and every
 bound product stays below that).  Otherwise it computes in int64.  The
 search's rows have squared lengths equal to Gram diagonal entries and its
 dots are Gram entries, so its calls take int32 unless norm * R reaches
-2^29; int32 halves the bytes each layer moves.  The closed form hashes in
-wrapping int64, where overflow is harmless by design, and its hash weights
-are one table computed once.
+2^29; int32 halves the bytes each layer moves.  The closed forms hash in
+wrapping int64, where overflow is harmless by design, and their hash
+weights are one table computed once.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ from .lattice import MAX_AMBIENT
 # Largest (N, V, k) block the scan builds at once, in array entries.  Wider
 # layers are tested block by block and keep only each block's survivors, so
 # no temporary kept past its block exceeds this size however many partial
-# vectors a layer holds.
+# vectors a layer holds.  The closed forms' hash test takes blocks of 32
+# times this size (see _hash_hits).
 _BLOCK = 1 << 14
 
 
@@ -88,8 +93,10 @@ def constrained_vectors(rows, used, dots, norm):
     x followed by x.x.
 
     A norm of at most 2 is answered in closed form (:func:`_closed_form`),
-    every larger norm by the layer-by-layer scan (:func:`_scan`); both give
-    the same arrays, and the scan is the closed form's test oracle.
+    norm 3 with some dot nonzero by the anchored closed form
+    (:func:`_anchored`), and the rest by the layer-by-layer scan
+    (:func:`_scan`); all give the same arrays, and the scan is the closed
+    forms' test oracle.
     """
     rows = np.asarray(rows, dtype=np.int64)
     used = np.asarray(used, dtype=np.int64)
@@ -101,6 +108,8 @@ def constrained_vectors(rows, used, dots, norm):
         return owner, np.zeros((len(owner), 1), dtype=np.int64)
     if 0 <= norm <= 2:
         return _closed_form(rows, used, dots, norm)
+    if norm == 3 and dots.any():
+        return _anchored(rows, used, dots)
     return _scan(rows, used, dots, norm)
 
 
@@ -144,7 +153,7 @@ def _candidates(u, norm):
     return cols
 
 
-# Odd 64-bit multiplier of the closed form's column hash: row j of a node's
+# Odd 64-bit multiplier of the closed forms' column hash: row j of a node's
 # rows is weighted by its (j+1)-th power, in wrapping int64 arithmetic.
 _HASH_BASE = -7046029254386353131  # 0x9E3779B97F4A7C15 as a signed int64
 
@@ -155,6 +164,44 @@ _HASH_BASE = -7046029254386353131  # 0x9E3779B97F4A7C15 as a signed int64
 _HASH_WEIGHTS = np.array([(pow(_HASH_BASE, j, 1 << 64) + (1 << 63)) % (1 << 64) - (1 << 63)
                           for j in range(1, MAX_AMBIENT + 1)], dtype=np.int64)
 _HASH_WEIGHTS.setflags(write=False)
+
+
+def _signed_hashes(weights, rows):
+    # Each owner's signed list [0, -h, +h] of its column hashes h, (B, 2u+1).
+    h = np.matmul(weights, rows)                                       # (B, u)
+    return np.concatenate([np.zeros((len(h), 1), dtype=np.int64), -h, h], axis=1)
+
+
+def _hash_hits(signed, i, j, need, used, targets):
+    # The hits of a closed form's hash test: every (owner, t, c) for which
+    # candidate c, the sum of entries i[c] and j[c] of the owner's signed
+    # list, hashes to targets[owner, t] and touches no column at or past
+    # used[owner] (need[c] is 1 + the last column it touches), owner first,
+    # then t, then c.  The test runs over blocks of owners, or of one owner's
+    # targets where those alone are too many, so that no temporary holds
+    # more than 32 * _BLOCK entries, or one (owner, target) row where that
+    # row alone is larger.  Every call of a Fibonacci search up to Fib (8,8)
+    # fits one block: the largest, on Fib (8,8), holds 470,592 entries.  A
+    # block holds whole target rows of its owners or targets of one owner,
+    # so a hit's flat index in the whole (B, T, C) test is its index in the
+    # block plus the block's offset.
+    batch, width = targets.shape
+    size = len(i)
+    per = max(1, 32 * _BLOCK // size)        # (owner, target) rows a block holds
+    tstep = min(width, per)
+    bstep = max(1, per // width)
+    hits = []
+    for lo in range(0, batch, bstep):
+        own = slice(lo, lo + bstep)
+        h = signed[own].take(i, axis=1)                                # (b, C)
+        h += signed[own].take(j, axis=1)
+        live = need <= used[own, None]
+        for tlo in range(0, width, tstep):
+            hit = h[:, None, :] == targets[own, tlo:tlo + tstep, None]  # (b, w, C)
+            hit &= live[:, None, :]
+            hits.append(np.flatnonzero(hit) + (lo * width + tlo) * size)
+    owner, rest = np.divmod(np.concatenate(hits), width * size)
+    return (owner, *np.divmod(rest, size))
 
 
 def _closed_form(rows, used, dots, norm):
@@ -172,20 +219,15 @@ def _closed_form(rows, used, dots, norm):
     owner's columns, and the hash never decides an answer; a collision costs
     time only.  The ``need`` test keeps x off the dead columns c >= used[b]:
     zero-padded dead columns would otherwise pass both checks whenever
-    dots == 0, as a pair e_c - e_d does.  ``np.nonzero`` lists the hits
-    owner first and then in candidate order, which is the contract's order,
-    so nothing is sorted.
+    dots == 0, as a pair e_c - e_d does.  The hits come owner first and then
+    in candidate order, which is the contract's order, so nothing is sorted.
     """
     batch, k, u = rows.shape
     i, j, need, a, sa, b, sb = _candidates(u, norm)
     weights = _HASH_WEIGHTS[:k]
-    h = np.matmul(weights, rows)                                       # (B, u)
-    signed = np.concatenate([np.zeros((batch, 1), dtype=np.int64), -h, h], axis=1)
-    hit = signed.take(i, axis=1)                                       # (B, C)
-    hit += signed.take(j, axis=1)
-    hit = hit == np.matmul(weights, dots)
-    hit &= need <= used[:, None]
-    owner, c = np.nonzero(hit)                                         # hits (N,)
+    signed = _signed_hashes(weights, rows)
+    target = np.full((batch, 1), np.matmul(weights, dots))
+    owner, _, c = _hash_hits(signed, i, j, need, used, target)
     a, sa, b, sb = a[c], sa[c], b[c], sb[c]
     n = np.arange(len(c))
     x = np.zeros((len(c), u + 1), dtype=np.int64)
@@ -195,6 +237,69 @@ def _closed_form(rows, used, dots, norm):
     ok = (rows[owner, :, a] * sa[:, None] + rows[owner, :, b] * sb[:, None] == dots).all(axis=1)
     ok &= ~(_ties(rows, used)[owner, 1:] & (x[:, :u - 1] < x[:, 1:u])).any(axis=1)
     return owner[ok], x[ok]
+
+
+def _anchored(rows, used, dots):
+    """constrained_vectors for norm 3 when some dot is nonzero, in a fixed
+    number of numpy operations whatever the width.
+
+    Such an x has entries in {-1, 0, 1}, at most three of them nonzero.  Pick
+    a row j with dots[j] != 0: rows[b, j] @ x != 0, so every solution of
+    owner b touches the support of rows[b, j] on its live columns c <
+    used[b].  Let a be the first column of x in that support and sa = x[a].
+    Then y = x - sa e_a has norm at most 2 and is zero at a and at every
+    support column before a: one of the ``_candidates(u, 2)``.  Conversely
+    every such (a, sa, y) gives one x, and distinct triples give distinct x,
+    so each solution is found exactly once.  One hash test then checks every
+    (owner, anchor a, sign sa, y) at once: y's hash against the target
+    H - sa h_a, with H the hash of dots and h_a that of column a.  As in
+    :func:`_closed_form`, the hash test keeps y off the dead columns, and
+    every hit is re-checked exactly: the anchor must lie within its owner's
+    support (owners narrower than the widest pad their anchors), x[a] == sa
+    keeps y off a, the first support column that x touches must be a, then
+    rows @ x == dots and the tie rule.  Hits come anchor by anchor, not in
+    lex order, so ``np.lexsort`` sorts the survivors into the contract's
+    order.
+
+    j is the nonzero-dot row whose widest support within the batch is the
+    smallest: that width s sets the test's size, (B, s, 2, 2u^2 + 1).
+    """
+    batch, k, u = rows.shape
+    i, j, need, a, sa, b, sb = _candidates(u, 2)
+    weights = _HASH_WEIGHTS[:k]
+    signed = _signed_hashes(weights, rows)
+    live = np.arange(u) < used[:, None]                                # (B, u)
+    supports = (rows[:, dots != 0] != 0) & live[:, None, :]
+    widths = supports.sum(axis=2)                                      # (B, k')
+    pick = np.argmin(widths.max(axis=0))
+    support, width = supports[:, pick], widths[:, pick]
+    s = int(width.max())
+    if s == 0:  # rows[b, j] @ x == 0 != dots[j] for every owner
+        return np.zeros(0, dtype=np.int64), np.zeros((0, u + 1), dtype=np.int64)
+    # Each owner's support columns in increasing order, padded past its width.
+    anchor = np.argsort(~support, axis=1, kind="stable")[:, :s]        # (B, s)
+    ha = signed[np.arange(batch)[:, None], 1 + u + anchor]            # h_a
+    target = (np.matmul(weights, dots) - ha[:, :, None] * (-1, 1)).reshape(batch, 2 * s)
+    owner, t, c = _hash_hits(signed, i, j, need, used, target)
+    slot, plus = np.divmod(t, 2)
+    at, sign = anchor[owner, slot], 2 * plus - 1                       # -1, then +1
+    a, sa, b, sb = a[c], sa[c], b[c], sb[c]
+    n = np.arange(len(c))
+    x = np.zeros((len(c), u + 1), dtype=np.int64)
+    x[n, at] = sign
+    x[n, a] += sa
+    x[n, b] += sb
+    x[:, u] = 1 + sa * sa + sb * sb
+    ok = slot < width[owner]
+    ok &= x[n, at] == sign
+    ok &= np.argmax(support[owner] & (x[:, :u] != 0), axis=1) == at
+    cols = rows.transpose(0, 2, 1)                                     # (B, u, k)
+    ok &= (cols[owner, at] * sign[:, None] + cols[owner, a] * sa[:, None]
+           + cols[owner, b] * sb[:, None] == dots).all(axis=1)
+    ok &= ~(_ties(rows, used)[owner, 1:] & (x[:, :u - 1] < x[:, 1:u])).any(axis=1)
+    owner, x = owner[ok], x[ok]
+    order = np.lexsort(np.vstack((x[:, u - 1::-1].T, owner)))
+    return owner[order], x[order]
 
 
 def _scan_dtype(row_norms, dots, norm):

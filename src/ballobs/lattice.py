@@ -162,13 +162,19 @@ def is_positive_definite(l: GramLattice) -> bool:
 
 
 def is_isometric_embedding(l: GramLattice, rows) -> bool:
-    """True iff A A^T equals the Gram matrix (exact integer arithmetic)."""
-    rows = _row_list(rows)
+    """True iff A A^T equals the Gram matrix (exact integer arithmetic).
+
+    The entries must be ints; a numpy array, or each numpy row of a
+    sequence, is read with ``tolist``.
+    """
+    rows = [row.tolist() if hasattr(row, "tolist") else row for row in _row_list(rows)]
     k = len(rows)
     if k != l.rank:
         raise UsageError(f"embedding has {k} rows for a rank-{l.rank} lattice")
     if len({len(r) for r in rows}) != 1:
         raise UsageError("embedding rows must all have the same length")
+    if any(not isinstance(x, int) or isinstance(x, bool) for row in rows for x in row):
+        raise UsageError("embedding entries must be integers")
     # A A^T column by column, over each column's nonzero entries only.
     by_col: dict[int, list[tuple[int, int]]] = {}
     for i, row in enumerate(_nonzero_entries(rows)):

@@ -107,14 +107,19 @@ def verify_witness(problem: ObstructionProblem, witness: Witness) -> None:
     primitivity of the generator, and the unit-pairing conditions: every
     ambient unit vector pairs nonzero with both factors, that is, the
     generator has no zero entry and no column of the embedding is zero.
-    Rows of any length but m = 1 + rank(Lambda_C) are rejected first, so A
-    is square, and A A^T = diag(m_norm) (+) Gram(Lambda_C) already gives the
-    finite-index identity det(A)^2 = m_norm * det(Lambda_C).
+    Rows of any length but m = 1 + rank(Lambda_C), and entries that are not
+    ints (numpy arrays are read with ``tolist``), are rejected first with
+    ``UsageError``, so A is square, and A A^T = diag(m_norm) (+)
+    Gram(Lambda_C) already gives the finite-index identity
+    det(A)^2 = m_norm * det(Lambda_C).
     """
     m = problem.ambient
     w, rows = witness.generator, witness.embedding
+    w = w.tolist() if hasattr(w, "tolist") else w
     if len(w) != m or any(len(row) != m for row in rows):
         raise UsageError(f"all rows must have length {m}")
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in w):
+        raise UsageError("witness generator entries must be integers")
     if (not is_isometric_embedding(problem.c_lattice, rows)
             or sum(x * x for x in w) != problem.m_norm
             or any(sum(map(operator.mul, w, row)) for row in rows)):

@@ -108,7 +108,8 @@ def check_batches(rng):
 
 class TestNumpyKernel:
     """The dispatching kernel against brute force: instances of norm <= 2
-    take the closed form, the others the scan."""
+    take the closed form, of norm 3 with a nonzero dot the anchored closed
+    form, the others the scan."""
 
     def test_matches_brute_force(self, closed_form_calls):
         # A single query is a batch of one.
@@ -258,14 +259,149 @@ class TestClosedForm:
         owner, x = constrained_vectors(rows, [1], np.array([0], dtype=np.int64), 2)
         assert owner.tolist() == [0] and x.tolist() == [[0, 0, 0, 0]]
 
+    @pytest.mark.parametrize("block", [1, 8])
+    def test_blockwise_hash_test(self, monkeypatch, block):
+        # 32 * _BLOCK entries cap the hash test: at u = 7 (99 candidates)
+        # a block holds one owner (block 1) or two (block 8)
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        self.compare(23)
+
     def test_dispatch_by_norm(self, monkeypatch, closed_form_calls):
-        scans = []
-        scan = kernels._scan
+        # norms 0-2 take the closed form, norm 3 with a nonzero dot the
+        # anchored closed form, and the rest the scan
+        scans, anchored = [], []
+        scan, anchor = kernels._scan, kernels._anchored
         monkeypatch.setattr(kernels, "_scan", lambda *args: scans.append(args[3]) or scan(*args))
+        monkeypatch.setattr(kernels, "_anchored",
+                            lambda *args: anchored.append(args[2].tolist()) or anchor(*args))
         rows = np.array([[[1, 1, 0, 1]]], dtype=np.int64)
         for norm in range(5):
             constrained_vectors(rows, [4], np.array([1], dtype=np.int64), norm)
-        assert closed_form_calls == [0, 1, 2] and scans == [3, 4]
+        constrained_vectors(rows, [4], np.array([0], dtype=np.int64), 3)
+        assert closed_form_calls == [0, 1, 2] and anchored == [[1]] and scans == [4, 3]
+
+
+def norm3_batch(rng):
+    """A batch for the anchored closed form: rows with tied columns, dead
+    columns (zero-padded or junk), owners whose rows vanish on their live
+    columns, and dots planted from a vector of norm <= 3 on one owner, at
+    least one of them nonzero."""
+    while True:
+        b, k, u = rng.randrange(1, 6), rng.randrange(1, 4), rng.randrange(1, 7)
+        rows = np.array([[[rng.choice((-2, -1, 0, 0, 1, 1, 2)) for _ in range(u)]
+                          for _ in range(k)] for _ in range(b)], dtype=np.int64)
+        for owner in range(b):
+            if rng.random() < 0.15:
+                rows[owner, rng.randrange(k)] = 0
+            for c in range(1, u):
+                if rng.random() < 0.3:
+                    rows[owner, :, c] = rows[owner, :, c - 1]
+        used = np.array([rng.choice((u, u, rng.randrange(0, u + 1))) for _ in range(b)],
+                        dtype=np.int64)
+        for owner in range(b):
+            dead = rows[owner, :, used[owner]:]
+            dead[...] = 0 if rng.random() < 0.6 else rng.randrange(-2, 3)
+        x = np.zeros(u, dtype=np.int64)
+        for c in rng.sample(range(u), min(u, rng.randrange(1, 4))):
+            x[c] = rng.choice((-1, 1))
+        planted = rng.randrange(b)
+        x[used[planted]:] = 0
+        dots = rows[planted] @ x
+        if rng.random() < 0.1:
+            dots[rng.randrange(k)] += rng.choice((-1, 1))
+        if dots.any():
+            return rows, used, dots
+
+
+class TestAnchored:
+    """The norm-3 closed form, anchored on the support of a row with a
+    nonzero dot, against the scan and against brute force per owner."""
+
+    def compare(self, seed):
+        rng = random.Random(seed)
+        seen = dict.fromkeys(("solutions", "several support columns", "tie cut", "junk past used",
+                              "vanishing row"), 0)
+        for _ in range(400):
+            rows, used, dots = norm3_batch(rng)
+            owner, x = kernels._anchored(rows, used, dots)
+            scan_owner, scan_x = kernels._scan(rows, used, dots, 3)
+            assert np.array_equal(owner, scan_owner) and np.array_equal(x, scan_x)
+            assert owner.dtype == np.int64 and x.dtype == np.int64
+            u = rows.shape[2]
+            for b in range(len(rows)):
+                q = rows[b, :, :used[b]]
+                every = brute_solutions(q, dots, 3)
+                expected = [v for v in every if obeys_tie_rule(q, v)]
+                mine = [tuple(row) for row in x[owner == b].tolist()]
+                assert [v[:used[b]] + v[u:] for v in mine] == expected
+                assert all(not any(v[used[b]:u]) for v in mine)
+                seen["tie cut"] += len(expected) < len(every)
+                seen["junk past used"] += bool(rows[b, :, used[b]:].any())
+                seen["vanishing row"] += bool((~q[dots != 0].any(axis=1)).any())
+                # a solution that touches two or more support columns of
+                # every row with a nonzero dot: the anchor cannot be unique
+                support = q[dots != 0] != 0
+                seen["several support columns"] += sum(
+                    bool(((support & (np.array(v[:used[b]]) != 0)).sum(axis=1) >= 2).all())
+                    for v in expected)
+            seen["solutions"] += len(owner)
+        assert min(seen.values()) >= 40, seen
+
+    def test_matches_scan_and_brute_force(self):
+        self.compare(31)
+
+    def test_forced_hash_collisions(self, monkeypatch):
+        # all weights 0: every anchor and candidate on live columns matches
+        # the hash, so only the exact re-check decides
+        monkeypatch.setattr(kernels, "_HASH_WEIGHTS", np.zeros_like(kernels._HASH_WEIGHTS))
+        self.compare(32)
+
+    @pytest.mark.parametrize("block", [1, 8, 64])
+    def test_blockwise_hash_test(self, monkeypatch, block):
+        # A dense row with a nonzero dot: every column is an anchor.  With 6
+        # columns (73 candidates) and 6 anchors, each owner has 12 target
+        # rows, over 3 to 5 owners; blocks of 32, 256 and 2048 entries split
+        # them by target (block 1, 8) or by owner (block 64).
+        rng = random.Random(33)
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        for _ in range(60):
+            b, u = rng.randrange(3, 6), 6
+            rows = np.array([[[rng.choice((-1, 1)) for _ in range(u)],
+                              [rng.randrange(-1, 2) for _ in range(u)]] for _ in range(b)],
+                            dtype=np.int64)
+            used = np.full(b, u)
+            x = np.array([rng.randrange(-1, 2) for _ in range(3)] + [0] * 3)
+            dots = rows[0] @ x
+            dots[0] = dots[0] or 1
+            assert len(rows) * 12 * 73 > 32 * block
+            owner, got = kernels._anchored(rows, used, dots)
+            scan_owner, scan_x = kernels._scan(rows, used, dots, 3)
+            assert np.array_equal(owner, scan_owner) and np.array_equal(got, scan_x)
+
+    def test_anchor_row_of_narrowest_support(self, monkeypatch):
+        # Row 0 is dense and row 1 touches one column, so row 1 anchors: one
+        # anchor, two target rows per owner.
+        widths = []
+        hash_hits = kernels._hash_hits
+        monkeypatch.setattr(kernels, "_hash_hits",
+                            lambda *args: widths.append(args[-1].shape) or hash_hits(*args))
+        rows = np.array([[[1, 1, 1, 1], [0, 0, 1, 0]]] * 3, dtype=np.int64)
+        used, dots = np.array([4, 4, 3]), np.array([1, 1])
+        owner, x = constrained_vectors(rows, used, dots, 3)
+        assert widths == [(3, 2)]
+        scan_owner, scan_x = kernels._scan(rows, used, dots, 3)
+        assert np.array_equal(owner, scan_owner) and np.array_equal(x, scan_x)
+        # x[2] = 1 and x[0] + x[1] + x[3] = 0 (owner 2: x[3] = 0), with
+        # x[0] >= x[1] on the tied columns 0 and 1
+        assert [v[:4] for v in x[owner == 0].tolist()] == [
+            [0, -1, 1, 1], [0, 0, 1, 0], [1, -1, 1, 0], [1, 0, 1, -1]]
+        assert [v[:4] for v in x[owner == 2].tolist()] == [[0, 0, 1, 0], [1, -1, 1, 0]]
+
+    def test_no_live_support(self):
+        # the only row with a nonzero dot vanishes on every live column
+        rows = np.array([[[0, 0, 5]], [[0, 0, 0]]], dtype=np.int64)
+        owner, x = kernels._anchored(rows, np.array([2, 3]), np.array([1]))
+        assert owner.shape == (0,) and x.shape == (0, 4)
 
 
 def row_norms(rows):

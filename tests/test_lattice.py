@@ -154,6 +154,19 @@ class TestIsometricEmbedding:
         with pytest.raises(UsageError):
             is_isometric_embedding(L222, ((1, 1, 0),))
 
+    @pytest.mark.parametrize("rows", [((1.5,),), ((1.0,),), ((True,),), (("1",),),
+                                      np.array([[1.5]]), [np.array([1.0])]])
+    def test_non_integer_entries(self, rows):
+        # read through int(), each of these would square to the Gram entry 1
+        with pytest.raises(UsageError, match="entries must be integers"):
+            is_isometric_embedding(linear_lattice((1,)), rows)
+
+    def test_numpy_rows(self):
+        # an int array, or int arrays row by row, are read as ints
+        assert is_isometric_embedding(L222, np.array([[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]]))
+        assert is_isometric_embedding(L222, [np.array(r) for r in
+                                             ((-1, 1, 0, 0), (0, -1, 1, 0), (0, 0, -1, 1))])
+
 
 class TestCanonicalForm:
     def test_sign_rule_and_zero_column(self):

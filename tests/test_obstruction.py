@@ -7,6 +7,7 @@ import operator
 import random
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -588,6 +589,20 @@ class TestVerifyWitnessRejects:
         wide = Witness(tuple(row + (0,) for row in w.embedding), w.generator + (0,))
         with pytest.raises(UsageError, match="length"):
             verify_witness(pr, wide)
+
+    def test_float_entries(self):
+        # equal in value, so every product and sum matches; a float
+        # generator used to reach math.gcd and raise TypeError, and float
+        # embedding rows used to pass
+        pr = build_problem([BallSpec(5, 1)])
+        w = check_obstruction(pr).witnesses[0]
+        with pytest.raises(UsageError, match="generator entries must be integers"):
+            verify_witness(pr, Witness(w.embedding, tuple(map(float, w.generator))))
+        floats = tuple(tuple(map(float, row)) for row in w.embedding)
+        with pytest.raises(UsageError, match="embedding entries must be integers"):
+            verify_witness(pr, Witness(floats, w.generator))
+        # int arrays are read as ints
+        verify_witness(pr, Witness(np.array(w.embedding), np.array(w.generator)))
 
     def test_missed_unit_vector(self):
         # No class the search finds has a primitive generator of norm m_norm
