@@ -199,6 +199,8 @@ def _obstruction_output(report, elapsed_ms) -> tuple[dict, list[str], int]:
     s = report.statistics
     lines = [f"{balls}: {report.verdict} "
              f"(classes={s.classes}, leaves={s.leaves}, nodes={s.nodes})"]
+    lines += [f"  class {i}: index {r.index}, generator zeros ({_fmt_ints(r.generator_zeros)}), "
+              f"missed ({_fmt_ints(r.missed)})" for i, r in enumerate(report.records, 1)]
     lines += [f"  witness generator ({_fmt_ints(w.generator)})" for w in report.witnesses]
     code = 2 if report.verdict == obstruction.INCONCLUSIVE else 0
     return obstruction.report_to_doc(report, elapsed_ms), lines, code
@@ -218,23 +220,16 @@ def cmd_obstruct(args) -> tuple[dict, list[str], int]:
 
 def cmd_verify_example_b31(args) -> tuple[dict, list[str], int]:
     from . import obstruction
-    report, elapsed_ms = _timed(args, obstruction.example_b31_report)
-    doc = {
-        "schema": "verify-example-b31@1",
-        "class_count": report.class_count,
-        "verdict": report.verdict,
-        "unit_vectors_missing_m_factor": report.m_zero_pairings,
-        "unit_vectors_missing_c_factor": report.c_zero_pairings,
-        "passed": report.passed,
-    }
-    if elapsed_ms is not None:
-        doc["elapsed_ms"] = elapsed_ms
-    lines = [f"direct-sum classes in Z^5: {report.class_count}",
-             f"verdict: {report.verdict}",
-             f"unit vectors missing the rank-one factor: {_fmt_ints(report.m_zero_pairings)}",
-             f"unit vectors missing the chain factor: {_fmt_ints(report.c_zero_pairings)}",
-             "passed" if report.passed else "FAILED"]
-    return doc, lines, 0 if report.passed else 3
+    problem = obstruction.build_problem([markov.BallSpec(3, 1)])
+    report, elapsed_ms = _timed(args, obstruction.check_obstruction, problem)
+    doc, lines, code = _obstruction_output(report, elapsed_ms)
+    # The paper's example: one class, and both factors miss a unit vector.
+    records = report.records
+    if code == 0 and not (report.verdict == obstruction.OBSTRUCTED and len(records) == 1
+                          and records[0].generator_zeros and records[0].missed):
+        print("expected OBSTRUCTED by one class that misses both factors", file=sys.stderr)
+        code = 3
+    return doc, lines, code
 
 
 def cmd_verify_lemma_cemb(args) -> tuple[dict, list[str], int]:
@@ -353,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="packaged verification runs")
     verify_sub = p_verify.add_subparsers(dest="subcommand", required=True)
     p = verify_sub.add_parser("example-b31",
-                              help="B(3,1) is obstructed via the unique Z^5 embedding")
+                              help="obstruct 3,1: B(3,1)'s one class misses both factors")
     p.set_defaults(func=cmd_verify_example_b31, default_format="json")
     p = verify_sub.add_parser("lemma-cemb", help="chain lattice classification at (n, m)")
     p.add_argument("n", type=int)

@@ -38,13 +38,20 @@ MAX_DIAGONAL = 10 ** 6
 
 
 def _row_list(rows) -> list:
-    # The rows as a list; a numpy array converts in one call, to ints.
-    return rows.tolist() if hasattr(rows, "tolist") else list(rows)
+    # The rows as a list; a numpy array, or a numpy row, converts with tolist.
+    rows = rows.tolist() if hasattr(rows, "tolist") else rows
+    return [row.tolist() if hasattr(row, "tolist") else row for row in rows]
+
+
+def _not_an_int(x):
+    raise UsageError(f"matrix entries must be integers, got {x!r}")
 
 
 def _nonzero_entries(rows) -> list[list[tuple[int, int]]]:
-    # Each row's nonzero entries as (column, value) pairs, values as ints.
-    return [[(c, int(x)) for c, x in enumerate(row) if x] for row in _row_list(rows)]
+    # Each row's nonzero entries as (column, value) pairs, rows as _row_list
+    # reads them.  A nonzero entry that is not an int (bools too) is refused.
+    return [[(c, x) if type(x) is int else _not_an_int(x) for c, x in enumerate(row) if x]
+            for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +174,7 @@ def is_isometric_embedding(l: GramLattice, rows) -> bool:
     The entries must be ints; a numpy array, or each numpy row of a
     sequence, is read with ``tolist``.
     """
-    rows = [row.tolist() if hasattr(row, "tolist") else row for row in _row_list(rows)]
+    rows = _row_list(rows)
     k = len(rows)
     if k != l.rank:
         raise UsageError(f"embedding has {k} rows for a rank-{l.rank} lattice")

@@ -24,6 +24,7 @@ INCONCLUSIVE, never as a verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import namedtuple
@@ -31,11 +32,12 @@ from collections import namedtuple
 from .contfrac import ball_boundary, lens_plumbing
 from .errors import (InternalCheckError, LimitExceeded, SearchLimits, UsageError,
                      document_values)
-from .lattice import (MAX_AMBIENT, EmbeddingClass, SearchStats, canonical_form,
-                      direct_sum, is_isometric_embedding, linear_lattice,
-                      orthogonal_complement, search_embedding_classes)
+from .lattice import (MAX_AMBIENT, EmbeddingClass, SearchStats, direct_sum,
+                      is_isometric_embedding, linear_lattice, orthogonal_complement,
+                      search_embedding_classes)
 from .markov import BallSpec
 
+REPORT_SCHEMA = "obstruction-report@3"
 OBSTRUCTED = "OBSTRUCTED"
 NOT_OBSTRUCTED = "NOT_OBSTRUCTED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -71,11 +73,8 @@ def build_problem(balls) -> ObstructionProblem:
             raise UsageError(f"ambient rank exceeds the supported maximum {MAX_AMBIENT}") from None
         room -= len(weights)
         components.append(linear_lattice(weights))
-    components = tuple(components)
-    c_lattice = components[0]
-    for extra in components[1:]:
-        c_lattice = direct_sum(c_lattice, extra)
-    return ObstructionProblem(balls, m_norm, components, 1 + c_lattice.rank, c_lattice)
+    c_lattice = functools.reduce(direct_sum, components)
+    return ObstructionProblem(balls, m_norm, tuple(components), 1 + c_lattice.rank, c_lattice)
 
 
 class Witness(namedtuple("Witness", "embedding generator")):
@@ -89,10 +88,25 @@ class Witness(namedtuple("Witness", "embedding generator")):
     __slots__ = ()
 
 
+class ClassRecord(namedtuple("ClassRecord", "index generator_zeros missed")):
+    """Why one searched Lambda_C class is or is not a witness: the index s of
+    its image in its saturation, read off w.w * s^2 = m_norm = det Lambda_C
+    for its complement generator w, the coordinates (1-based) where w is zero, and
+    the coordinates (1-based) the image misses.  The class is a witness
+    exactly when s = 1 and both tuples are empty."""
+
+    __slots__ = ()
+
+    @property
+    def is_witness(self) -> bool:
+        return self.index == 1 and not self.generator_zeros and not self.missed
+
+
 class ObstructionReport(namedtuple("ObstructionReport",
-                                   "problem verdict witnesses statistics")):
-    """The verdict on a problem, its sorted witnesses and the SearchStats of
-    the search behind it."""
+                                   "problem verdict witnesses records statistics")):
+    """The verdict on a problem, its sorted witnesses, one ClassRecord per
+    searched class in search order (partial classes included) and the
+    SearchStats of the search behind it."""
 
     __slots__ = ()
 
@@ -138,33 +152,6 @@ def _verdict(witnesses, stats: SearchStats) -> str:
     return INCONCLUSIVE if stats.limit_hit else OBSTRUCTED
 
 
-def _decide(problem: ObstructionProblem, classes, gens, stats: SearchStats) -> ObstructionReport:
-    # The report from the sorted Lambda_C classes of a search, their
-    # complement generators and its stats.  Each class gives at most one
-    # witness, so the witnesses come out sorted too.
-    witnesses = []
-    for cls, w in zip(classes, gens):
-        if sum(x * x for x in w) == problem.m_norm and all(w) and len(cls.support) == len(w):
-            witness = Witness(cls.matrix, w)
-            verify_witness(problem, witness)
-            witnesses.append(witness)
-    return ObstructionReport(problem, _verdict(witnesses, stats), tuple(witnesses), stats)
-
-
-def _direct_sum_classes(problem: ObstructionProblem, classes, gens) -> tuple:
-    # The sorted canonical Lambda_M (+) Lambda_C classes: +c w and -c w, for
-    # c^2 w.w = m_norm, each stacked on the rows of w's class (the two signs
-    # can canonicalise to different classes).
-    fulls = set()
-    for cls, w in zip(classes, gens):
-        norm = sum(x * x for x in w)
-        c = math.isqrt(problem.m_norm // norm)
-        if c * c * norm == problem.m_norm:
-            fulls.update(canonical_form((tuple(sign * c * x for x in w),) + cls.matrix)
-                         for sign in (1, -1))
-    return tuple(sorted(fulls))
-
-
 def check_obstruction(problem: ObstructionProblem,
                       limits: SearchLimits | None = None) -> ObstructionReport:
     """Decide the embedding obstruction for the given ball list.
@@ -174,7 +161,7 @@ def check_obstruction(problem: ObstructionProblem,
     INCONCLUSIVE reports budget exhaustion without a witness.  Only Lambda_C
     is enumerated; Lambda_M is read off the generator of the rank-one
     complement, which ``orthogonal_complement`` returns primitive and with
-    its first nonzero entry positive.
+    its first nonzero entry positive.  Each class's ClassRecord decides it.
     """
     try:
         result = search_embedding_classes(problem.c_lattice, problem.ambient, limits=limits)
@@ -182,8 +169,25 @@ def check_obstruction(problem: ObstructionProblem,
     except LimitExceeded as exc:
         # budget exhaustion still yields the classes found so far
         classes, stats = exc.partial_classes, exc.stats
-    gens = [orthogonal_complement(cls.matrix, problem.ambient) for cls in classes]
-    return _decide(problem, classes, gens, stats)
+    # Each class gives at most one witness, so the witnesses come out sorted
+    # like the classes.
+    records, witnesses = [], []
+    for cls in classes:
+        w = orthogonal_complement(cls.matrix, problem.ambient)
+        norm = sum(x * x for x in w)
+        # det Lambda_C = m_norm = s^2 w.w: anything else is a fault.
+        s = math.isqrt(problem.m_norm // norm)
+        if s * s * norm != problem.m_norm:
+            raise InternalCheckError(f"w.w = {norm} times a square is not {problem.m_norm}")
+        records.append(ClassRecord(s, tuple(j for j, x in enumerate(w, 1) if not x),
+                                   tuple(j for j, col in enumerate(zip(*cls.matrix), 1)
+                                         if not any(col))))
+        if records[-1].is_witness:
+            witness = Witness(cls.matrix, w)
+            verify_witness(problem, witness)
+            witnesses.append(witness)
+    return ObstructionReport(problem, _verdict(witnesses, stats), tuple(witnesses),
+                             tuple(records), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -248,43 +252,6 @@ def lemma_cemb_report(n: int, m: int,
                                      result.stats)
 
 
-class ExampleB31Report(namedtuple("ExampleB31Report", "class_count verdict m_zero_pairings "
-                                                      "c_zero_pairings passed")):
-    """Reproduction of the single-ball B(3, 1) computation in Z^5: the count
-    of direct-sum classes, the verdict, the unit vectors (1-based) missing
-    each factor, and whether all of it is as expected."""
-
-    __slots__ = ()
-
-
-def example_b31_report(limits: SearchLimits | None = None) -> ExampleB31Report:
-    """Check that B(3, 1) is obstructed, via the unique direct-sum embedding.
-
-    The direct sum of the rank-one norm-9 lattice and the chain lattice
-    (2, 2, 2, 3) embeds in Z^5 in exactly one way up to symmetry, and that
-    embedding fails the unit-pairing conditions: four ambient coordinates
-    miss the rank-one factor and the remaining one misses the chain factor.
-    One search gives both the verdict and the direct-sum classes, read off
-    the same complements.  A budget that runs out raises.
-    """
-    problem = build_problem([BallSpec(3, 1)])
-    result = search_embedding_classes(problem.c_lattice, problem.ambient, limits=limits)
-    gens = [orthogonal_complement(cls.matrix, problem.ambient) for cls in result.classes]
-    report = _decide(problem, result.classes, gens, result.stats)
-    fulls = _direct_sum_classes(problem, result.classes, gens)
-    m_zero: tuple[int, ...] = ()
-    c_zero: tuple[int, ...] = ()
-    if fulls:
-        # e_i misses the rank-one factor where the top row is zero, and the
-        # chain factor where the column of the rows below it is zero.
-        top, *chain = fulls[0]
-        m_zero = tuple(i + 1 for i, x in enumerate(top) if not x)
-        c_zero = tuple(i + 1 for i, col in enumerate(zip(*chain)) if not any(col))
-    passed = (len(fulls) == 1 and report.verdict == OBSTRUCTED
-              and bool(m_zero) and bool(c_zero))
-    return ExampleB31Report(len(fulls), report.verdict, m_zero, c_zero, passed)
-
-
 # ---------------------------------------------------------------------------
 # Machine-readable documents (integers as decimal strings, no floats)
 
@@ -300,7 +267,7 @@ def report_to_doc(report: ObstructionReport, elapsed_ms: int | None = None) -> d
     if elapsed_ms is not None:
         stats["elapsed_ms"] = elapsed_ms
     return document_values({
-        "schema": "obstruction-report@2",
+        "schema": REPORT_SCHEMA,
         "problem": {
             "balls": [{"p": b.p, "q": b.q} for b in report.problem.balls],
             "m_norm": report.problem.m_norm,
@@ -311,6 +278,7 @@ def report_to_doc(report: ObstructionReport, elapsed_ms: int | None = None) -> d
         "verdict": report.verdict,
         "witnesses": [{"embedding": w.embedding, "generator": w.generator}
                       for w in report.witnesses],
+        "records": [r._asdict() for r in report.records],
         "statistics": stats,
     })
 
@@ -322,18 +290,22 @@ def report_from_doc(doc: dict) -> ObstructionReport:
     ``report_to_doc`` writes for the report it rebuilds, with or without
     ``elapsed_ms``: no other key, container type or integer form passes.
     Its ``limit_hit`` must also be a JSON boolean and its verdict the one its
-    witnesses and ``limit_hit`` give, and every witness is re-verified.
-    Anything else is a UsageError.
+    witnesses and ``limit_hit`` give.  It must hold one class record per
+    class, as many of them witness records as there are witnesses, and every
+    witness is re-verified.  Anything else is a UsageError.
     """
     if not isinstance(doc, dict):
         raise UsageError(f"a report document is a JSON object, got {type(doc).__name__}")
-    if doc.get("schema") != "obstruction-report@2":
+    if doc.get("schema") != REPORT_SCHEMA:
         raise UsageError(f"unexpected schema {doc.get('schema')!r}")
     try:
         balls = [BallSpec(int(b["p"]), int(b["q"])) for b in doc["problem"]["balls"]]
         witnesses = tuple(Witness(tuple(tuple(map(int, row)) for row in w["embedding"]),
                                   tuple(map(int, w["generator"])))
                           for w in doc["witnesses"])
+        records = tuple(ClassRecord(int(r["index"]), tuple(map(int, r["generator_zeros"])),
+                                    tuple(map(int, r["missed"])))
+                        for r in doc["records"])
         stats = doc["statistics"]
         limit_hit = stats["limit_hit"]
         statistics = SearchStats(int(stats["nodes"]), int(stats["leaves"]),
@@ -351,12 +323,16 @@ def report_from_doc(doc: dict) -> ObstructionReport:
     # on a verdict that is a JSON float.
     if verdict not in (OBSTRUCTED, NOT_OBSTRUCTED, INCONCLUSIVE):
         raise UsageError(f"unknown verdict {verdict!r}")
-    report = ObstructionReport(build_problem(balls), verdict, witnesses, statistics)
+    report = ObstructionReport(build_problem(balls), verdict, witnesses, records, statistics)
     if report_to_doc(report, elapsed_ms) != doc:
         raise UsageError("malformed report document: inconsistent with its ball list, or "
                          "not in the form report_to_doc writes")
     if verdict != _verdict(witnesses, statistics):
         raise UsageError(f"verdict {verdict} contradicts the witnesses and limit_hit")
+    if len(records) != statistics.classes:
+        raise UsageError(f"{len(records)} class records for {statistics.classes} classes")
+    if sum(r.is_witness for r in records) != len(witnesses):
+        raise UsageError("the class records disagree with the witnesses")
     for witness in witnesses:
         try:
             verify_witness(report.problem, witness)

@@ -9,7 +9,7 @@ import pytest
 
 from ballobs import cli, lattice, markov, obstruction
 from ballobs.cli import main
-from ballobs.errors import document_values
+from ballobs.errors import InternalCheckError, document_values
 from ballobs.lattice import SearchStats
 from ballobs.markov import BallSpec
 from ballobs.obstruction import build_problem, check_obstruction, report_from_doc
@@ -87,7 +87,7 @@ class TestObstructCommand:
         code, out, _ = run(capsys, "obstruct", "3,1")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == "obstruction-report@2"
+        assert doc["schema"] == obstruction.REPORT_SCHEMA
         assert "strategy" not in doc["statistics"]
         assert doc["verdict"] == "OBSTRUCTED"
         assert doc["problem"]["m_norm"] == "9"
@@ -179,13 +179,19 @@ class TestTimings:
 
 class TestVerifyCommands:
     def test_example_b31(self, capsys):
+        # One class: its generator misses e_1..e_4 and its image e_5.
         code, out, _ = run(capsys, "verify", "example-b31")
         assert code == 0
         doc = json.loads(out)
-        assert doc["passed"] is True
-        assert doc["class_count"] == "1"
-        assert doc["unit_vectors_missing_m_factor"] == ["2", "3", "4", "5"]
-        assert doc["unit_vectors_missing_c_factor"] == ["1"]
+        assert doc["verdict"] == "OBSTRUCTED"
+        assert doc["records"] == [{"index": "3", "generator_zeros": ["1", "2", "3", "4"],
+                                   "missed": ["5"]}]
+
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_example_b31_is_obstruct_3_1(self, capsys, fmt):
+        expected = run(capsys, "--format", fmt, "obstruct", "3,1")
+        assert expected[0] == 0
+        assert run(capsys, "--format", fmt, "verify", "example-b31") == expected
 
     def test_example_b31_searches_once(self, capsys, monkeypatch):
         calls = []
@@ -197,10 +203,26 @@ class TestVerifyCommands:
 
     @pytest.mark.parametrize("budget, code", [("3", 2), ("4", 2), ("5", 0)])
     def test_example_b31_budget(self, capsys, budget, code):
-        # The search takes 5 nodes; a budget that runs out is exit 2.
+        # The search takes 5 nodes; a budget that runs out is an INCONCLUSIVE
+        # report and exit 2.
         got, out, err = run(capsys, "--node-budget", budget, "verify", "example-b31")
-        assert got == code
-        assert (out == "") == (code == 2) and ("limit exceeded" in err) == (code == 2)
+        assert (got, err) == (code, "")
+        assert (json.loads(out)["verdict"] == "INCONCLUSIVE") == (code == 2)
+
+    @pytest.mark.parametrize("report", [
+        lambda: check_obstruction(build_problem([BallSpec(2, 1)])),  # a witness
+        lambda: check_obstruction(build_problem([BallSpec(2, 1), BallSpec(5, 2)])),  # 3 classes
+        # one class whose generator misses nothing
+        lambda: check_obstruction(build_problem([BallSpec(3, 1)]))._replace(
+            records=(obstruction.ClassRecord(3, (), (5,)),)),
+    ], ids=["witness", "three-classes", "no-generator-zero"])
+    def test_example_b31_failed_condition(self, capsys, monkeypatch, report):
+        stub = report()
+        monkeypatch.setattr(obstruction, "check_obstruction", lambda *a, **k: stub)
+        code, out, err = run(capsys, "verify", "example-b31")
+        assert code == 3
+        assert json.loads(out)["verdict"] == stub.verdict
+        assert "one class that misses both factors" in err
 
     def test_lemma_cemb(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma-cemb", "2", "9")
@@ -375,6 +397,22 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    @pytest.mark.parametrize("error", [InternalCheckError("forged"),
+                                       AssertionError("forged")])
+    def test_internal_failure_exit(self, capsys, monkeypatch, error):
+        def handler(args):
+            raise error
+        monkeypatch.setattr(cli, "cmd_obstruct", handler)
+        code, out, err = run(capsys, "obstruct", "3,1")
+        assert (code, out) == (3, "")
+        assert err == "internal consistency failure: forged\n"
+
+    def test_explicit_double_dash(self, capsys):
+        # An explicit '--' is left alone, and parses as the inserted one does.
+        expected = run(capsys, "plumbing", "reduce", "-3,-2,-1,-2")
+        assert expected[0] == 0
+        assert run(capsys, "plumbing", "reduce", "--", "-3,-2,-1,-2") == expected
+
 
 _NO_OUTPUT = (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
 
@@ -417,22 +455,26 @@ SUBCOMMAND_GOLDEN = {
     ("plumbing", "certify", "5"): (0,
         (81, "8079865a47b9edc9f979099fb74971892ba6d1c4f8090229f5d8f31dc03e09d7"),
         (240, "9e6497cb10475af4769432365498b64eb89294fd3bb577943efcd5e4a41db99f")),
+    # Re-recorded for obstruction-report@3's class records, a line each in
+    # the text.  The budget-2 search finds no class: its text is unchanged.
     ("obstruct", "2,1", "5,1"): (0,
-        (158, "de4d9970986965bf8075d5253cc9b0afac53e522b6b3594457159b2a9ee45eb6"),
-        (4053, "9c47fb8eab6e7ee88edfcd1f720458d4a429991d134cb1484ce63bd13917b21c")),
+        (445, "f066cab4a5ef792b959510480b3530fde60252b37e89b8ac508ff2b16e2bb31b"),
+        (4751, "b797321bf2c7592249e80fd6b3672a8fc842efe4f31f98667060f661d8dba8e4")),
     ("--node-budget", "2", "obstruct", "2,1", "5,2"): (2,
         (59, "16dcd593f6aa9af1b3fce9cb76f43e3ebbc82f89a05535afe8a3338a1e2b9cac"),
-        (543, "81c596b3ab432815d853405f18f73b77edd9299dd380c41bfa8d4292428d9404")),
+        (560, "5c0fdd9d9d1cfe90052d7e8a8f2d0430f95bea444134df602b3ae2c018510c23")),
+    # Re-recorded when it became obstruct 3,1's report.
     ("verify", "example-b31"): (0,
-        (147, "b59b1d5cdf1b697349370b36672148242fb8ab428a28c111d16d1b7b4df28ba5"),
-        (233, "8a2ec63eef1cd6e0a894355ddb2c29922afb11c9be3a36df540c083d37a9b3b8")),
+        (108, "08d1f2823d9409ae4a2ce7868538c2700724cac7c2ea527d1f42ad87cff1af1b"),
+        (597, "090ebe250d59fd6195f2f2e83b75af025d55f8dd046b8756b7c3451dbbe843da")),
     # Re-recorded when chain-classification@2 dropped has_unit_vectors.
     ("verify", "lemma-cemb", "3", "12"): (0,
         (240, "37ba23d0c94a40d3723d901a4d19f0b68e2eabfaa261d8e3c243133cda810bbb"),
         (673, "b840c24026569be435cc6e91cd675324aebe07a621d74f96f4814b9eacf49d57")),
+    # Re-recorded for obstruction-report@3.
     ("verify", "theorem2", "1", "2"): (0,
-        (58, "0b136ec832e4d49cc0a0faa65c9ef03c5958f9344c2b78d723c8d97ae58beb3f"),
-        (543, "3bb8e9c640aada12d0d27b19221a81e60ec49c79a4ab8cffbfa88c821ab84470")),
+        (239, "b387b9c65000c04cc085aa98c2ead0b25c65fabae9beac757ecf5c2b939d584a"),
+        (1051, "a59e0a5f07d463886e507ace9f92bc1920d0b5fc5ec1d4d259cfd4e78147a2ce")),
     ("verify", "theorem2", "16", "15"): (1, _NO_OUTPUT, _NO_OUTPUT),
     ("cf", "expand", "7", "9"): (1, _NO_OUTPUT, _NO_OUTPUT),
 }
@@ -444,8 +486,8 @@ class TestGoldenBytes:
     printing."""
 
     @pytest.mark.parametrize("argv, size, sha256", [
-        (("obstruct", "2,1", "5,1"), 4053,  # two witnesses
-         "9c47fb8eab6e7ee88edfcd1f720458d4a429991d134cb1484ce63bd13917b21c"),
+        (("obstruct", "2,1", "5,1"), 4751,  # two witnesses; re-recorded for obstruction-report@3
+         "b797321bf2c7592249e80fd6b3672a8fc842efe4f31f98667060f661d8dba8e4"),
         (("--format", "json", "lattice", "classes", "--weights", "3,2,2,3,2",
           "--ambient", "9"), 2859,
          "d56e8cb9b771f238d8c52abc48614cf1264c1fe82ca593c2801bde5cd78a5eb1"),
@@ -595,9 +637,9 @@ MODULE_NAMES = {
                 "SearchStats", "canonical_form", "direct_sum", "integer_kernel",
                 "is_isometric_embedding", "is_positive_definite", "linear_lattice",
                 "orthogonal_complement", "search_embedding_classes"),
-    "obstruction": ("ObstructionProblem", "ObstructionReport", "Witness", "build_problem",
-                    "check_obstruction", "lemma_cemb_report", "report_from_doc",
-                    "report_to_doc"),
+    "obstruction": ("ClassRecord", "ObstructionProblem", "ObstructionReport", "Witness",
+                    "build_problem", "check_obstruction", "lemma_cemb_report",
+                    "report_from_doc", "report_to_doc"),
 }
 # Imports ballobs alone, then prints the ballobs modules that loaded, the names
 # whose lookup on the package raises AttributeError, and the names missing

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
-from ballobs.lattice import (GramLattice, SearchLimits, _square_parts,
+from ballobs.lattice import (EmbeddingClass, GramLattice, SearchLimits, _square_parts,
                              canonical_form, direct_sum, integer_kernel,
                              is_isometric_embedding, is_positive_definite,
                              leading_principal_minors, linear_lattice,
                              orthogonal_complement, search_embedding_classes)
+from ballobs.obstruction import class_summary
 from test_exact_oracles import matrix_determinant
 
 L222 = linear_lattice((2, 2, 2))
@@ -104,6 +105,16 @@ class TestConstruction:
         for gram in (((2.0,),), ((True,),)):
             with pytest.raises(UsageError, match="integers"):
                 GramLattice(gram)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: GramLattice(((1, 0), (0,))), "Gram matrix must be square"),
+        (lambda: is_isometric_embedding(L222, ((1, 0), (0, 1, 0), (0, 0, 1))),
+         "embedding rows must all have the same length"),
+        (lambda: integer_kernel(((1, 2),), 3), "rows must have length 3"),
+    ], ids=["gram", "embedding", "kernel"])
+    def test_shape_rejected(self, call, message):
+        with pytest.raises(UsageError, match=message):
+            call()
 
 
 class TestDeterminant:
@@ -264,6 +275,26 @@ class TestIntegerKernel:
     def test_full_rank_zero_kernel(self):
         rows = ((1, 0), (0, 1))
         assert integer_kernel(rows, 2) == ()
+
+    @pytest.mark.parametrize("call", [
+        # int() truncated these: the kernel of (1.5, 1) is spanned by (2, -3),
+        # not (1, -1), and the complement came out as (1, -2, 0)
+        lambda: integer_kernel(((1.5, 1),), 2),
+        lambda: orthogonal_complement(((2.9, 1, 0), (0, 0, 1)), 3),
+        lambda: class_summary(EmbeddingClass(((2.9, 1, 0), (0, 0, 1)))),
+        lambda: integer_kernel(((True, 1),), 2),
+        lambda: integer_kernel([np.array([1.5, 1.0])], 2),
+        lambda: integer_kernel((("1", 1),), 2),
+    ], ids=["kernel-float", "complement-float", "class-summary", "bool", "float-array", "str"])
+    def test_non_integer_entries(self, call):
+        with pytest.raises(UsageError, match="entries must be integers"):
+            call()
+
+    def test_numpy_rows(self):
+        # an int array, or int arrays row by row, are read as ints
+        rows = ((1, 2, 3), (0, 1, 1))
+        assert integer_kernel(np.array(rows), 3) == integer_kernel(rows, 3) == ((1, 1, -1),)
+        assert orthogonal_complement([np.array(r) for r in rows], 3) == (1, 1, -1)
 
 
 def _solve_exact(mat, rhs):

@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 from ballobs import kernels, lattice, obstruction
 from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
 from ballobs.contfrac import ball_boundary, ball_plumbing
-from ballobs.lattice import (MAX_AMBIENT, GramLattice, SearchLimits, direct_sum,
-                             integer_kernel, is_isometric_embedding, linear_lattice,
-                             orthogonal_complement, search_embedding_classes)
+from ballobs.lattice import (MAX_AMBIENT, GramLattice, SearchLimits, canonical_form,
+                             direct_sum, integer_kernel, is_isometric_embedding,
+                             linear_lattice, orthogonal_complement, search_embedding_classes)
 from ballobs.markov import BallSpec, fibonacci_ball
-from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
-                                 ObstructionProblem, Witness, build_problem, check_obstruction,
-                                 example_b31_report, lemma_cemb_report, report_from_doc,
+from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED, REPORT_SCHEMA,
+                                 ClassRecord, ObstructionProblem, Witness, build_problem,
+                                 check_obstruction, lemma_cemb_report, report_from_doc,
                                  report_to_doc, verify_witness)
 from ballobs.plumbing import chain_determinant
 from test_exact_oracles import matrix_determinant
@@ -45,13 +45,21 @@ def direct_sum_classes(problem):
 
 
 def full_embedding_classes(problem, limits=None):
-    """Canonical classes of full Lambda_M (+) Lambda_C embeddings in Z^m, by
-    the production stacking step on one Lambda_C search: the bridge from the
-    complement route to :func:`direct_sum_classes`."""
+    """Canonical classes of full Lambda_M (+) Lambda_C embeddings in Z^m,
+    stacked on the classes of one Lambda_C search and their complement
+    generators w: +c w and -c w, for c^2 w.w = m_norm, each on the rows of
+    w's class (the two signs can canonicalise to different classes).  The
+    bridge from the complement route to :func:`direct_sum_classes`."""
     m = problem.ambient
-    classes = search_embedding_classes(problem.c_lattice, m, limits=limits).classes
-    gens = [orthogonal_complement(cls.matrix, m) for cls in classes]
-    return obstruction._direct_sum_classes(problem, classes, gens)
+    fulls = set()
+    for cls in search_embedding_classes(problem.c_lattice, m, limits=limits).classes:
+        w = orthogonal_complement(cls.matrix, m)
+        norm = sum(x * x for x in w)
+        c = math.isqrt(problem.m_norm // norm)
+        if c * c * norm == problem.m_norm:
+            fulls.update(canonical_form((tuple(sign * c * x for x in w),) + cls.matrix)
+                         for sign in (1, -1))
+    return tuple(sorted(fulls))
 
 
 def canonical_with_vector(rows, w):
@@ -330,8 +338,9 @@ class TestStrategyEquivalence:
 
 
 class TestPrimitivity:
-    """The generator norm equals m_norm exactly when the Lambda_C image is
-    primitive, checked against the gcd of its maximal minors."""
+    """Each class record's index is the index of the Lambda_C image in its
+    saturation, checked against the gcd of its maximal minors, and the
+    witnesses are exactly the classes whose record says so."""
 
     @pytest.mark.parametrize("balls", ORACLE_BALLS + [
         [BallSpec(5, 2), BallSpec(13, 5), BallSpec(34, 13)],
@@ -340,16 +349,27 @@ class TestPrimitivity:
     def test_norm_matches_maximal_minors(self, balls):
         pr = build_problem(balls)
         m = pr.ambient
+        rep = check_obstruction(pr)
         classes = search_embedding_classes(pr.c_lattice, m).classes
-        assert classes
-        for cls in classes:
+        assert classes and len(rep.records) == len(classes)
+        witnesses = []
+        for cls, record in zip(classes, rep.records):
             # k x (k+1) matrix: its maximal minors delete one column each
             minors = [matrix_determinant([row[:j] + row[j + 1:] for row in cls.matrix])
                       for j in range(m)]
             index = math.gcd(*minors)
-            norm = sum(x * x for x in orthogonal_complement(cls.matrix, m))
+            w = orthogonal_complement(cls.matrix, m)
+            norm = sum(x * x for x in w)
             assert (index == 1) == (norm == pr.m_norm), cls.matrix
             assert norm * index * index == pr.m_norm, cls.matrix
+            assert record == ClassRecord(
+                index, tuple(j + 1 for j in range(m) if not w[j]),
+                tuple(j + 1 for j in range(m) if j not in cls.support)), cls.matrix
+            if index == 1 and all(w) and len(cls.support) == m:
+                witnesses.append(Witness(cls.matrix, w))
+        assert rep.witnesses == tuple(witnesses)
+        assert len(witnesses) == sum(r.index == 1 and r.generator_zeros == r.missed == ()
+                                     for r in rep.records)
 
 
 class TestTheorem2:
@@ -542,24 +562,60 @@ class TestLemmaCembReport:
             assert obstruction.class_summary(cls) == (len(sup), len(basis), norm)
 
 
-class TestExampleB31Report:
-    def test_reproduction(self):
-        rep = example_b31_report()
-        assert rep.class_count == 1
+class TestClassRecords:
+    def test_b31(self):
+        # The paper's example: one class, of index 3, whose generator 3 e_5
+        # misses e_1..e_4 and whose image misses e_5.
+        rep = check_obstruction(build_problem([BallSpec(3, 1)]))
         assert rep.verdict == OBSTRUCTED
-        assert rep.m_zero_pairings == (2, 3, 4, 5)
-        assert rep.c_zero_pairings == (1,)
-        assert rep.passed
+        assert rep.records == (ClassRecord(3, (1, 2, 3, 4), (5,)),)
 
     @pytest.mark.parametrize("ball, count", [(BallSpec(3, 1), 1), (BallSpec(2, 1), 3)])
-    def test_class_count_matches_oracle(self, monkeypatch, ball, count):
-        # The direct-sum classes come off the one search.  On B(2,1) the two
-        # signs of the generator canonicalise to different classes.
+    def test_direct_sum_class_count(self, ball, count):
+        # On B(2,1) the two signs of the generator canonicalise to different
+        # classes.
         pr = build_problem([ball])
-        monkeypatch.setattr(obstruction, "build_problem", lambda balls: pr)
-        assert example_b31_report().class_count == count
         assert full_embedding_classes(pr) == tuple(cls.matrix for cls in direct_sum_classes(pr))
         assert len(direct_sum_classes(pr)) == count
+
+    @pytest.mark.parametrize("balls, indices", [
+        ([BallSpec(2, 1), BallSpec(5, 2)], [10, 2, 5]),  # Fibonacci pair (1, 2)
+        ([BallSpec(5, 2), BallSpec(13, 5), BallSpec(34, 13)], [2210, 65, 170, 442]),
+    ])
+    def test_obstructed_indices(self, balls, indices):
+        # docs/decisions.md, "The index of a class"
+        rep = check_obstruction(build_problem(balls))
+        assert rep.verdict == OBSTRUCTED
+        assert [r.index for r in rep.records] == indices
+
+    def test_partial_classes_recorded(self):
+        # A budget that stops the search mid-way keeps a record per class
+        # found so far; so does the complete search.
+        pr = build_problem([BallSpec(2, 1), BallSpec(5, 1), BallSpec(29, 7)])
+        complete = check_obstruction(pr)
+        starved = check_obstruction(pr, SearchLimits(node_budget=300))
+        assert starved.statistics.limit_hit and 0 < starved.statistics.classes < 14
+        for rep in (complete, starved):
+            assert len(rep.records) == rep.statistics.classes
+            assert sum(r.is_witness for r in rep.records) == len(rep.witnesses)
+
+    @pytest.mark.parametrize("record, witness", [
+        (ClassRecord(1, (), ()), True), (ClassRecord(3, (), ()), False),
+        (ClassRecord(1, (2,), ()), False), (ClassRecord(1, (), (5,)), False),
+    ])
+    def test_is_witness(self, record, witness):
+        # A search never makes the last record: a missed e_j is orthogonal
+        # to the image, so the rank-one complement is spanned by w = e_j,
+        # which has zeros.
+        assert record.is_witness is witness
+
+    def test_index_identity_checked(self, monkeypatch):
+        # w.w * s^2 = m_norm always holds for a plumbing; a generator that
+        # breaks it is a fault, not a class record.
+        monkeypatch.setattr(obstruction, "orthogonal_complement",
+                            lambda rows, m: (1, 1) + (0,) * (m - 2))
+        with pytest.raises(InternalCheckError, match="times a square is not 9"):
+            check_obstruction(build_problem([BallSpec(3, 1)]))
 
 
 class TestVerifyWitnessRejects:
@@ -677,7 +733,7 @@ class TestReportDocuments:
 
     def test_missing_key_rejected(self):
         with pytest.raises(UsageError, match="lacks the key 'problem'"):
-            report_from_doc({"schema": "obstruction-report@2"})
+            report_from_doc({"schema": REPORT_SCHEMA})
 
     def test_bad_integer_rejected(self):
         # Only what report_to_doc writes is read: int() took every other
@@ -734,11 +790,45 @@ class TestReportDocuments:
 
     def test_schema_1_rejected(self):
         doc = report_to_doc(check_obstruction(build_problem([BallSpec(3, 1)])))
-        assert doc["schema"] == "obstruction-report@2"
+        assert doc["schema"] == REPORT_SCHEMA == "obstruction-report@3"
         assert "strategy" not in doc["statistics"]
         doc["schema"] = "obstruction-report@1"
         doc["statistics"]["strategy"] = "complement"
         with pytest.raises(UsageError):
+            report_from_doc(doc)
+
+    def test_schema_2_rejected(self):
+        # @2 is @3 without the class records.
+        doc = report_to_doc(check_obstruction(build_problem([BallSpec(3, 1)])))
+        del doc["records"]
+        for schema in ("obstruction-report@2", REPORT_SCHEMA):
+            doc["schema"] = schema
+            with pytest.raises(UsageError):
+                report_from_doc(doc)
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_record_count_checked(self, change):
+        doc = report_to_doc(check_obstruction(build_problem([BallSpec(2, 1), BallSpec(5, 1)])))
+        records = doc["records"]
+        if change == "drop":
+            del records[0]
+        else:
+            records.append(records[0])
+        with pytest.raises(UsageError, match="class records for 5 classes"):
+            report_from_doc(doc)
+
+    @pytest.mark.parametrize("balls, record", [
+        # B(2,1)'s witness record given index 2, and B(3,1)'s one record made
+        # a witness record
+        ([BallSpec(2, 1)], {"index": "2"}),
+        ([BallSpec(3, 1)], {"index": "1", "generator_zeros": [], "missed": []}),
+    ])
+    def test_records_must_agree_with_witnesses(self, balls, record):
+        rep = check_obstruction(build_problem(balls))
+        doc = report_to_doc(rep)
+        (i,) = [i for i, r in enumerate(rep.records) if r.is_witness] or [0]
+        doc["records"][i].update(record)
+        with pytest.raises(UsageError, match="disagree with the witnesses"):
             report_from_doc(doc)
 
 
@@ -833,7 +923,8 @@ class TestReportDocumentProperties:
     def test_single_mutation(self, balls, budget, data):
         # Deleting any key, changing any leaf, or replacing any dict or list,
         # the whole document included, by a value of another JSON type gives
-        # a UsageError or a report that differs only in its statistics; a
+        # a UsageError or a report that differs only in its statistics and
+        # class records, which no document can prove without a search; a
         # changed integer is read only in the form report_to_doc writes.
         with _time_limit(5):
             rep = _report(balls, budget)
@@ -859,7 +950,8 @@ class TestReportDocumentProperties:
             except UsageError:
                 return
         assert not delete, f"accepted without {path}"
-        assert got._replace(statistics=rep.statistics) == rep
+        assert got._replace(statistics=rep.statistics, records=rep.records) == rep
+        assert sum(r.is_witness for r in got.records) == len(got.witnesses)
         assert type(new) is type(old)
         if new != old:
             assert new == str(int(new))
