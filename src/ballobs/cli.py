@@ -250,6 +250,15 @@ def cmd_verify_lemma_cemb(args) -> tuple[dict, list[str], int]:
     for c in report.classes:
         norm = "-" if c.complement_norm is None else str(c.complement_norm)
         lines.append(f"  support {c.support}: complement rank {c.complement_rank}, norm {norm}")
+    # lemma_cemb_report's promise: the three-support family, and at n = 2
+    # no other class.
+    n, r = report.n, 2 * report.n + 1
+    family = {(r, 0, None), (r + 1, 1, markov.odd_fibonacci(n + 1) ** 2)}
+    if not (family <= set(report.classes) and any(c.support == 4 * n for c in report.classes)
+            and (n > 2 or report.class_count == 3)):
+        print("expected classes of supports 2n+1, 2n+2 (norm F(2n+1)^2) and 4n, "
+              "and at n = 2 no other", file=sys.stderr)
+        return doc, lines, 3
     return doc, lines, 0
 
 

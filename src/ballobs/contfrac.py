@@ -15,17 +15,6 @@ from .errors import InternalCheckError, UsageError
 from .markov import BallSpec, odd_fibonacci
 
 
-def validate_expansion(coeffs) -> tuple[int, ...]:
-    """Return ``coeffs`` as a tuple, checking it is nonempty with entries >= 2."""
-    e = tuple(coeffs)
-    if not e:
-        raise UsageError("expansion must be nonempty")
-    for a in e:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 2:
-            raise UsageError(f"expansion coefficients must be integers >= 2, got {a!r}")
-    return e
-
-
 def hj_eval(coeffs):
     """Evaluate [a_1, ..., a_k] to a ``Fraction`` p/q in lowest terms, p > q >= 1.
 
@@ -33,7 +22,12 @@ def hj_eval(coeffs):
     that never evaluate an expansion do not load it.
     """
     from fractions import Fraction
-    e = validate_expansion(coeffs)
+    e = tuple(coeffs)
+    if not e:
+        raise UsageError("expansion must be nonempty")
+    for a in e:
+        if not isinstance(a, int) or isinstance(a, bool) or a < 2:
+            raise UsageError(f"expansion coefficients must be integers >= 2, got {a!r}")
     num, den = e[-1], 1
     for a in reversed(e[:-1]):
         num, den = a * num - den, num
@@ -66,15 +60,6 @@ def hj_expand(p: int, q: int, max_length: int | None = None) -> tuple[int, ...]:
         out.append(a)
         p, q = q, a * q - p
     return tuple(out)
-
-
-def hj_reverse(coeffs) -> tuple[int, ...]:
-    """Reverse an expansion.
-
-    If [a_1, ..., a_k] = p/q then the reversal evaluates to p/q* with
-    q q* = 1 mod p.
-    """
-    return tuple(reversed(validate_expansion(coeffs)))
 
 
 def fibonacci_identities(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -49,8 +49,9 @@ def _not_an_int(x):
 
 def _nonzero_entries(rows) -> list[list[tuple[int, int]]]:
     # Each row's nonzero entries as (column, value) pairs, rows as _row_list
-    # reads them.  A nonzero entry that is not an int (bools too) is refused.
-    return [[(c, x) if type(x) is int else _not_an_int(x) for c, x in enumerate(row) if x]
+    # reads them.  Any entry that is not an int (bools too), zero or not, is
+    # refused in the same pass.
+    return [[(c, x) for c, x in enumerate(row) if (x if type(x) is int else _not_an_int(x))]
             for row in rows]
 
 
@@ -180,8 +181,6 @@ def is_isometric_embedding(l: GramLattice, rows) -> bool:
         raise UsageError(f"embedding has {k} rows for a rank-{l.rank} lattice")
     if len({len(r) for r in rows}) != 1:
         raise UsageError("embedding rows must all have the same length")
-    if any(not isinstance(x, int) or isinstance(x, bool) for row in rows for x in row):
-        raise UsageError("embedding entries must be integers")
     # A A^T column by column, over each column's nonzero entries only.
     by_col: dict[int, list[tuple[int, int]]] = {}
     for i, row in enumerate(_nonzero_entries(rows)):

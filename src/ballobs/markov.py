@@ -219,14 +219,3 @@ def fibonacci_ball(n: int) -> BallSpec:
         raise UsageError(f"need n >= 1, got {n!r}")
     return BallSpec(odd_fibonacci(n + 1), odd_fibonacci(n))
 
-
-def fibonacci_symplectic_table(n_max: int) -> list[tuple[int, SymplecticVerdict]]:
-    """Verdicts for B(F(2n+1), F(2n-1)), n = 1 .. n_max.
-
-    Only n = 1 admits a symplectic embedding: for n > 1 the criterion would
-    force -1 = 9 u^2 = -9 mod F(2n+1), and no odd Fibonacci number above 2
-    divides 8.
-    """
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-        raise UsageError(f"need n_max >= 1, got {n_max!r}")
-    return [(n, classify_symplectic(fibonacci_ball(n))) for n in range(1, n_max + 1)]

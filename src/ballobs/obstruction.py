@@ -230,10 +230,11 @@ def lemma_cemb_report(n: int, m: int,
                       limits: SearchLimits | None = None) -> ChainClassificationReport:
     """Classify embeddings of the chain lattice (3^(n-1), 2, 2, 3^(n-1), 2) in Z^m.
 
-    Reports the :func:`class_summary` of each class.  For n = 2 there are
-    exactly three classes, with supports r, r+1 and 4n (r = 2n+1) and a
-    corank-one complement of norm F(2n+1)^2 in the middle one; from n = 3 on,
-    further classes appear alongside those three.
+    Reports the :func:`class_summary` of each class.  With r = 2n+1 the
+    classes include the three-support family: support r with complement rank
+    0, support r+1 with a rank-one complement of norm F(2n+1)^2, and support
+    4n.  For n = 2 there are no other classes; from n = 3 on, further classes
+    appear alongside those three.  ``verify lemma-cemb`` checks this.
     """
     if any(not isinstance(x, int) or isinstance(x, bool) for x in (n, m)):
         raise UsageError(f"n and m must be integers, got {(n, m)!r}")
@@ -283,6 +284,20 @@ def report_to_doc(report: ObstructionReport, elapsed_ms: int | None = None) -> d
     })
 
 
+def _searchable(record: ClassRecord, m: int, m_norm: int) -> bool:
+    # Whether a search can give this record (docs/decisions.md, "A witness is
+    # exactly a class of index 1"): s^2 divides m_norm, both tuples rise
+    # strictly inside 1..m, s = 1 leaves both empty, and a missed j is the
+    # only one, with s^2 = m_norm and w = +-e_j zero everywhere else.
+    s, zeros, missed = record
+    if s < 1 or m_norm % (s * s) or (s == 1 and (zeros or missed)):
+        return False
+    if not all(a < b for t in (zeros, missed) for a, b in zip((0,) + t, t + (m + 1,))):
+        return False
+    return not missed or (len(missed) == 1 and s * s == m_norm
+                          and zeros == tuple(j for j in range(1, m + 1) if j != missed[0]))
+
+
 def report_from_doc(doc: dict) -> ObstructionReport:
     """Rebuild a report from its document form; inverse of report_to_doc.
 
@@ -291,8 +306,9 @@ def report_from_doc(doc: dict) -> ObstructionReport:
     ``elapsed_ms``: no other key, container type or integer form passes.
     Its ``limit_hit`` must also be a JSON boolean and its verdict the one its
     witnesses and ``limit_hit`` give.  It must hold one class record per
-    class, as many of them witness records as there are witnesses, and every
-    witness is re-verified.  Anything else is a UsageError.
+    class, each one a search can give, as many of them witness records as
+    there are witnesses, and every witness is re-verified.  Anything else is
+    a UsageError.
     """
     if not isinstance(doc, dict):
         raise UsageError(f"a report document is a JSON object, got {type(doc).__name__}")
@@ -331,6 +347,9 @@ def report_from_doc(doc: dict) -> ObstructionReport:
         raise UsageError(f"verdict {verdict} contradicts the witnesses and limit_hit")
     if len(records) != statistics.classes:
         raise UsageError(f"{len(records)} class records for {statistics.classes} classes")
+    for i, r in enumerate(records, 1):
+        if not _searchable(r, report.problem.ambient, report.problem.m_norm):
+            raise UsageError(f"class record {i}, {tuple(r)}, is not one a search can produce")
     if sum(r.is_witness for r in records) != len(witnesses):
         raise UsageError("the class records disagree with the witnesses")
     for witness in witnesses:

@@ -30,44 +30,11 @@ def _weights(chain) -> tuple[int, ...]:
     return c
 
 
-def blow_down(chain, index: int) -> tuple[int, ...]:
-    """Blow down the -1 at ``index`` (1-based).
-
-    Interior: both neighbours gain 1 and become adjacent.  End: the single
-    neighbour gains 1.  Isolated: the vertex disappears.
-    """
-    c = _weights(chain)
-    if not isinstance(index, int) or isinstance(index, bool) or not 1 <= index <= len(c):
-        raise UsageError(f"index must be an integer from 1 to {len(c)}, got {index!r}")
-    if c[index - 1] != -1:
-        raise UsageError(f"weight at index {index} is {c[index - 1]}, not -1")
-    return _blow_down(c, index - 1)
-
-
 def _blow_down(c: tuple[int, ...], i: int) -> tuple[int, ...]:
     # Blow down the -1 at 0-based position i of a checked chain.
     left = c[:i - 1] + (c[i - 1] + 1,) if i else ()
     right = (c[i + 1] + 1,) + c[i + 2:] if i + 1 < len(c) else ()
     return left + right
-
-
-def blow_up(chain, gap: int) -> tuple[int, ...]:
-    """Insert a fresh -1 at ``gap`` (0 .. len), inverting a blow-down.
-
-    gap = 0 or len(chain) prepends/appends -1 and decrements the end weight;
-    an interior gap splits that edge, decrementing both sides.  On the empty
-    chain this creates the isolated (-1).
-    """
-    c = _weights(chain)
-    if not isinstance(gap, int) or isinstance(gap, bool) or not 0 <= gap <= len(c):
-        raise UsageError(f"gap must be an integer from 0 to {len(c)}, got {gap!r}")
-    if not c:
-        return (-1,)
-    if gap == 0:
-        return (-1, c[0] - 1) + c[1:]
-    if gap == len(c):
-        return c[:-1] + (c[-1] - 1, -1)
-    return c[:gap - 1] + (c[gap - 1] - 1, -1, c[gap] - 1) + c[gap + 1:]
 
 
 def reduce(chain) -> tuple[tuple[int, ...], int]:
@@ -83,18 +50,6 @@ def reduce(chain) -> tuple[tuple[int, ...], int]:
         c = _blow_down(c, len(c) - 1 - c[::-1].index(-1))
         count += 1
     return c, count
-
-
-def chain_determinant(chain) -> int:
-    """Determinant of the chain's intersection matrix (weights on the diagonal,
-    -1 on the off-diagonals), via the continuant d_k = a_k d_(k-1) - d_(k-2).
-
-    The empty chain has determinant 1 (empty matrix).
-    """
-    prev, cur = 0, 1
-    for a in _weights(chain):
-        prev, cur = cur, a * cur - prev
-    return cur
 
 
 class BlowdownCertificate(namedtuple("BlowdownCertificate", "start final blowdowns b2")):

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -230,6 +232,28 @@ class TestVerifyCommands:
         doc = json.loads(out)
         assert doc["class_count"] == "3"
         assert [c["support"] for c in doc["classes"]] == ["5", "6", "8"]
+
+    @pytest.mark.parametrize("n, m", [(2, 8), (2, 9), (3, 12), (4, 16), (5, 20)])
+    def test_lemma_cemb_finds_the_family(self, capsys, n, m):
+        assert run(capsys, "verify", "lemma-cemb", str(n), str(m))[::2] == (0, "")
+
+    @pytest.mark.parametrize("n, change", [
+        (3, lambda classes: [c for c in classes if c.support != 8]),
+        (3, lambda classes: [c._replace(complement_norm=25) if c.support == 8 else c
+                             for c in classes]),
+        (3, lambda classes: [c for c in classes if c.support != 12]),
+        (2, lambda classes: [c for c in classes if c.complement_rank]),
+        (2, lambda classes: classes + [classes[-1]]),  # a fourth class at n = 2
+    ], ids=["no-support-2n+2", "wrong-norm", "no-support-4n", "no-support-2n+1", "n2-extra"])
+    def test_lemma_cemb_failed_condition(self, capsys, monkeypatch, n, change):
+        real = obstruction.lemma_cemb_report(n, 4 * n)
+        classes = change(list(real.classes))
+        stub = real._replace(classes=tuple(classes), class_count=len(classes))
+        monkeypatch.setattr(obstruction, "lemma_cemb_report", lambda *a, **k: stub)
+        code, out, err = run(capsys, "verify", "lemma-cemb", str(n), str(4 * n))
+        assert code == 3
+        assert json.loads(out)["class_count"] == str(len(classes))
+        assert err.count("\n") == 1 and "supports 2n+1, 2n+2" in err
 
     def test_theorem2(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem2", "1", "2")
@@ -627,12 +651,10 @@ MODULE_NAMES = {
                "SearchLimits"),
     "markov": ("BallSpec", "MarkovTriple", "SymplecticVerdict", "ball_params",
                "characteristic_number", "classify_symplectic", "enumerate_triples",
-               "fibonacci_ball", "fibonacci_symplectic_table", "is_markov", "odd_fibonacci",
-               "triple", "vieta_neighbor"),
+               "fibonacci_ball", "is_markov", "odd_fibonacci", "triple", "vieta_neighbor"),
     "contfrac": ("ball_boundary", "ball_plumbing", "fibonacci_identities", "hj_eval",
-                 "hj_expand", "hj_reverse", "lens_plumbing"),
-    "plumbing": ("BlowdownCertificate", "blow_down", "blow_up", "chain_determinant",
-                 "rb_chain", "reduce", "simple_embedding_certificate"),
+                 "hj_expand", "lens_plumbing"),
+    "plumbing": ("BlowdownCertificate", "rb_chain", "reduce", "simple_embedding_certificate"),
     "lattice": ("EmbeddingClass", "EmbeddingSearchResult", "GramLattice", "SearchLimits",
                 "SearchStats", "canonical_form", "direct_sum", "integer_kernel",
                 "is_isometric_embedding", "is_positive_definite", "linear_lattice",
@@ -640,6 +662,12 @@ MODULE_NAMES = {
     "obstruction": ("ClassRecord", "ObstructionProblem", "ObstructionReport", "Witness",
                     "build_problem", "check_obstruction", "lemma_cemb_report",
                     "report_from_doc", "report_to_doc"),
+}
+# The public top-level functions and classes of src/ballobs that no other
+# code in src/ references, each with the reason it stays.
+UNREFERENCED_NAMES = {
+    "obstruction.report_from_doc": "the documented reader of report documents",
+    "markov.ball_params": "perfbench's witness workload builds its ball sets with it",
 }
 # Imports ballobs alone, then prints the ballobs modules that loaded, the names
 # whose lookup on the package raises AttributeError, and the names missing
@@ -719,6 +747,29 @@ class TestColdImports:
         # its module only.
         assert json.loads(_fresh_python(PACKAGE_PROBE, json.dumps(MODULE_NAMES))) == [
             ["ballobs"], ["check_obstruction", "BallSpec"], []]
+
+
+def _names_read(tree):
+    # Every identifier a syntax tree reads, as a name or as an attribute.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+class TestProductionCode:
+    def test_every_public_name_has_a_caller(self):
+        # A public function or class that only the tests call belongs in the
+        # tests; UNREFERENCED_NAMES lists the exceptions.
+        trees = {path.stem: ast.parse(path.read_text())
+                 for path in sorted((SRC / "ballobs").glob("*.py"))}
+        reads = Counter(name for tree in trees.values() for name in _names_read(tree))
+        unreferenced = sorted(
+            f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            and reads[node.name] == Counter(_names_read(node))[node.name])
+        assert unreferenced == sorted(UNREFERENCED_NAMES)
 
 
 class TestDeterminism:

@@ -4,8 +4,7 @@ from itertools import product
 
 import pytest
 
-from ballobs.contfrac import (fibonacci_identities, hj_eval, hj_expand,
-                              hj_reverse, lens_plumbing)
+from ballobs.contfrac import fibonacci_identities, hj_eval, hj_expand, lens_plumbing
 from ballobs.errors import UsageError
 from ballobs.markov import odd_fibonacci
 
@@ -88,8 +87,12 @@ class TestExpand:
 
 
 class TestReverse:
+    # If [a_1, ..., a_k] = p/q, then [a_k, ..., a_1] = p/q* with q q* = 1 mod p.
     def test_palindrome(self):
-        assert hj_reverse((2,)) == (2,)
+        # Its own reversal, so q^2 = 1 mod p.
+        for coeffs in ((2,), (2, 3, 2), (3, 5, 3)):
+            f = hj_eval(coeffs)
+            assert f.denominator ** 2 % f.numerator == 1
 
     @pytest.mark.parametrize("coeffs, fwd, rev", [
         ((3, 5, 2), Fraction(25, 9), Fraction(25, 14)),
@@ -97,7 +100,7 @@ class TestReverse:
     ])
     def test_known_reversals(self, coeffs, fwd, rev):
         assert hj_eval(coeffs) == fwd
-        assert hj_eval(hj_reverse(coeffs)) == rev
+        assert hj_eval(tuple(reversed(coeffs))) == rev
         p = fwd.numerator
         assert (fwd.denominator * rev.denominator) % p == 1
 
@@ -108,7 +111,7 @@ class TestReverse:
                     continue
                 e = hj_expand(p, q)
                 fwd = hj_eval(e)
-                rev = hj_eval(hj_reverse(e))
+                rev = hj_eval(tuple(reversed(e)))
                 assert rev.numerator == p
                 assert (fwd.denominator * rev.denominator) % p == 1
 

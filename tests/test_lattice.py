@@ -166,9 +166,11 @@ class TestIsometricEmbedding:
             is_isometric_embedding(L222, ((1, 1, 0),))
 
     @pytest.mark.parametrize("rows", [((1.5,),), ((1.0,),), ((True,),), (("1",),),
-                                      np.array([[1.5]]), [np.array([1.0])]])
+                                      np.array([[1.5]]), [np.array([1.0])],
+                                      ((1, 0.0),), ((False, 1),)])
     def test_non_integer_entries(self, rows):
-        # read through int(), each of these would square to the Gram entry 1
+        # read through int(), each of these would square to the Gram entry 1;
+        # a zero that is not an int is refused like any other entry
         with pytest.raises(UsageError, match="entries must be integers"):
             is_isometric_embedding(linear_lattice((1,)), rows)
 
@@ -285,7 +287,10 @@ class TestIntegerKernel:
         lambda: integer_kernel(((True, 1),), 2),
         lambda: integer_kernel([np.array([1.5, 1.0])], 2),
         lambda: integer_kernel((("1", 1),), 2),
-    ], ids=["kernel-float", "complement-float", "class-summary", "bool", "float-array", "str"])
+        # a zero-valued float used to be skipped with the zeros
+        lambda: integer_kernel(((0.0, 1),), 2),
+    ], ids=["kernel-float", "complement-float", "class-summary", "bool", "float-array", "str",
+            "zero-float"])
     def test_non_integer_entries(self, call):
         with pytest.raises(UsageError, match="entries must be integers"):
             call()

@@ -7,8 +7,7 @@ from ballobs import markov
 from ballobs.errors import DegenerateCaseError, LimitExceeded, UsageError
 from ballobs.markov import (BallSpec, MarkovTriple, ball_params,
                             characteristic_number, classify_symplectic,
-                            enumerate_triples, fibonacci_ball,
-                            fibonacci_symplectic_table, is_markov,
+                            enumerate_triples, fibonacci_ball, is_markov,
                             odd_fibonacci, triple, vieta_neighbor)
 
 
@@ -321,18 +320,14 @@ class TestClassifySymplectic:
 
 class TestFibonacciTable:
     def test_only_n1_symplectic(self):
-        table = fibonacci_symplectic_table(8)
-        assert [n for n, v in table if v.symplectic] == [1]
+        # For n > 1 the criterion would force -1 = 9 u^2 = -9 mod F(2n+1),
+        # and no odd Fibonacci number above 2 divides 8.
+        assert [n for n in range(1, 9) if classify_symplectic(fibonacci_ball(n)).symplectic] == [1]
 
     @pytest.mark.parametrize("n", ["3", 2.5, 2.0, True, 0])
     def test_fibonacci_ball_index(self, n):
         with pytest.raises(UsageError, match=rf"need n >= 1, got {n!r}$"):
             fibonacci_ball(n)
-
-    @pytest.mark.parametrize("n_max", ["3", 2.0, True, 0])
-    def test_table_bound(self, n_max):
-        with pytest.raises(UsageError, match="need n_max >= 1"):
-            fibonacci_symplectic_table(n_max)
 
     def test_divisibility_argument(self):
         # Independent check: q = +-3u would force -1 = q^2 = 9 u^2 = -9 mod p,

@@ -23,7 +23,6 @@ from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED, REPOR
                                  ClassRecord, ObstructionProblem, Witness, build_problem,
                                  check_obstruction, lemma_cemb_report, report_from_doc,
                                  report_to_doc, verify_witness)
-from ballobs.plumbing import chain_determinant
 from test_exact_oracles import matrix_determinant
 
 
@@ -107,6 +106,20 @@ ORACLE_PROBLEMS = {
     ((2, 1), (5, 1)): (NOT_OBSTRUCTED, 2),  # Markov triple (1, 2, 5)
 }
 ORACLE_BALLS = [[BallSpec(p, q) for p, q in key] for key in ORACLE_PROBLEMS]
+
+
+def assert_index_fact(rep):
+    """docs/decisions.md, "A witness is exactly a class of index 1": a
+    record has s = 1 exactly when it is a witness's, and it misses at most
+    one coordinate j, and then s^2 = m_norm and w = +-e_j is zero everywhere
+    else."""
+    m = rep.problem.ambient
+    for r in rep.records:
+        assert r.is_witness == (r.index == 1), r
+        assert len(r.missed) <= 1, r
+        if r.missed:
+            assert r.index ** 2 == rep.problem.m_norm, r
+            assert r.generator_zeros == tuple(j for j in range(1, m + 1) if j != r.missed[0]), r
 
 
 class TestBallBoundary:
@@ -508,7 +521,7 @@ class TestPlumbingEmbedsInFullRank:
         non_square = 0
         for _ in range(200):
             chain = tuple(rng.choice((2, 3, 4, 5, 7)) for _ in range(rng.randint(2, 7)))
-            det = chain_determinant(chain)
+            det = matrix_determinant(linear_lattice(chain).gram)
             if math.isqrt(det) ** 2 == det:
                 continue
             non_square += 1
@@ -569,6 +582,7 @@ class TestClassRecords:
         rep = check_obstruction(build_problem([BallSpec(3, 1)]))
         assert rep.verdict == OBSTRUCTED
         assert rep.records == (ClassRecord(3, (1, 2, 3, 4), (5,)),)
+        assert_index_fact(rep)
 
     @pytest.mark.parametrize("ball, count", [(BallSpec(3, 1), 1), (BallSpec(2, 1), 3)])
     def test_direct_sum_class_count(self, ball, count):
@@ -587,6 +601,7 @@ class TestClassRecords:
         rep = check_obstruction(build_problem(balls))
         assert rep.verdict == OBSTRUCTED
         assert [r.index for r in rep.records] == indices
+        assert_index_fact(rep)
 
     def test_partial_classes_recorded(self):
         # A budget that stops the search mid-way keeps a record per class
@@ -598,6 +613,13 @@ class TestClassRecords:
         for rep in (complete, starved):
             assert len(rep.records) == rep.statistics.classes
             assert sum(r.is_witness for r in rep.records) == len(rep.witnesses)
+            assert_index_fact(rep)
+
+    @pytest.mark.parametrize("balls", ORACLE_BALLS)
+    def test_witness_is_index_one(self, balls):
+        rep = check_obstruction(build_problem(balls))
+        assert rep.records
+        assert_index_fact(rep)
 
     @pytest.mark.parametrize("record, witness", [
         (ClassRecord(1, (), ()), True), (ClassRecord(3, (), ()), False),
@@ -655,7 +677,7 @@ class TestVerifyWitnessRejects:
         with pytest.raises(UsageError, match="generator entries must be integers"):
             verify_witness(pr, Witness(w.embedding, tuple(map(float, w.generator))))
         floats = tuple(tuple(map(float, row)) for row in w.embedding)
-        with pytest.raises(UsageError, match="embedding entries must be integers"):
+        with pytest.raises(UsageError, match="matrix entries must be integers"):
             verify_witness(pr, Witness(floats, w.generator))
         # int arrays are read as ints
         verify_witness(pr, Witness(np.array(w.embedding), np.array(w.generator)))
@@ -829,6 +851,29 @@ class TestReportDocuments:
         (i,) = [i for i, r in enumerate(rep.records) if r.is_witness] or [0]
         doc["records"][i].update(record)
         with pytest.raises(UsageError, match="disagree with the witnesses"):
+            report_from_doc(doc)
+
+    @pytest.mark.parametrize("balls, record", [
+        # obstruct 3,1 (ambient 5, m_norm 9), its record (3, (1, 2, 3, 4), (5,))
+        # changed
+        ([BallSpec(3, 1)], {"index": "7", "generator_zeros": ["99"], "missed": ["5", "5"]}),
+        ([BallSpec(3, 1)], {"index": "0"}),
+        ([BallSpec(3, 1)], {"index": "2"}),  # 2^2 does not divide 9
+        ([BallSpec(3, 1)], {"generator_zeros": ["2", "1", "3", "4"]}),
+        ([BallSpec(3, 1)], {"generator_zeros": ["1", "1"], "missed": []}),
+        ([BallSpec(3, 1)], {"generator_zeros": ["0"], "missed": []}),
+        ([BallSpec(3, 1)], {"generator_zeros": ["6"], "missed": []}),
+        ([BallSpec(3, 1)], {"generator_zeros": ["1", "2", "3"], "missed": ["4", "5"]}),
+        ([BallSpec(3, 1)], {"generator_zeros": ["1", "2", "3"]}),
+        ([BallSpec(3, 1)], {"index": "1", "generator_zeros": ["1"], "missed": []}),
+        # the Fibonacci pair (1, 2), m_norm 100: its first record, which
+        # misses coordinate 9, given index 2
+        ([BallSpec(2, 1), BallSpec(5, 2)], {"index": "2"}),
+    ])
+    def test_records_a_search_cannot_produce(self, balls, record):
+        doc = report_to_doc(check_obstruction(build_problem(balls)))
+        doc["records"][0].update(record)
+        with pytest.raises(UsageError, match=r"class record 1, .* is not one a search"):
             report_from_doc(doc)
 
 

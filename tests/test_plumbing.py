@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product
 
@@ -5,8 +6,9 @@ import pytest
 
 from ballobs import plumbing
 from ballobs.errors import UsageError
-from ballobs.plumbing import (blow_down, blow_up, chain_determinant, rb_chain,
-                              reduce, simple_embedding_certificate)
+from ballobs.lattice import linear_lattice
+from ballobs.plumbing import rb_chain, reduce, simple_embedding_certificate
+from test_exact_oracles import matrix_determinant
 
 
 def det_by_expansion(chain):
@@ -37,6 +39,12 @@ def det_by_expansion(chain):
     return minor_det(mat)
 
 
+def abs_det(chain):
+    """|det| of a chain's intersection matrix by the Bareiss oracle; the
+    empty chain has determinant 1."""
+    return abs(matrix_determinant(linear_lattice(chain).gram)) if chain else 1
+
+
 class TestRbChain:
     def test_n2(self):
         assert rb_chain(2) == (-3, -2, -1, -2)
@@ -61,64 +69,34 @@ class TestRbChain:
 
 
 class TestBlowDown:
+    # Through reduce, which makes every blow-down; the first four take one.
     def test_interior(self):
-        assert blow_down((-3, -2, -1, -2), 3) == (-3, -1, -1)
+        assert reduce((-3, -1, -3)) == ((-2, -2), 1)
 
     def test_end(self):
-        assert blow_down((-3, -1, -1), 3) == (-3, 0)
+        assert reduce((-3, -1, -1)) == ((-3, 0), 1)
 
     def test_isolated(self):
-        assert blow_down((-1,), 1) == ()
+        assert reduce((-1,)) == ((), 1)
 
     def test_left_end(self):
-        assert blow_down((-1, -4), 1) == (-3,)
-
-    def test_wrong_weight_rejected(self):
-        with pytest.raises(UsageError):
-            blow_down((-3, -2, -1, -2), 1)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(UsageError):
-            blow_down((-1,), 2)
-        for bad in (True, 1.0):
-            with pytest.raises(UsageError, match="index must be an integer"):
-                blow_down((-1, -2), bad)
+        assert reduce((-1, -4)) == ((-3,), 1)
 
     def test_length_decreases(self):
-        chain = rb_chain(5)
-        while -1 in chain:
-            idx = chain.index(-1) + 1
-            shorter = blow_down(chain, idx)
-            assert len(shorter) == len(chain) - 1
-            chain = shorter
+        final, count = reduce(rb_chain(5))
+        assert len(final) == len(rb_chain(5)) - count
 
 
 class TestBlowUp:
-    def test_isolated(self):
-        assert blow_up((), 0) == (-1,)
-
     def test_inverse_of_blow_down(self):
-        chain = (-3, -2, -4)
-        for gap in range(len(chain) + 1):
-            up = blow_up(chain, gap)
-            assert up[gap] == -1
-            assert blow_down(up, gap + 1) == chain
-
-    def test_gap_out_of_range(self):
-        for bad in (-1, 3, True, 1.0):
-            with pytest.raises(UsageError, match="gap must be an integer from 0 to 2"):
-                blow_up((-3, -2), bad)
+        # (-3, -2, -4) blown up at each of its four gaps.
+        for up in ((-1, -4, -2, -4), (-4, -1, -3, -4), (-3, -3, -1, -5), (-3, -2, -5, -1)):
+            assert reduce(up) == ((-3, -2, -4), 1)
 
 
 class TestWeights:
-    # Each chain function takes int weights only, bools excluded.
     @pytest.mark.parametrize("chain", [["x"], (True, -1), [-1.0], [2.5, 2], (-2, None)])
-    @pytest.mark.parametrize("call", [
-        lambda c: blow_down(c, 1),
-        lambda c: blow_up(c, 0),
-        reduce,
-        chain_determinant,
-    ], ids=["blow_down", "blow_up", "reduce", "chain_determinant"])
+    @pytest.mark.parametrize("call", [reduce], ids=["reduce"])
     def test_non_integer_weights_rejected(self, chain, call):
         with pytest.raises(UsageError, match="weights must be integers"):
             call(chain)
@@ -156,37 +134,32 @@ class TestDeterminant:
         ((), 1),
     ])
     def test_known_values(self, chain, expected):
-        assert chain_determinant(chain) == expected
+        assert det_by_expansion(chain) == expected
+        assert abs_det(chain) == abs(expected)
 
     def test_matches_cofactor_expansion(self):
         rng = random.Random(7)
         for _ in range(200):
-            chain = tuple(rng.randrange(-5, 6) for _ in range(rng.randrange(0, 7)))
-            assert chain_determinant(chain) == det_by_expansion(chain)
+            chain = tuple(rng.randrange(-5, 6) for _ in range(rng.randrange(1, 7)))
+            assert matrix_determinant(linear_lattice(chain).gram) == det_by_expansion(chain)
 
     def test_invariant_under_blow_down_exhaustive(self):
-        # |det| is preserved by every legal blow-down on chains of length <= 8
-        # with weights in [-4, -1].
+        # reduce keeps |det| on every chain of length <= 8 with weights in
+        # [-4, -1] that has a -1 to blow down.  The reduced chains repeat.
+        reduced_det = functools.lru_cache(maxsize=None)(abs_det)
         for length in range(1, 9):
             for chain in product((-4, -3, -2, -1), repeat=length):
-                if -1 not in chain:
-                    continue
-                d = abs(chain_determinant(chain))
-                for idx, w in enumerate(chain):
-                    if w == -1:
-                        assert abs(chain_determinant(blow_down(chain, idx + 1))) == d
+                if -1 in chain:
+                    assert reduced_det(reduce(chain)[0]) == abs_det(chain), chain
 
     def test_fuzz_blow_up_preserves_determinant(self):
+        # A chain with a -1 is the blow-up of the chain that blows that -1
+        # down, so random chains with a -1 are random blow-ups.
         rng = random.Random(2024)
         for _ in range(1000):
-            length = rng.randrange(0, 8)
-            chain = tuple(rng.randrange(-5, 3) for _ in range(length))
-            gap = rng.randrange(0, length + 1)
-            up = blow_up(chain, gap)
-            assert abs(chain_determinant(up)) == abs(chain_determinant(chain))
-            # reducing the blown-up chain cannot change |det| either
-            final, _ = reduce(up)
-            assert abs(chain_determinant(final)) == abs(chain_determinant(chain))
+            chain = tuple(rng.randrange(-5, 3) for _ in range(rng.randrange(1, 9)))
+            if -1 in chain:
+                assert abs_det(reduce(chain)[0]) == abs_det(chain), chain
 
 
 class TestCertificate:
