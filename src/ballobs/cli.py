@@ -57,8 +57,8 @@ def _int(text: str, what: str) -> int:
 
 
 def _int_list(text: str, what: str) -> tuple[int, ...]:
-    items = [s for s in text.split(",") if s != ""]
-    if not items:
+    items = text.split(",")
+    if "" in items:
         raise UsageError(f"{what} must be a comma-separated integer list, got {text!r}")
     return tuple(_int(s, what) for s in items)
 
@@ -142,30 +142,8 @@ def cmd_cf_fib_identities(args) -> tuple[dict, list[str], int]:
 
 def cmd_lattice_classes(args) -> tuple[dict, list[str], int]:
     from . import obstruction
-    from .lattice import MAX_AMBIENT, linear_lattice, search_embedding_classes
     weights = _int_list(args.weights, "weights")
-    if len(weights) > MAX_AMBIENT:  # checked before the Gram matrix is built
-        raise UsageError(f"at most {MAX_AMBIENT} weights are supported, got {len(weights)}")
-
-    def check(lat, m, limits):  # timed together: the search and each complement
-        classes = search_embedding_classes(lat, m, limits=limits).classes
-        return [(cls, obstruction.class_summary(cls)) for cls in classes]
-
-    rows, elapsed_ms = _timed(args, check, linear_lattice(weights), args.ambient)
-    doc = {
-        "schema": "lattice-classes@1",
-        "weights": weights,
-        "ambient": args.ambient,
-        "class_count": len(rows),
-        "classes": [{"matrix": cls.matrix, **c._asdict()} for cls, c in rows],
-    }
-    if elapsed_ms is not None:
-        doc["elapsed_ms"] = elapsed_ms
-    lines = [f"{len(rows)} classes of Lambda({_fmt_ints(weights)}) in Z^{args.ambient}"]
-    for i, (_, c) in enumerate(rows, start=1):
-        extra = "" if c.complement_norm is None else f", generator norm {c.complement_norm}"
-        lines.append(f"class {i}: support {c.support}, complement rank {c.complement_rank}{extra}")
-    return doc, lines, 0
+    return _classes_output(*_timed(args, obstruction.classify_chain, weights, args.ambient))
 
 
 def cmd_plumbing_reduce(args) -> tuple[dict, list[str], int]:
@@ -206,6 +184,25 @@ def _obstruction_output(report, elapsed_ms) -> tuple[dict, list[str], int]:
     return obstruction.report_to_doc(report, elapsed_ms), lines, code
 
 
+def _classes_output(report, elapsed_ms) -> tuple[dict, list[str], int]:
+    doc = {
+        "schema": "lattice-classes@1",
+        "weights": report.weights,
+        "ambient": report.ambient,
+        "class_count": report.class_count,
+        "classes": [{"matrix": cls.matrix, **c._asdict()}
+                    for cls, c in zip(report.classes, report.summaries)],
+    }
+    if elapsed_ms is not None:
+        doc["elapsed_ms"] = elapsed_ms
+    lines = [f"{report.class_count} classes of Lambda({_fmt_ints(report.weights)}) "
+             f"in Z^{report.ambient}"]
+    for i, c in enumerate(report.summaries, start=1):
+        extra = "" if c.complement_norm is None else f", generator norm {c.complement_norm}"
+        lines.append(f"class {i}: support {c.support}, complement rank {c.complement_rank}{extra}")
+    return doc, lines, 0
+
+
 def cmd_obstruct(args) -> tuple[dict, list[str], int]:
     from . import obstruction
     balls = []
@@ -235,31 +232,17 @@ def cmd_verify_example_b31(args) -> tuple[dict, list[str], int]:
 def cmd_verify_lemma_cemb(args) -> tuple[dict, list[str], int]:
     from . import obstruction
     report, elapsed_ms = _timed(args, obstruction.lemma_cemb_report, args.n, args.m)
-    doc = {
-        "schema": "chain-classification@2",
-        "n": report.n,
-        "ambient": report.ambient,
-        "weights": report.weights,
-        "class_count": report.class_count,
-        "classes": [c._asdict() for c in report.classes],
-    }
-    if elapsed_ms is not None:
-        doc["elapsed_ms"] = elapsed_ms
-    lines = [f"Lambda({_fmt_ints(report.weights)}) in Z^{report.ambient}: "
-             f"{report.class_count} classes"]
-    for c in report.classes:
-        norm = "-" if c.complement_norm is None else str(c.complement_norm)
-        lines.append(f"  support {c.support}: complement rank {c.complement_rank}, norm {norm}")
+    doc, lines, code = _classes_output(report, elapsed_ms)
     # lemma_cemb_report's promise: the three-support family, and at n = 2
     # no other class.
-    n, r = report.n, 2 * report.n + 1
+    n, r, summaries = args.n, 2 * args.n + 1, report.summaries
     family = {(r, 0, None), (r + 1, 1, markov.odd_fibonacci(n + 1) ** 2)}
-    if not (family <= set(report.classes) and any(c.support == 4 * n for c in report.classes)
+    if not (family <= set(summaries) and any(c.support == 4 * n for c in summaries)
             and (n > 2 or report.class_count == 3)):
         print("expected classes of supports 2n+1, 2n+2 (norm F(2n+1)^2) and 4n, "
               "and at n = 2 no other", file=sys.stderr)
-        return doc, lines, 3
-    return doc, lines, 0
+        code = 3
+    return doc, lines, code
 
 
 def cmd_verify_theorem2(args) -> tuple[dict, list[str], int]:

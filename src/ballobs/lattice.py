@@ -26,6 +26,7 @@ import math
 import time
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import accumulate
 
 # SearchLimits lives with the errors, so that commands which never search
 # validate budgets without loading this module.
@@ -85,28 +86,26 @@ class GramLattice(namedtuple("GramLattice", "gram")):
         return len(self.gram)
 
 
-def linear_lattice(weights) -> GramLattice:
-    """The lattice of a weighted path: weights on the diagonal, -1 off it."""
-    w = tuple(weights)
-    if not w:
+def linear_lattice(*chains) -> GramLattice:
+    """The lattice of weighted paths side by side: each chain's weights on
+    the diagonal, -1 between neighbours on one chain, 0 elsewhere.  The
+    basis runs through the chains in order, so several chains give the
+    block-diagonal sum of their lattices."""
+    chains = tuple(map(tuple, chains))
+    if not chains or not all(chains):
         raise UsageError("weight list must be nonempty")
+    w = sum(chains, ())
     if any(not isinstance(a, int) or isinstance(a, bool) for a in w):
         raise UsageError(f"weights must be integers, got {w!r}")
     k = len(w)
-    gram = tuple(tuple(w[i] if i == j else (-1 if abs(i - j) == 1 else 0)
+    if k > MAX_AMBIENT:  # checked before the Gram matrix, which grows as k^2
+        raise UsageError(f"at most {MAX_AMBIENT} weights are supported, got {k}")
+    # Vertex j > 0 is joined to j - 1 unless a chain starts at j.
+    starts = set(accumulate(map(len, chains)))
+    gram = tuple(tuple(w[i] if i == j else (-1 if abs(i - j) == 1 and max(i, j) not in starts
+                                            else 0)
                        for j in range(k)) for i in range(k))
     return GramLattice(gram)
-
-
-def direct_sum(l1: GramLattice, l2: GramLattice) -> GramLattice:
-    """Block-diagonal sum; basis order is l1's vertices then l2's."""
-    k1, k2 = l1.rank, l2.rank
-    gram = []
-    for i in range(k1):
-        gram.append(tuple(l1.gram[i]) + (0,) * k2)
-    for i in range(k2):
-        gram.append((0,) * k1 + tuple(l2.gram[i]))
-    return GramLattice(tuple(gram))
 
 
 def leading_principal_minors(gram) -> list[int]:

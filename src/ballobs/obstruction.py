@@ -24,7 +24,6 @@ INCONCLUSIVE, never as a verdict.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import namedtuple
@@ -32,9 +31,8 @@ from collections import namedtuple
 from .contfrac import ball_boundary, lens_plumbing
 from .errors import (InternalCheckError, LimitExceeded, SearchLimits, UsageError,
                      document_values)
-from .lattice import (MAX_AMBIENT, EmbeddingClass, SearchStats, direct_sum,
-                      is_isometric_embedding, linear_lattice, orthogonal_complement,
-                      search_embedding_classes)
+from .lattice import (MAX_AMBIENT, EmbeddingClass, SearchStats, is_isometric_embedding,
+                      linear_lattice, orthogonal_complement, search_embedding_classes)
 from .markov import BallSpec
 
 REPORT_SCHEMA = "obstruction-report@3"
@@ -46,8 +44,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 class ObstructionProblem(namedtuple("ObstructionProblem",
                                      "balls m_norm components ambient c_lattice")):
     """The lattice problem attached to a list of balls: the balls, the
-    Lambda_M norm prod(p_i^2), each ball's plumbing lattice, the ambient rank
-    m and Lambda_C, the direct sum of the components in order."""
+    Lambda_M norm prod(p_i^2), each ball's plumbing weights, the ambient rank
+    m and Lambda_C, the direct sum of the components' chain lattices in
+    order."""
 
     __slots__ = ()
 
@@ -72,8 +71,8 @@ def build_problem(balls) -> ObstructionProblem:
         except UsageError:
             raise UsageError(f"ambient rank exceeds the supported maximum {MAX_AMBIENT}") from None
         room -= len(weights)
-        components.append(linear_lattice(weights))
-    c_lattice = functools.reduce(direct_sum, components)
+        components.append(weights)
+    c_lattice = linear_lattice(*components)
     return ObstructionProblem(balls, m_norm, tuple(components), 1 + c_lattice.rank, c_lattice)
 
 
@@ -219,22 +218,35 @@ def class_summary(cls: EmbeddingClass) -> ClassSummary:
 
 
 class ChainClassificationReport(namedtuple(
-        "ChainClassificationReport", "n ambient weights class_count classes statistics")):
-    """The classes of a chain lattice in Z^ambient, as sorted ClassSummary
-    records, with the SearchStats of their search."""
+        "ChainClassificationReport", "weights ambient classes summaries statistics")):
+    """The embedding classes of a chain lattice in Z^ambient, in search
+    order, the ClassSummary of each, and the SearchStats of their search."""
 
     __slots__ = ()
+
+    @property
+    def class_count(self) -> int:
+        return len(self.classes)
+
+
+def classify_chain(weights, m: int,
+                   limits: SearchLimits | None = None) -> ChainClassificationReport:
+    """Search the embedding classes of ``linear_lattice(weights)`` in Z^m and
+    take the :func:`class_summary` of each."""
+    result = search_embedding_classes(linear_lattice(weights), m, limits=limits)
+    return ChainClassificationReport(weights, m, result.classes,
+                                     tuple(map(class_summary, result.classes)), result.stats)
 
 
 def lemma_cemb_report(n: int, m: int,
                       limits: SearchLimits | None = None) -> ChainClassificationReport:
     """Classify embeddings of the chain lattice (3^(n-1), 2, 2, 3^(n-1), 2) in Z^m.
 
-    Reports the :func:`class_summary` of each class.  With r = 2n+1 the
-    classes include the three-support family: support r with complement rank
-    0, support r+1 with a rank-one complement of norm F(2n+1)^2, and support
-    4n.  For n = 2 there are no other classes; from n = 3 on, further classes
-    appear alongside those three.  ``verify lemma-cemb`` checks this.
+    With r = 2n+1 the classes include the three-support family: support r
+    with complement rank 0, support r+1 with a rank-one complement of norm
+    F(2n+1)^2, and support 4n.  For n = 2 there are no other classes; from
+    n = 3 on, further classes appear alongside those three.  ``verify
+    lemma-cemb`` checks this.
     """
     if any(not isinstance(x, int) or isinstance(x, bool) for x in (n, m)):
         raise UsageError(f"n and m must be integers, got {(n, m)!r}")
@@ -242,15 +254,9 @@ def lemma_cemb_report(n: int, m: int,
         raise UsageError(f"need n >= 2, got {n!r}")
     if m < 4 * n:
         raise UsageError(f"need m >= 4n = {4 * n} to see all classes, got {m}")
-    if m > MAX_AMBIENT:  # the search's own check, made before the Gram matrix is built
+    if m > MAX_AMBIENT:  # bounds n before the weights, and the Gram matrix, are built
         raise UsageError(f"ambient rank {m} exceeds the supported maximum {MAX_AMBIENT}")
-    weights = (3,) * (n - 1) + (2, 2) + (3,) * (n - 1) + (2,)
-    lat = linear_lattice(weights)
-    result = search_embedding_classes(lat, m, limits=limits)
-    summaries = [class_summary(cls) for cls in result.classes]
-    summaries.sort(key=lambda s: (s.support, s.complement_rank, s.complement_norm or 0))
-    return ChainClassificationReport(n, m, weights, len(summaries), tuple(summaries),
-                                     result.stats)
+    return classify_chain((3,) * (n - 1) + (2, 2) + (3,) * (n - 1) + (2,), m, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +279,7 @@ def report_to_doc(report: ObstructionReport, elapsed_ms: int | None = None) -> d
             "balls": [{"p": b.p, "q": b.q} for b in report.problem.balls],
             "m_norm": report.problem.m_norm,
             "ambient": report.problem.ambient,
-            "component_weights": [[c.gram[i][i] for i in range(c.rank)]
-                                  for c in report.problem.components],
+            "component_weights": report.problem.components,
         },
         "verdict": report.verdict,
         "witnesses": [{"embedding": w.embedding, "generator": w.generator}

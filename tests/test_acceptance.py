@@ -14,8 +14,7 @@ from math import gcd, isqrt
 import pytest
 
 from ballobs import contfrac, markov, obstruction, plumbing
-from ballobs.lattice import (direct_sum, linear_lattice, orthogonal_complement,
-                             search_embedding_classes)
+from ballobs.lattice import linear_lattice, orthogonal_complement, search_embedding_classes
 from test_obstruction import fib_pair_report, full_embedding_classes
 from test_plumbing import abs_det
 
@@ -97,7 +96,7 @@ def test_criterion_4_continued_fraction_identities():
 
 def test_criterion_5_single_ball_b31():
     start = time.monotonic()
-    lat = direct_sum(linear_lattice((9,)), linear_lattice((2, 2, 2, 3)))
+    lat = linear_lattice((9,), (2, 2, 2, 3))
     classes = search_embedding_classes(lat, 5).classes
     report = obstruction.check_obstruction(
         obstruction.build_problem([markov.BallSpec(3, 1)]))
@@ -121,8 +120,7 @@ def test_criterion_6_chain_classification():
     for m in (8, 9):
         rep = obstruction.lemma_cemb_report(2, m)
         ok &= rep.class_count == 3
-        ok &= [c.support for c in rep.classes] == [5, 6, 8]
-        ok &= rep.classes[1].complement_norm == 25
+        ok &= rep.summaries == ((6, 1, 25), (5, 0, None), (8, 3, None))
     assert _line(6, "chain classification n=2", ok)
 
 
@@ -136,13 +134,13 @@ def test_criterion_6_chain_classification_n3_slow():
     rep = obstruction.lemma_cemb_report(3, 12)
     family = {7: (0, None), 8: (1, 169), 12: (5, None)}
     extras = {9: (2, None), 11: (4, None)}
-    expected = tuple(obstruction.ClassSummary(sup, rank, norm)
-                     for sup, (rank, norm) in sorted({**family, **extras}.items()))
+    expected = {obstruction.ClassSummary(sup, rank, norm)
+                for sup, (rank, norm) in {**family, **extras}.items()}
     ok = (not rep.statistics.limit_hit and rep.class_count == 5
-          and rep.classes == expected
+          and set(rep.summaries) == expected
           and rep.statistics.leaves == rep.statistics.classes)
     assert _line("6-slow", "chain classification n=3", ok), (
-        f"{rep.class_count} classes {rep.classes}, {rep.statistics}")
+        f"{rep.class_count} classes {rep.summaries}, {rep.statistics}")
 
 
 def test_criterion_7_disjoint_pairs():
@@ -197,7 +195,7 @@ def test_criterion_9_strategy_equivalence():
     ok = True
     for balls in ([markov.BallSpec(3, 1)], [markov.BallSpec(2, 1)]):
         pr = obstruction.build_problem(balls)
-        lat_full = direct_sum(linear_lattice((pr.m_norm,)), pr.c_lattice)
+        lat_full = linear_lattice((pr.m_norm,), *pr.components)
         by_direct = search_embedding_classes(lat_full, pr.ambient).classes
         ok &= (full_embedding_classes(pr)
                == tuple(cls.matrix for cls in by_direct))

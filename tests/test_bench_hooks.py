@@ -2,13 +2,14 @@
 
 ``perfbench/tracer.py`` wraps ballobs functions by module attribute and
 silently skips a name that no longer exists, so a rename would zero that
-layer's metrics without failing anything.  ``benchmarks/bench_search.py``
-builds its ladder from the public entry points.  Both files are loaded by
-path and left unchanged.
+layer's metrics without failing anything.  ``perfbench/workloads.py`` and
+``benchmarks/bench_search.py`` build their problems from the public entry
+points.  All three files are loaded by path and left unchanged.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def load(relpath, name):
     spec = importlib.util.spec_from_file_location(name, ROOT / relpath)
     module = importlib.util.module_from_spec(spec)
+    # Registered first: a dataclass looks its module up while it is defined.
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -30,6 +33,17 @@ def test_tracer_hooks_resolve():
         assert module_name.startswith("ballobs.")
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("name, decided, total", [
+    ("obstructed", 11, 11), ("witness", 17, 19), ("cli-cold", 6, 6)])
+def test_perfbench_workload_pass(name, decided, total):
+    # One untraced pass of every operation, checked as the benchmark checks
+    # it: two of the witness workload's ball sets run out of their budget.
+    workloads = load("perfbench/workloads.py", "perfbench_workloads")
+    outcomes = [op.run(False) for op in workloads.WORKLOADS[name].build()]
+    assert [outcome.error for outcome in outcomes] == [None] * total
+    assert sum(outcome.decided for outcome in outcomes) == decided
 
 
 SMOKE_RUNGS = ("Fibonacci pair (1,2)", "Fibonacci pair (2,2)", "Fibonacci pair (2,3)",

@@ -230,29 +230,40 @@ class TestVerifyCommands:
         code, out, _ = run(capsys, "verify", "lemma-cemb", "2", "9")
         assert code == 0
         doc = json.loads(out)
-        assert doc["class_count"] == "3"
-        assert [c["support"] for c in doc["classes"]] == ["5", "6", "8"]
+        assert (doc["schema"], doc["class_count"]) == ("lattice-classes@1", "3")
+        assert [c["support"] for c in doc["classes"]] == ["6", "5", "8"]
 
     @pytest.mark.parametrize("n, m", [(2, 8), (2, 9), (3, 12), (4, 16), (5, 20)])
     def test_lemma_cemb_finds_the_family(self, capsys, n, m):
         assert run(capsys, "verify", "lemma-cemb", str(n), str(m))[::2] == (0, "")
 
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    @pytest.mark.parametrize("n, m", [(2, 8), (2, 9), (3, 12), (4, 16), (5, 20)])
+    def test_lemma_cemb_is_lattice_classes(self, capsys, n, m, fmt):
+        chain = ",".join(map(str, (3,) * (n - 1) + (2, 2) + (3,) * (n - 1) + (2,)))
+        expected = run(capsys, "--format", fmt, "lattice", "classes", "--weights", chain,
+                       "--ambient", str(m))
+        assert expected[0] == 0
+        assert run(capsys, "--format", fmt, "verify", "lemma-cemb", str(n), str(m)) == expected
+
+    # Each change acts on the (class, summary) pairs of the real report.
     @pytest.mark.parametrize("n, change", [
-        (3, lambda classes: [c for c in classes if c.support != 8]),
-        (3, lambda classes: [c._replace(complement_norm=25) if c.support == 8 else c
-                             for c in classes]),
-        (3, lambda classes: [c for c in classes if c.support != 12]),
-        (2, lambda classes: [c for c in classes if c.complement_rank]),
-        (2, lambda classes: classes + [classes[-1]]),  # a fourth class at n = 2
+        (3, lambda pairs: [(m, c) for m, c in pairs if c.support != 8]),
+        (3, lambda pairs: [(m, c._replace(complement_norm=25) if c.support == 8 else c)
+                           for m, c in pairs]),
+        (3, lambda pairs: [(m, c) for m, c in pairs if c.support != 12]),
+        (2, lambda pairs: [(m, c) for m, c in pairs if c.complement_rank]),
+        (2, lambda pairs: pairs + [pairs[-1]]),  # a fourth class at n = 2
     ], ids=["no-support-2n+2", "wrong-norm", "no-support-4n", "no-support-2n+1", "n2-extra"])
     def test_lemma_cemb_failed_condition(self, capsys, monkeypatch, n, change):
         real = obstruction.lemma_cemb_report(n, 4 * n)
-        classes = change(list(real.classes))
-        stub = real._replace(classes=tuple(classes), class_count=len(classes))
+        pairs = change(list(zip(real.classes, real.summaries)))
+        stub = real._replace(classes=tuple(m for m, _ in pairs),
+                             summaries=tuple(c for _, c in pairs))
         monkeypatch.setattr(obstruction, "lemma_cemb_report", lambda *a, **k: stub)
         code, out, err = run(capsys, "verify", "lemma-cemb", str(n), str(4 * n))
         assert code == 3
-        assert json.loads(out)["class_count"] == str(len(classes))
+        assert json.loads(out)["class_count"] == str(len(pairs))
         assert err.count("\n") == 1 and "supports 2n+1, 2n+2" in err
 
     def test_theorem2(self, capsys):
@@ -379,6 +390,14 @@ class TestExitCodes:
          "diagonal entries above 1000000"),
         (("obstruct", "3,1,2"), "two comma-separated integers"),
         (("obstruct", ","), "comma-separated integer list"),
+        # An empty item is an error, not skipped.
+        (("obstruct", "3,,1"), "comma-separated integer list"),
+        (("obstruct", "3,1,"), "comma-separated integer list"),
+        (("obstruct", ",3,1"), "comma-separated integer list"),
+        (("lattice", "classes", "--weights", ",2,2,", "--ambient", "3"),
+         "comma-separated integer list"),
+        (("cf", "eval", "3,5,"), "comma-separated integer list"),
+        (("plumbing", "reduce", "-3,,-1"), "comma-separated integer list"),
     ])
     def test_usage_error_bad_argument(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -491,10 +510,10 @@ SUBCOMMAND_GOLDEN = {
     ("verify", "example-b31"): (0,
         (108, "08d1f2823d9409ae4a2ce7868538c2700724cac7c2ea527d1f42ad87cff1af1b"),
         (597, "090ebe250d59fd6195f2f2e83b75af025d55f8dd046b8756b7c3451dbbe843da")),
-    # Re-recorded when chain-classification@2 dropped has_unit_vectors.
+    # Re-recorded when it became lattice classes on its chain, in search order.
     ("verify", "lemma-cemb", "3", "12"): (0,
-        (240, "37ba23d0c94a40d3723d901a4d19f0b68e2eabfaa261d8e3c243133cda810bbb"),
-        (673, "b840c24026569be435cc6e91cd675324aebe07a621d74f96f4814b9eacf49d57")),
+        (255, "80ccc8b56e74ce2ab0ce75e68c3448fe7aacec56e5c1d13811e69ff8c0d72e42"),
+        (7817, "66afd874c3f10229c20cde17711e0ea9ec2c8727c9274806dbafebdf732e7746")),
     # Re-recorded for obstruction-report@3.
     ("verify", "theorem2", "1", "2"): (0,
         (239, "b387b9c65000c04cc085aa98c2ead0b25c65fabae9beac757ecf5c2b939d584a"),
@@ -515,8 +534,9 @@ class TestGoldenBytes:
         (("--format", "json", "lattice", "classes", "--weights", "3,2,2,3,2",
           "--ambient", "9"), 2859,
          "d56e8cb9b771f238d8c52abc48614cf1264c1fe82ca593c2801bde5cd78a5eb1"),
-        (("verify", "lemma-cemb", "3", "12"), 673,  # re-recorded for chain-classification@2
-         "b840c24026569be435cc6e91cd675324aebe07a621d74f96f4814b9eacf49d57"),
+        # re-recorded when it became lattice classes on its chain
+        (("verify", "lemma-cemb", "3", "12"), 7817,
+         "66afd874c3f10229c20cde17711e0ea9ec2c8727c9274806dbafebdf732e7746"),
     ])
     def test_stdout(self, capsys, argv, size, sha256):
         code, out, _ = run(capsys, *argv)
@@ -656,12 +676,12 @@ MODULE_NAMES = {
                  "hj_expand", "lens_plumbing"),
     "plumbing": ("BlowdownCertificate", "rb_chain", "reduce", "simple_embedding_certificate"),
     "lattice": ("EmbeddingClass", "EmbeddingSearchResult", "GramLattice", "SearchLimits",
-                "SearchStats", "canonical_form", "direct_sum", "integer_kernel",
-                "is_isometric_embedding", "is_positive_definite", "linear_lattice",
-                "orthogonal_complement", "search_embedding_classes"),
+                "SearchStats", "canonical_form", "integer_kernel", "is_isometric_embedding",
+                "is_positive_definite", "linear_lattice", "orthogonal_complement",
+                "search_embedding_classes"),
     "obstruction": ("ClassRecord", "ObstructionProblem", "ObstructionReport", "Witness",
-                    "build_problem", "check_obstruction", "lemma_cemb_report",
-                    "report_from_doc", "report_to_doc"),
+                    "build_problem", "check_obstruction", "classify_chain",
+                    "lemma_cemb_report", "report_from_doc", "report_to_doc"),
 }
 # The public top-level functions and classes of src/ballobs that no other
 # code in src/ references, each with the reason it stays.

@@ -9,7 +9,7 @@ import pytest
 
 from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
 from ballobs.lattice import (EmbeddingClass, GramLattice, SearchLimits, _square_parts,
-                             canonical_form, direct_sum, integer_kernel,
+                             canonical_form, integer_kernel,
                              is_isometric_embedding, is_positive_definite,
                              leading_principal_minors, linear_lattice,
                              orthogonal_complement, search_embedding_classes)
@@ -63,16 +63,36 @@ class TestConstruction:
         with pytest.raises(UsageError, match="weights must be integers"):
             linear_lattice(weights)
 
-    def test_direct_sum_block_structure(self):
-        lat = direct_sum(L9, linear_lattice((2, 2, 2, 3)))
-        assert lat.rank == 5
-        assert lat.gram[0] == (9, 0, 0, 0, 0)
-        assert lat.gram[1] == (0, 2, -1, 0, 0)
-        assert lat.gram[4] == (0, 0, 0, -1, 3)
+    def test_several_chains(self):
+        # Block diagonal, in basis order, with no -1 between chains.
+        assert linear_lattice((9,), (2, 2, 2, 3)).gram == (
+            (9, 0, 0, 0, 0),
+            (0, 2, -1, 0, 0),
+            (0, -1, 2, -1, 0),
+            (0, 0, -1, 2, -1),
+            (0, 0, 0, -1, 3))
+        assert linear_lattice((2,), (3,), (4,)).gram == ((2, 0, 0), (0, 3, 0), (0, 0, 4))
 
     def test_direct_sum_rank8(self):
-        lat = direct_sum(L222, CHAIN5)
+        lat = linear_lattice((2, 2, 2), (3, 2, 2, 3, 2))
         assert lat.rank == 8
+        assert tuple(row[:3] for row in lat.gram[:3]) == L222.gram
+        assert tuple(row[3:] for row in lat.gram[3:]) == CHAIN5.gram
+        assert not any(x for row in lat.gram[:3] for x in row[3:])
+
+    @pytest.mark.parametrize("chains", [(), ((2, 2), ()), ((), (3,))])
+    def test_empty_chain_rejected(self, chains):
+        with pytest.raises(UsageError, match="weight list must be nonempty"):
+            linear_lattice(*chains)
+
+    def test_weight_cap(self, monkeypatch):
+        # More weights than the search takes are refused before any Gram
+        # matrix is built.
+        assert linear_lattice((2,) * 40, (3,) * 24).rank == 64
+        monkeypatch.setattr(GramLattice, "__new__", lambda *a: pytest.fail("built a Gram matrix"))
+        for chains in (((2,) * 65,), ((2,) * 40, (3,) * 25)):
+            with pytest.raises(UsageError, match="at most 64 weights are supported, got 65"):
+                linear_lattice(*chains)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(UsageError):
@@ -411,7 +431,7 @@ class TestEnumeration:
         assert sorted(abs(x) for x in gen) == [1, 1, 1, 1]
 
     def test_example_direct_sum_unique(self):
-        lat = direct_sum(L9, linear_lattice((2, 2, 2, 3)))
+        lat = linear_lattice((9,), (2, 2, 2, 3))
         classes = search_embedding_classes(lat, 5).classes
         assert len(classes) == 1
         # the explicit embedding 3e1; -e_i+e_(i+1); e2+e3+e4 lands in it
@@ -479,7 +499,7 @@ class TestEnumeration:
 
     def test_counts_independent_of_vertex_order(self):
         for lat, m in [(CHAIN5, 8), (linear_lattice((3, 2, 2, 3)), 7),
-                       (direct_sum(L9, linear_lattice((2, 2, 2, 3))), 5),
+                       (linear_lattice((9,), (2, 2, 2, 3)), 5),
                        (linear_lattice((3, 3, 2, 2, 3, 3, 2)), 12)]:
             fwd = search_embedding_classes(lat, m).classes
             rev = search_embedding_classes(reverse_basis(lat), m).classes
@@ -495,7 +515,7 @@ class TestEnumeration:
             search_embedding_classes(linear_lattice((1, 1)), 4)
 
     def test_every_class_is_isometric(self):
-        for lat, m in [(CHAIN5, 9), (direct_sum(L222, L222), 7)]:
+        for lat, m in [(CHAIN5, 9), (linear_lattice((2, 2, 2), (2, 2, 2)), 7)]:
             for cls in search_embedding_classes(lat, m).classes:
                 assert is_isometric_embedding(lat, cls.matrix)
                 assert canonical_form(cls.matrix) == cls.matrix
@@ -507,7 +527,7 @@ class TestEnumeration:
         assert info.value.stats.nodes >= 2
 
     def test_time_budget_raises(self):
-        lat = direct_sum(CHAIN5, linear_lattice((2, 3, 3, 2, 2, 3, 3)))
+        lat = linear_lattice((3, 2, 2, 3, 2), (2, 3, 3, 2, 2, 3, 3))
         with pytest.raises(LimitExceeded) as info:
             search_embedding_classes(lat, 13, limits=SearchLimits(time_budget=1e-9))
         assert info.value.stats.limit_hit
@@ -596,11 +616,10 @@ def brute_force_classes(lat, m):
 def random_small_lattice(rng):
     """A chain or a sum of two chains, with an ambient rank of at most 9."""
     top = 5 if rng.random() < 0.3 else 3
-    w1 = tuple(rng.randrange(2, top + 1) for _ in range(rng.randrange(1, 5)))
-    lat = linear_lattice(w1)
+    chains = [tuple(rng.randrange(2, top + 1) for _ in range(rng.randrange(1, 5)))]
     if rng.random() < 0.5:
-        w2 = tuple(rng.randrange(2, 4) for _ in range(rng.randrange(1, 3)))
-        lat = direct_sum(lat, linear_lattice(w2))
+        chains.append(tuple(rng.randrange(2, 4) for _ in range(rng.randrange(1, 3))))
+    lat = linear_lattice(*chains)
     # A norm box of radius 2 on more than 7 coordinates is a slow scan.
     m_max = 7 if top > 3 else 9
     return lat, rng.randrange(min(lat.rank, m_max), m_max + 1)

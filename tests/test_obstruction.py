@@ -16,12 +16,13 @@ from ballobs import kernels, lattice, obstruction
 from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
 from ballobs.contfrac import ball_boundary, ball_plumbing
 from ballobs.lattice import (MAX_AMBIENT, GramLattice, SearchLimits, canonical_form,
-                             direct_sum, integer_kernel, is_isometric_embedding,
-                             linear_lattice, orthogonal_complement, search_embedding_classes)
+                             integer_kernel, is_isometric_embedding, linear_lattice,
+                             orthogonal_complement, search_embedding_classes)
 from ballobs.markov import BallSpec, fibonacci_ball
 from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED, REPORT_SCHEMA,
                                  ClassRecord, ObstructionProblem, Witness, build_problem,
-                                 check_obstruction, lemma_cemb_report, report_from_doc,
+                                 check_obstruction, classify_chain, lemma_cemb_report,
+                                 report_from_doc,
                                  report_to_doc, verify_witness)
 from test_exact_oracles import matrix_determinant
 
@@ -39,7 +40,7 @@ def direct_sum_classes(problem):
     Lambda_M off the rank-one complement.  Cost grows fast with m_norm
     (B(5,1)+B(13,2) exhausts memory), so keep the oracle to small problems.
     """
-    lat_full = direct_sum(linear_lattice((problem.m_norm,)), problem.c_lattice)
+    lat_full = linear_lattice((problem.m_norm,), *problem.components)
     return search_embedding_classes(lat_full, problem.ambient).classes
 
 
@@ -152,20 +153,28 @@ class TestBuildProblem:
         pr = build_problem([BallSpec(3, 1)])
         assert pr.m_norm == 9
         assert pr.ambient == 5
-        assert pr.components[0].gram == linear_lattice((2, 2, 2, 3)).gram
+        assert pr.components == ((2, 2, 2, 3),)
 
     def test_pair(self):
         pr = build_problem([BallSpec(2, 1), BallSpec(5, 2)])
         assert pr.m_norm == 100
-        assert [c.rank for c in pr.components] == [3, 5]
+        assert pr.components == ((2, 2, 2), (2, 3, 2, 2, 3))
         assert pr.ambient == 9
-        assert pr.c_lattice == direct_sum(*pr.components)
+        assert pr.c_lattice.gram == (
+            (2, -1, 0, 0, 0, 0, 0, 0),
+            (-1, 2, -1, 0, 0, 0, 0, 0),
+            (0, -1, 2, 0, 0, 0, 0, 0),
+            (0, 0, 0, 2, -1, 0, 0, 0),
+            (0, 0, 0, -1, 3, -1, 0, 0),
+            (0, 0, 0, 0, -1, 2, -1, 0),
+            (0, 0, 0, 0, 0, -1, 2, -1),
+            (0, 0, 0, 0, 0, 0, -1, 3))
         assert pr.c_lattice is pr.c_lattice  # built once, not on every read
 
     def test_single_b21(self):
         pr = build_problem([BallSpec(2, 1)])
         assert pr.m_norm == 4
-        assert pr.components[0].gram == linear_lattice((2, 2, 2)).gram
+        assert pr.components == ((2, 2, 2),)
         assert pr.ambient == 4
 
     def test_empty_rejected(self):
@@ -180,7 +189,7 @@ class TestBuildProblem:
                             lambda *a, **k: calls.append(a) or lens_plumbing(*a, **k))
         pr = build_problem([BallSpec(2, 1), BallSpec(5, 2)])
         assert calls == [(4, 1), (25, 9)]
-        assert [c.rank for c in pr.components] == [3, 5]
+        assert [len(c) for c in pr.components] == [3, 5]
 
 
 class TestCheckObstruction:
@@ -221,7 +230,7 @@ class TestCheckObstruction:
             pr = build_problem(balls)
             rep = check_obstruction(pr)
             lat_c = pr.c_lattice
-            lat_full = direct_sum(linear_lattice((pr.m_norm,)), lat_c)
+            lat_full = linear_lattice((pr.m_norm,), *pr.components)
             assert rep.witnesses
             for w in rep.witnesses:
                 verify_witness(pr, w)
@@ -420,7 +429,7 @@ class TestTheorem2:
         # the full images localises to the common support).
         from ballobs.lattice import search_embedding_classes
         pr = build_problem([BallSpec(5, 2), BallSpec(5, 2)])
-        r1 = pr.components[0].rank
+        r1 = len(pr.components[0])
         result = search_embedding_classes(pr.c_lattice, pr.ambient)
         assert result.classes
         for cls in result.classes:
@@ -533,16 +542,15 @@ class TestPlumbingEmbedsInFullRank:
 
 class TestLemmaCembReport:
     def test_n2_m9(self):
+        # In search order, that is, in ascending order of the class matrices.
         rep = lemma_cemb_report(2, 9)
         assert rep.class_count == 3
-        assert [c.support for c in rep.classes] == [5, 6, 8]
-        assert [c.complement_rank for c in rep.classes] == [0, 1, 3]
-        assert rep.classes[1].complement_norm == 25
+        assert rep.summaries == ((6, 1, 25), (5, 0, None), (8, 3, None))
 
     def test_n2_m8(self):
         rep = lemma_cemb_report(2, 8)
         assert rep.class_count == 3
-        assert [c.support for c in rep.classes] == [5, 6, 8]
+        assert [c.support for c in rep.summaries] == [6, 5, 8]
         assert rep.statistics.leaves == rep.statistics.classes
 
     def test_n4_m16(self):
@@ -551,6 +559,16 @@ class TestLemmaCembReport:
         assert not rep.statistics.limit_hit
         assert rep.class_count == 12
         assert rep.statistics.leaves == rep.statistics.classes
+
+    def test_classify_chain_summarises_the_search(self):
+        weights = (3, 2, 2, 3, 2)
+        rep = classify_chain(weights, 9)
+        result = search_embedding_classes(linear_lattice(weights), 9)
+        assert (rep.weights, rep.ambient, rep.classes, rep.statistics) == (
+            weights, 9, result.classes, result.stats)
+        assert rep.summaries == tuple(map(obstruction.class_summary, result.classes))
+        assert rep.class_count == len(rep.classes) == 3
+        assert lemma_cemb_report(2, 9) == rep
 
     def test_preconditions(self):
         with pytest.raises(UsageError):

@@ -9,6 +9,7 @@ from ballobs.errors import UsageError
 from ballobs.lattice import linear_lattice
 from ballobs.plumbing import rb_chain, reduce, simple_embedding_certificate
 from test_exact_oracles import matrix_determinant
+from test_lattice import continuant_determinant
 
 
 def det_by_expansion(chain):
@@ -40,9 +41,10 @@ def det_by_expansion(chain):
 
 
 def abs_det(chain):
-    """|det| of a chain's intersection matrix by the Bareiss oracle; the
-    empty chain has determinant 1."""
-    return abs(matrix_determinant(linear_lattice(chain).gram)) if chain else 1
+    """|det| of a chain's intersection matrix by the continuant recurrence,
+    which tests/test_lattice.py checks against the Bareiss oracle; the empty
+    chain has determinant 1."""
+    return abs(continuant_determinant(chain))
 
 
 class TestRbChain:
