@@ -28,11 +28,12 @@ class DegenerateCaseError(UsageError):
 
 
 class LimitExceeded(RuntimeError):
-    """A node or wall-clock budget ran out before a search finished.
+    """A budget ran out: a search's node or wall-clock budget, or the triple
+    cap of Markov enumeration.
 
-    Carries whatever partial statistics and partially enumerated classes the
-    search had accumulated, so callers can report an honest INCONCLUSIVE
-    outcome instead of a wrong verdict.
+    From a search it carries the partial SearchStats and the classes found so
+    far, so callers can report an honest INCONCLUSIVE outcome instead of a
+    wrong verdict.  From the triple cap it carries neither: ``stats`` is None.
     """
 
     def __init__(self, message, stats=None, partial_classes=()):

@@ -1,10 +1,11 @@
-"""Integer lattices with ordered bases, and exhaustive embedding enumeration.
+"""Chain lattices, and exhaustive enumeration of their embeddings.
 
-A lattice is presented by its Gram matrix; the generators ("vertices") are
-numbered 1..k in basis order.  An embedding into Z^m is an integer matrix A
-with A A^T equal to the Gram matrix, considered up to the automorphisms of
-Z^m, i.e. up to permuting and flipping signs of the ambient orthonormal
-basis.
+A chain lattice is weighted paths side by side, held as the weights of each
+path and the Gram matrix they give; the generators ("vertices") are
+numbered 1..k in basis order, through the paths in turn.  An embedding into
+Z^m is an integer matrix A with A A^T equal to the Gram matrix, considered
+up to the automorphisms of Z^m, i.e. up to permuting and flipping signs of
+the ambient orthonormal basis.
 
 The search places one vertex image at a time.  Candidates for the next row
 are integer vectors with the required inner products against the rows already
@@ -30,10 +31,10 @@ from itertools import accumulate
 
 # SearchLimits lives with the errors, so that commands which never search
 # validate budgets without loading this module.
-from .errors import InternalCheckError, LimitExceeded, SearchLimits, UsageError, checked_make
+from .errors import InternalCheckError, LimitExceeded, SearchLimits, UsageError
 
 # int64 overflow in the kernel is impossible while diagonal norms stay small;
-# rank is capped where the exact minor check stays cheap.
+# the rank cap bounds the Gram matrix, which grows as the rank squared.
 MAX_AMBIENT = 64
 MAX_DIAGONAL = 10 ** 6
 
@@ -57,36 +58,22 @@ def _nonzero_entries(rows) -> list[list[tuple[int, int]]]:
 
 
 # ---------------------------------------------------------------------------
-# Gram lattices
+# Chain lattices
 
 
-class GramLattice(namedtuple("GramLattice", "gram")):
-    """A finite-rank lattice presented by a symmetric integer Gram matrix,
-    held as a tuple of row tuples."""
+class ChainLattice(namedtuple("ChainLattice", "chains gram")):
+    """Weighted paths side by side: each chain's weights as a tuple, and the
+    Gram matrix as a tuple of row tuples.  :func:`linear_lattice` builds
+    it."""
 
     __slots__ = ()
-
-    def __new__(cls, gram):
-        g = tuple(tuple(row) for row in gram)
-        if any(not isinstance(x, int) or isinstance(x, bool) for row in g for x in row):
-            raise UsageError("Gram matrix entries must be integers")
-        if not g:
-            raise UsageError("lattice must have rank >= 1")
-        k = len(g)
-        if any(len(row) != k for row in g):
-            raise UsageError("Gram matrix must be square")
-        if any(g[i][j] != g[j][i] for i in range(k) for j in range(i)):
-            raise UsageError("Gram matrix must be symmetric")
-        return super().__new__(cls, g)
-
-    _make = classmethod(checked_make)
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
 
-def linear_lattice(*chains) -> GramLattice:
+def linear_lattice(*chains) -> ChainLattice:
     """The lattice of weighted paths side by side: each chain's weights on
     the diagonal, -1 between neighbours on one chain, 0 elsewhere.  The
     basis runs through the chains in order, so several chains give the
@@ -105,79 +92,37 @@ def linear_lattice(*chains) -> GramLattice:
     gram = tuple(tuple(w[i] if i == j else (-1 if abs(i - j) == 1 and max(i, j) not in starts
                                             else 0)
                        for j in range(k)) for i in range(k))
-    return GramLattice(gram)
+    return ChainLattice(chains, gram)
 
 
-def leading_principal_minors(gram) -> list[int]:
-    """Exact leading principal minors, by fraction-free elimination.
-
-    Stops after a zero pivot (later minors are then irrelevant for
-    definiteness checks).
-
-    Bareiss elimination (Math. Comp. 1968), kept sparse: each row holds its
-    nonzero entries only, and a row whose multiplier is zero is not touched.
-    Step j maps such a row to itself times d_j / d_(j-1), where d_j is the
-    j-th minor, so a row left alone since step s is brought up to date by
-    one exact multiplication by d_(j-1) / d_(s-1) when next needed.  The
-    division is exact because both the old and the new entries are minors of
-    the matrix.  A tridiagonal Gram matrix then costs O(n) row updates of
-    at most three entries each, not O(n^3) entry updates.
-    """
-    n = len(gram)
-    rows = [{c: x for c, x in enumerate(row) if x} for row in gram]
-    stage = [0] * n  # rows[i] holds the entries after stage[i] steps
-    div = [1]        # div[s]: the divisor of the entries after s steps, d_(s-1)
-    minors = []
-    for j in range(n):
-        pivot = _brought_up(rows[j], div, stage[j], j)
-        piv = pivot.get(j, 0)
-        minors.append(piv)
-        if piv == 0:
-            break
-        prev = div[j]
-        for i in range(j + 1, n):
-            if j not in rows[i]:  # zero multiplier: row i just waits
-                continue
-            row = _brought_up(rows[i], div, stage[i], j)
-            mult = row.pop(j)
-            new = {}
-            for c in row.keys() | pivot.keys():
-                if c > j:
-                    x = (row.get(c, 0) * piv - mult * pivot.get(c, 0)) // prev
-                    if x:
-                        new[c] = x
-            rows[i], stage[i] = new, j + 1
-        div.append(piv)
-    return minors
-
-
-def _brought_up(row: dict, div: list[int], since: int, now: int) -> dict:
-    # A row untouched from step ``since`` to step ``now``, as it stands after
-    # ``now`` steps.
-    if since == now:
-        return row
-    return {c: x * div[now] // div[since] for c, x in row.items()}
-
-
-def is_positive_definite(l: GramLattice) -> bool:
-    """Positive-definiteness via exact leading principal minors."""
-    return all(d > 0 for d in leading_principal_minors(l.gram))
+def is_positive_definite(l: ChainLattice) -> bool:
+    """Sylvester's criterion, chain by chain: the Gram matrix is block
+    diagonal, and the leading principal minors of a chain (a_1, ..., a_n)
+    are its continuants d_i = a_i d_(i-1) - d_(i-2), with d_0 = 1, d_(-1) = 0."""
+    for chain in l.chains:
+        prev, d = 0, 1
+        for a in chain:
+            prev, d = d, a * d - prev
+            if d <= 0:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Embedding matrices
 
 
-def is_isometric_embedding(l: GramLattice, rows) -> bool:
-    """True iff A A^T equals the Gram matrix (exact integer arithmetic).
+def is_isometric_embedding(gram, rows) -> bool:
+    """True iff A A^T equals ``gram``, a tuple of row tuples (exact integer
+    arithmetic).
 
     The entries must be ints; a numpy array, or each numpy row of a
     sequence, is read with ``tolist``.
     """
     rows = _row_list(rows)
     k = len(rows)
-    if k != l.rank:
-        raise UsageError(f"embedding has {k} rows for a rank-{l.rank} lattice")
+    if k != len(gram):
+        raise UsageError(f"embedding has {k} rows for a rank-{len(gram)} lattice")
     if len({len(r) for r in rows}) != 1:
         raise UsageError("embedding rows must all have the same length")
     # A A^T column by column, over each column's nonzero entries only.
@@ -191,7 +136,7 @@ def is_isometric_embedding(l: GramLattice, rows) -> bool:
             out = prod[i]
             for j, y in entries:
                 out[j] += x * y
-    return tuple(map(tuple, prod)) == l.gram
+    return tuple(map(tuple, prod)) == gram
 
 
 def canonical_form(rows) -> tuple[tuple[int, ...], ...]:
@@ -356,7 +301,7 @@ class _Frame:
         self.next = 0
 
 
-def search_embedding_classes(l: GramLattice, m: int,
+def search_embedding_classes(l: ChainLattice, m: int,
                              limits: SearchLimits | None = None) -> EmbeddingSearchResult:
     """Exhaustively enumerate the embedding classes of ``l`` in Z^m.
 
@@ -421,7 +366,7 @@ def search_embedding_classes(l: GramLattice, m: int,
         raise UsageError(f"ambient rank {m} exceeds the supported maximum {MAX_AMBIENT}")
     if not is_positive_definite(l):
         raise UsageError("embedding search requires a positive-definite Gram matrix")
-    if max(l.gram[i][i] for i in range(l.rank)) > MAX_DIAGONAL:
+    if max(map(max, l.chains)) > MAX_DIAGONAL:
         raise UsageError(f"diagonal entries above {MAX_DIAGONAL} are not supported")
     limits = limits or SearchLimits()
     k = l.rank

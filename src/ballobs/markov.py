@@ -100,9 +100,7 @@ def enumerate_triples(bound: int) -> list[MarkovTriple]:
             n = vieta_neighbor(t, position)
             if n.c <= bound and n not in seen:
                 if len(seen) >= MAX_TRIPLES:
-                    raise LimitExceeded(
-                        f"more than {MAX_TRIPLES} triples below bound {bound}",
-                        stats={"triples": len(seen)})
+                    raise LimitExceeded(f"more than {MAX_TRIPLES} triples below bound {bound}")
                 seen.add(n)
                 queue.append(n)
     return sorted(seen)

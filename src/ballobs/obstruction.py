@@ -41,12 +41,10 @@ NOT_OBSTRUCTED = "NOT_OBSTRUCTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-class ObstructionProblem(namedtuple("ObstructionProblem",
-                                     "balls m_norm components ambient c_lattice")):
+class ObstructionProblem(namedtuple("ObstructionProblem", "balls m_norm ambient c_lattice")):
     """The lattice problem attached to a list of balls: the balls, the
-    Lambda_M norm prod(p_i^2), each ball's plumbing weights, the ambient rank
-    m and Lambda_C, the direct sum of the components' chain lattices in
-    order."""
+    Lambda_M norm prod(p_i^2), the ambient rank m and Lambda_C, the chain
+    lattice of the balls' plumbing weights in order."""
 
     __slots__ = ()
 
@@ -62,7 +60,7 @@ def build_problem(balls) -> ObstructionProblem:
     # can have millions of vertices, too many to expand or put in a Gram
     # matrix.  A BallSpec's plumbing can fail on nothing but that length.
     room = MAX_AMBIENT - 1
-    components = []
+    chains = []
     for b in balls:
         try:
             # Through this module's lens_plumbing, which perfbench's tracer
@@ -71,9 +69,9 @@ def build_problem(balls) -> ObstructionProblem:
         except UsageError:
             raise UsageError(f"ambient rank exceeds the supported maximum {MAX_AMBIENT}") from None
         room -= len(weights)
-        components.append(weights)
-    c_lattice = linear_lattice(*components)
-    return ObstructionProblem(balls, m_norm, tuple(components), 1 + c_lattice.rank, c_lattice)
+        chains.append(weights)
+    c_lattice = linear_lattice(*chains)
+    return ObstructionProblem(balls, m_norm, 1 + c_lattice.rank, c_lattice)
 
 
 class Witness(namedtuple("Witness", "embedding generator")):
@@ -133,7 +131,7 @@ def verify_witness(problem: ObstructionProblem, witness: Witness) -> None:
         raise UsageError(f"all rows must have length {m}")
     if any(not isinstance(x, int) or isinstance(x, bool) for x in w):
         raise UsageError("witness generator entries must be integers")
-    if (not is_isometric_embedding(problem.c_lattice, rows)
+    if (not is_isometric_embedding(problem.c_lattice.gram, rows)
             or sum(x * x for x in w) != problem.m_norm
             or any(sum(map(operator.mul, w, row)) for row in rows)):
         raise InternalCheckError("witness rows do not realise the direct-sum Gram matrix")
@@ -279,7 +277,7 @@ def report_to_doc(report: ObstructionReport, elapsed_ms: int | None = None) -> d
             "balls": [{"p": b.p, "q": b.q} for b in report.problem.balls],
             "m_norm": report.problem.m_norm,
             "ambient": report.problem.ambient,
-            "component_weights": report.problem.components,
+            "component_weights": report.problem.c_lattice.chains,
         },
         "verdict": report.verdict,
         "witnesses": [{"embedding": w.embedding, "generator": w.generator}

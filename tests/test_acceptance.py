@@ -195,7 +195,7 @@ def test_criterion_9_strategy_equivalence():
     ok = True
     for balls in ([markov.BallSpec(3, 1)], [markov.BallSpec(2, 1)]):
         pr = obstruction.build_problem(balls)
-        lat_full = linear_lattice((pr.m_norm,), *pr.components)
+        lat_full = linear_lattice((pr.m_norm,), *pr.c_lattice.chains)
         by_direct = search_embedding_classes(lat_full, pr.ambient).classes
         ok &= (full_embedding_classes(pr)
                == tuple(cls.matrix for cls in by_direct))

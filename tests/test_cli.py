@@ -412,14 +412,13 @@ class TestExitCodes:
     def test_size_checked_before_the_gram(self, capsys, monkeypatch, argv, message):
         # Both sizes grow a Gram matrix quadratically, so each is refused
         # before any lattice of rank above the maximum is built.
-        new = lattice.GramLattice.__new__
+        new = lattice.ChainLattice.__new__
 
-        def spy(cls, gram):
-            gram = tuple(gram)
+        def spy(cls, chains, gram):
             assert len(gram) <= lattice.MAX_AMBIENT, f"built a rank-{len(gram)} lattice"
-            return new(cls, gram)
+            return new(cls, chains, gram)
 
-        monkeypatch.setattr(lattice.GramLattice, "__new__", spy)
+        monkeypatch.setattr(lattice.ChainLattice, "__new__", spy)
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and message in err
 
@@ -675,7 +674,7 @@ MODULE_NAMES = {
     "contfrac": ("ball_boundary", "ball_plumbing", "fibonacci_identities", "hj_eval",
                  "hj_expand", "lens_plumbing"),
     "plumbing": ("BlowdownCertificate", "rb_chain", "reduce", "simple_embedding_certificate"),
-    "lattice": ("EmbeddingClass", "EmbeddingSearchResult", "GramLattice", "SearchLimits",
+    "lattice": ("ChainLattice", "EmbeddingClass", "EmbeddingSearchResult", "SearchLimits",
                 "SearchStats", "canonical_form", "integer_kernel", "is_isometric_embedding",
                 "is_positive_definite", "linear_lattice", "orthogonal_complement",
                 "search_embedding_classes"),
@@ -772,24 +771,50 @@ class TestColdImports:
 def _names_read(tree):
     # Every identifier a syntax tree reads, as a name or as an attribute.
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
+
+
+def _defined_names(node):
+    # The names a top-level statement defines: a function's or a class's,
+    # or the plain names it assigns.
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)]
+
+
+def _unread_names(wanted):
+    # "module.name" for each top-level name of src/ballobs that ``wanted``
+    # selects and that no code in src/ reads outside its own definition.
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((SRC / "ballobs").glob("*.py"))}
+    reads = Counter(name for tree in trees.values() for name in _names_read(tree))
+    return sorted(f"{module}.{name}" for module, tree in trees.items() for node in tree.body
+                  for name in _defined_names(node)
+                  if wanted(node, name) and reads[name] == Counter(_names_read(node))[name])
 
 
 class TestProductionCode:
     def test_every_public_name_has_a_caller(self):
         # A public function or class that only the tests call belongs in the
         # tests; UNREFERENCED_NAMES lists the exceptions.
-        trees = {path.stem: ast.parse(path.read_text())
-                 for path in sorted((SRC / "ballobs").glob("*.py"))}
-        reads = Counter(name for tree in trees.values() for name in _names_read(tree))
-        unreferenced = sorted(
-            f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-            and reads[node.name] == Counter(_names_read(node))[node.name])
-        assert unreferenced == sorted(UNREFERENCED_NAMES)
+        assert _unread_names(lambda node, name: not name.startswith("_") and isinstance(
+            node, (ast.FunctionDef, ast.ClassDef))) == sorted(UNREFERENCED_NAMES)
+
+    def test_every_private_name_is_read(self):
+        # A private function, class or assigned name at module level that
+        # nothing in src/ reads is dead code, whatever the tests do with it.
+        assert _unread_names(lambda node, name: name.startswith("_")
+                             and not name.startswith("__")) == []
 
 
 class TestDeterminism:

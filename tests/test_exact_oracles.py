@@ -1,11 +1,13 @@
-"""The sparse exact routines of ``ballobs.lattice`` against dense oracles.
+"""The exact routines of ``ballobs.lattice`` against dense oracles.
 
 The oracles are the dense versions that production used before: Bareiss
 elimination over every entry, and the unimodular row reduction of a dense
 [A^T | I].  Each sparse routine must give exactly the oracle's answer, the
 same kernel basis included, on random integer matrices that are sparse,
-dense, rank-deficient, or have zero rows and columns.  The determinant
-oracle, ``matrix_determinant``, also serves the other test modules.
+dense, rank-deficient, or have zero rows and columns.  The continuant
+check of positive definiteness must agree with the dense leading minors on
+random chain lattices.  The determinant oracle, ``matrix_determinant``,
+also serves the other test modules.
 """
 
 import numpy as np
@@ -13,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballobs.errors import UsageError
-from ballobs.lattice import (GramLattice, canonical_form, integer_kernel,
-                             is_isometric_embedding, leading_principal_minors,
-                             linear_lattice)
+from ballobs.lattice import (canonical_form, integer_kernel, is_isometric_embedding,
+                             is_positive_definite, linear_lattice)
 
 
 def matrix_determinant(rows) -> int:
@@ -123,29 +124,24 @@ def product(a, b):
 
 
 @st.composite
-def integer_matrices(draw, square=False, max_side=7):
-    """k x m integer matrices of four kinds, with some rows and columns
-    then zeroed: sparse, dense, rank-deficient (a product through fewer
-    rows) and, when square, Gram matrices of a random embedding."""
+def integer_matrices(draw, max_side=7):
+    """k x m integer matrices of three kinds, with some rows and columns
+    then zeroed: sparse, dense and rank-deficient (a product through fewer
+    rows)."""
     k = draw(st.integers(1, max_side))
-    m = k if square else draw(st.integers(1, max_side + 1))
-    kinds = ["sparse", "dense", "rank-deficient"] + (["gram"] if square else [])
-    kind = draw(st.sampled_from(kinds))
+    m = draw(st.integers(1, max_side + 1))
+    kind = draw(st.sampled_from(["sparse", "dense", "rank-deficient"]))
     if kind in ("sparse", "dense"):
         entry = st.integers(-9, 9)
         if kind == "sparse":
             entry = st.one_of(st.just(0), st.just(0), st.just(0), entry)
         rows = [[draw(entry) for _ in range(m)] for _ in range(k)]
-    elif kind == "rank-deficient":
+    else:
         r = draw(st.integers(0, min(k, m) - 1))
         base = [[draw(st.integers(-3, 3)) for _ in range(m)] for _ in range(r)]
         coef = [[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(k)]
         rows = [[sum(coef[i][t] * base[t][c] for t in range(r)) for c in range(m)]
                 for i in range(k)]
-    else:
-        width = draw(st.integers(1, max_side + 1))
-        a = [[draw(st.integers(-2, 2)) for _ in range(width)] for _ in range(k)]
-        rows = [list(row) for row in product(a, a)]
     for i in draw(st.sets(st.integers(0, k - 1), max_size=2)):
         rows[i] = [0] * m
     for c in draw(st.sets(st.integers(0, m - 1), max_size=2)):
@@ -159,24 +155,32 @@ def integer_matrices(draw, square=False, max_side=7):
 ORACLE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
-class TestLeadingPrincipalMinors:
+def positive_minors(gram) -> bool:
+    """Sylvester's criterion on the whole Gram matrix: every dense leading
+    principal minor is positive (the oracle stops after a zero one)."""
+    return all(d > 0 for d in dense_leading_principal_minors(gram))
+
+
+class TestPositiveDefinite:
+    # Weights in [-3, 6], half the time drawn from [2, 6] alone: uniform
+    # draws give about one definite lattice in sixteen, this mix about half.
     @ORACLE_SETTINGS
-    @given(gram=integer_matrices(square=True))
-    def test_matches_dense_bareiss_and_determinants(self, gram):
-        # Up to and including the first zero, minor j is the determinant of
-        # the leading (j+1) x (j+1) block.
-        minors = leading_principal_minors(gram)
-        assert minors == dense_leading_principal_minors(gram)
-        assert 0 not in minors[:-1]
-        assert len(minors) == len(gram) or minors[-1] == 0
-        for j, minor in enumerate(minors):
-            assert minor == matrix_determinant([row[:j + 1] for row in gram[:j + 1]])
+    @given(chains=st.lists(st.lists(st.one_of(st.integers(2, 6), st.integers(-3, 6)),
+                                    min_size=1, max_size=8), min_size=1, max_size=4))
+    def test_matches_dense_minors(self, chains):
+        lat = linear_lattice(*chains)
+        assert is_positive_definite(lat) == positive_minors(lat.gram)
 
     def test_plumbing_lattices(self):
-        # long tridiagonal matrices, the search's own input
-        for weights in ((2,) * 30 + (5,), (3, 2, 2, 3, 2) * 6, (7, 2, 2, 2, 9, 2, 2)):
-            gram = linear_lattice(weights).gram
-            assert leading_principal_minors(gram) == dense_leading_principal_minors(gram)
+        # long chains, the search's own input, on both sides of the criterion
+        for chains, expected in [
+                (((2,) * 30 + (5,),), True),
+                (((3, 2, 2, 3, 2) * 6,), True),
+                (((7, 2, 2, 2, 9, 2, 2), (1, 2)), True),
+                (((2,) * 20, (1, 1), (2, 2)), False),  # a middle chain of determinant 0
+                (((2,) * 20, (2, 1, 2)), False)]:  # d = 2, 1, 0 on the last chain
+            lat = linear_lattice(*chains)
+            assert is_positive_definite(lat) == positive_minors(lat.gram) == expected, chains
 
 
 class TestIntegerKernel:
@@ -202,9 +206,9 @@ class TestEmbeddingChecks:
         gram[i][j] += delta
         if i != j:
             gram[j][i] += delta
-        lattice = GramLattice(tuple(map(tuple, gram)))
-        assert is_isometric_embedding(lattice, rows) == (delta == 0)
-        assert is_isometric_embedding(lattice, np.array(rows, dtype=np.int64)) == (delta == 0)
+        gram = tuple(map(tuple, gram))
+        assert is_isometric_embedding(gram, rows) == (delta == 0)
+        assert is_isometric_embedding(gram, np.array(rows, dtype=np.int64)) == (delta == 0)
 
     @ORACLE_SETTINGS
     @given(rows=integer_matrices())

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
-from ballobs.lattice import (EmbeddingClass, GramLattice, SearchLimits, _square_parts,
+from ballobs.lattice import (ChainLattice, EmbeddingClass, SearchLimits, _square_parts,
                              canonical_form, integer_kernel,
-                             is_isometric_embedding, is_positive_definite,
-                             leading_principal_minors, linear_lattice,
+                             is_isometric_embedding, is_positive_definite, linear_lattice,
                              orthogonal_complement, search_embedding_classes)
 from ballobs.obstruction import class_summary
 from test_exact_oracles import matrix_determinant
@@ -32,9 +31,7 @@ def apply_signed_permutation(rows, perm, signs):
 
 def reverse_basis(lat):
     """The same lattice with the basis order reversed."""
-    k = lat.rank
-    return GramLattice(tuple(tuple(lat.gram[k - 1 - i][k - 1 - j] for j in range(k))
-                             for i in range(k)))
+    return linear_lattice(*(c[::-1] for c in lat.chains[::-1]))
 
 
 def continuant_determinant(weights):
@@ -89,49 +86,35 @@ class TestConstruction:
         # More weights than the search takes are refused before any Gram
         # matrix is built.
         assert linear_lattice((2,) * 40, (3,) * 24).rank == 64
-        monkeypatch.setattr(GramLattice, "__new__", lambda *a: pytest.fail("built a Gram matrix"))
+        monkeypatch.setattr(ChainLattice, "__new__", lambda *a: pytest.fail("built a lattice"))
         for chains in (((2,) * 65,), ((2,) * 40, (3,) * 25)):
             with pytest.raises(UsageError, match="at most 64 weights are supported, got 65"):
                 linear_lattice(*chains)
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(UsageError):
-            GramLattice(((1, 2), (3, 1)))
-
     def test_record(self):
-        # A namedtuple that normalises rows to tuples and checks them in
-        # ``__new__``; ``_make`` and ``_replace`` go through it too.
-        lat = GramLattice([[2, -1], [-1, 2]])
-        assert lat.gram == ((2, -1), (-1, 2)) and lat.rank == 2
-        assert repr(lat) == "GramLattice(gram=((2, -1), (-1, 2)))"
-        assert GramLattice._make([[[3]]]) == linear_lattice((3,))
-        with pytest.raises(UsageError, match="symmetric"):
-            lat._replace(gram=((1, 2), (3, 1)))
-        with pytest.raises(UsageError, match="rank >= 1"):
-            GramLattice._make([()])
+        # A plain namedtuple of the chains' weights and the Gram matrix,
+        # both as tuples, whatever sequences the chains came in.
+        lat = linear_lattice([2, 2], (3,))
+        assert lat == ChainLattice(((2, 2), (3,)), ((2, -1, 0), (-1, 2, 0), (0, 0, 3)))
+        assert lat.rank == 3
+        assert repr(linear_lattice((3,))) == "ChainLattice(chains=((3,),), gram=((3,),))"
         with pytest.raises(AttributeError):
             lat.gram = ((1,),)
 
     def test_reversed(self):
         rev = reverse_basis(CHAIN5)
         assert rev.gram == linear_lattice((2, 3, 2, 2, 3)).gram
-
-    def test_non_integral_rejected(self):
-        with pytest.raises(UsageError, match="integers"):
-            GramLattice(((2.7,),))
-        with pytest.raises(UsageError, match="integers"):
-            GramLattice(((2, 0.5), (0.5, 2)))
-        # Rejected the way linear_lattice rejects them, not converted.
-        for gram in (((2.0,),), ((True,),)):
-            with pytest.raises(UsageError, match="integers"):
-                GramLattice(gram)
+        # Several chains: the Gram matrix read from the last row and column.
+        lat = linear_lattice((9,), (2, 2, 2, 3))
+        k = lat.rank
+        assert reverse_basis(lat).gram == tuple(tuple(lat.gram[k - 1 - i][k - 1 - j]
+                                                      for j in range(k)) for i in range(k))
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: GramLattice(((1, 0), (0,))), "Gram matrix must be square"),
-        (lambda: is_isometric_embedding(L222, ((1, 0), (0, 1, 0), (0, 0, 1))),
+        (lambda: is_isometric_embedding(L222.gram, ((1, 0), (0, 1, 0), (0, 0, 1))),
          "embedding rows must all have the same length"),
         (lambda: integer_kernel(((1, 2),), 3), "rows must have length 3"),
-    ], ids=["gram", "embedding", "kernel"])
+    ], ids=["embedding", "kernel"])
     def test_shape_rejected(self, call, message):
         with pytest.raises(UsageError, match=message):
             call()
@@ -165,25 +148,25 @@ class TestDeterminant:
         assert not is_positive_definite(linear_lattice((-2, -2)))
         # rank 17: the diagonal is positive but the second minor is 0
         assert not is_positive_definite(linear_lattice((1,) * 17))
-
-    def test_leading_minors(self):
-        assert leading_principal_minors(L222.gram) == [2, 3, 4]
+        # chain by chain: one chain that is not definite is enough
+        assert is_positive_definite(linear_lattice((1, 2), (2, 2, 2)))
+        assert not is_positive_definite(linear_lattice((2, 2, 2), (1, 1)))
 
 
 class TestIsometricEmbedding:
     def test_chain_rows(self):
         rows = ((-1, 1, 0, 0), (0, -1, 1, 0), (0, 0, -1, 1))
-        assert is_isometric_embedding(L222, rows)
+        assert is_isometric_embedding(L222.gram, rows)
 
     def test_rank_one_scaled(self):
-        assert is_isometric_embedding(L9, ((3, 0, 0, 0, 0),))
+        assert is_isometric_embedding(L9.gram, ((3, 0, 0, 0, 0),))
 
     def test_wrong_norm(self):
-        assert not is_isometric_embedding(linear_lattice((2,)), ((1, 0),))
+        assert not is_isometric_embedding(linear_lattice((2,)).gram, ((1, 0),))
 
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError):
-            is_isometric_embedding(L222, ((1, 1, 0),))
+            is_isometric_embedding(L222.gram, ((1, 1, 0),))
 
     @pytest.mark.parametrize("rows", [((1.5,),), ((1.0,),), ((True,),), (("1",),),
                                       np.array([[1.5]]), [np.array([1.0])],
@@ -192,13 +175,13 @@ class TestIsometricEmbedding:
         # read through int(), each of these would square to the Gram entry 1;
         # a zero that is not an int is refused like any other entry
         with pytest.raises(UsageError, match="entries must be integers"):
-            is_isometric_embedding(linear_lattice((1,)), rows)
+            is_isometric_embedding(linear_lattice((1,)).gram, rows)
 
     def test_numpy_rows(self):
         # an int array, or int arrays row by row, are read as ints
-        assert is_isometric_embedding(L222, np.array([[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]]))
-        assert is_isometric_embedding(L222, [np.array(r) for r in
-                                             ((-1, 1, 0, 0), (0, -1, 1, 0), (0, 0, -1, 1))])
+        rows = ((-1, 1, 0, 0), (0, -1, 1, 0), (0, 0, -1, 1))
+        assert is_isometric_embedding(L222.gram, np.array(rows))
+        assert is_isometric_embedding(L222.gram, [np.array(r) for r in rows])
 
 
 class TestCanonicalForm:
@@ -437,7 +420,7 @@ class TestEnumeration:
         # the explicit embedding 3e1; -e_i+e_(i+1); e2+e3+e4 lands in it
         explicit = ((3, 0, 0, 0, 0), (0, -1, 1, 0, 0), (0, 0, -1, 1, 0),
                     (0, 0, 0, -1, 1), (0, 1, 1, 1, 0))
-        assert is_isometric_embedding(lat, explicit)
+        assert is_isometric_embedding(lat.gram, explicit)
         assert canonical_form(explicit) == classes[0].matrix
 
     def test_rank4_chain_contains_extending_classes(self):
@@ -449,7 +432,7 @@ class TestEnumeration:
         assert len(classes) == 5
         for rows in RANK4_EXTENDING_CLASSES:
             padded = pad(rows, 8)
-            assert is_isometric_embedding(lat, padded)
+            assert is_isometric_embedding(lat.gram, padded)
             assert canonical_form(padded) in classes
 
     @pytest.mark.parametrize("m", [8, 9])
@@ -469,7 +452,7 @@ class TestEnumeration:
         classes = search_embedding_classes(CHAIN5, 8).classes
         full = [c for c in classes if len(c.support) == 8]
         assert len(full) == 1
-        assert is_isometric_embedding(CHAIN5, RANK5_FULL_SUPPORT_CLASS)
+        assert is_isometric_embedding(CHAIN5.gram, RANK5_FULL_SUPPORT_CLASS)
         assert canonical_form(RANK5_FULL_SUPPORT_CLASS) == full[0].matrix
 
     def test_rank7_chain_five_classes(self):
@@ -482,14 +465,14 @@ class TestEnumeration:
         assert sorted(len(c.support) for c in classes) == [7, 8, 9, 11, 12]
         class_set = {c.matrix for c in classes}
         for rows in (EXTRA_N3_SUPPORT9, EXTRA_N3_SUPPORT11):
-            assert is_isometric_embedding(lat, rows)
+            assert is_isometric_embedding(lat.gram, rows)
             assert canonical_form(rows) in class_set
         # Lower bound independent of search completeness: every returned
         # matrix re-verifies as an isometric embedding by direct integer
         # arithmetic, and the five support sizes are pairwise distinct
         # ambient invariants, so there are at least five distinct classes.
         for cls in classes:
-            assert is_isometric_embedding(lat, cls.matrix)
+            assert is_isometric_embedding(lat.gram, cls.matrix)
             assert canonical_form(cls.matrix) == cls.matrix
         assert len({len(c.support) for c in classes}) == 5
         support8 = [c for c in classes if len(c.support) == 8]
@@ -517,7 +500,7 @@ class TestEnumeration:
     def test_every_class_is_isometric(self):
         for lat, m in [(CHAIN5, 9), (linear_lattice((2, 2, 2), (2, 2, 2)), 7)]:
             for cls in search_embedding_classes(lat, m).classes:
-                assert is_isometric_embedding(lat, cls.matrix)
+                assert is_isometric_embedding(lat.gram, cls.matrix)
                 assert canonical_form(cls.matrix) == cls.matrix
 
     def test_node_budget_raises_with_partial_stats(self):

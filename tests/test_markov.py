@@ -136,8 +136,11 @@ class TestEnumeration:
 
     def test_memory_limit(self, monkeypatch):
         monkeypatch.setattr(markov, "MAX_TRIPLES", 3)
-        with pytest.raises(LimitExceeded):
+        with pytest.raises(LimitExceeded) as info:
             enumerate_triples(10 ** 6)
+        # The message gives the count; stats is a search's SearchStats or None.
+        assert str(info.value) == "more than 3 triples below bound 1000000"
+        assert info.value.stats is None and info.value.partial_classes == ()
 
     def test_sorted_lexicographically(self):
         ts = enumerate_triples(10 ** 5)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ballobs import kernels, lattice, obstruction
 from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
 from ballobs.contfrac import ball_boundary, ball_plumbing
-from ballobs.lattice import (MAX_AMBIENT, GramLattice, SearchLimits, canonical_form,
+from ballobs.lattice import (MAX_AMBIENT, SearchLimits, canonical_form,
                              integer_kernel, is_isometric_embedding, linear_lattice,
                              orthogonal_complement, search_embedding_classes)
 from ballobs.markov import BallSpec, fibonacci_ball
@@ -40,7 +40,7 @@ def direct_sum_classes(problem):
     Lambda_M off the rank-one complement.  Cost grows fast with m_norm
     (B(5,1)+B(13,2) exhausts memory), so keep the oracle to small problems.
     """
-    lat_full = linear_lattice((problem.m_norm,), *problem.components)
+    lat_full = linear_lattice((problem.m_norm,), *problem.c_lattice.chains)
     return search_embedding_classes(lat_full, problem.ambient).classes
 
 
@@ -153,12 +153,12 @@ class TestBuildProblem:
         pr = build_problem([BallSpec(3, 1)])
         assert pr.m_norm == 9
         assert pr.ambient == 5
-        assert pr.components == ((2, 2, 2, 3),)
+        assert pr.c_lattice.chains == ((2, 2, 2, 3),)
 
     def test_pair(self):
         pr = build_problem([BallSpec(2, 1), BallSpec(5, 2)])
         assert pr.m_norm == 100
-        assert pr.components == ((2, 2, 2), (2, 3, 2, 2, 3))
+        assert pr.c_lattice.chains == ((2, 2, 2), (2, 3, 2, 2, 3))
         assert pr.ambient == 9
         assert pr.c_lattice.gram == (
             (2, -1, 0, 0, 0, 0, 0, 0),
@@ -174,7 +174,7 @@ class TestBuildProblem:
     def test_single_b21(self):
         pr = build_problem([BallSpec(2, 1)])
         assert pr.m_norm == 4
-        assert pr.components == ((2, 2, 2),)
+        assert pr.c_lattice.chains == ((2, 2, 2),)
         assert pr.ambient == 4
 
     def test_empty_rejected(self):
@@ -189,7 +189,7 @@ class TestBuildProblem:
                             lambda *a, **k: calls.append(a) or lens_plumbing(*a, **k))
         pr = build_problem([BallSpec(2, 1), BallSpec(5, 2)])
         assert calls == [(4, 1), (25, 9)]
-        assert [len(c) for c in pr.components] == [3, 5]
+        assert [len(c) for c in pr.c_lattice.chains] == [3, 5]
 
 
 class TestCheckObstruction:
@@ -230,12 +230,12 @@ class TestCheckObstruction:
             pr = build_problem(balls)
             rep = check_obstruction(pr)
             lat_c = pr.c_lattice
-            lat_full = linear_lattice((pr.m_norm,), *pr.components)
+            lat_full = linear_lattice((pr.m_norm,), *pr.c_lattice.chains)
             assert rep.witnesses
             for w in rep.witnesses:
                 verify_witness(pr, w)
                 full = (w.generator,) + w.embedding
-                assert is_isometric_embedding(lat_full, full)
+                assert is_isometric_embedding(lat_full.gram, full)
                 det = matrix_determinant(full)
                 assert det * det == pr.m_norm * matrix_determinant(lat_c.gram)
                 # every ambient unit vector pairs nonzero with both factors
@@ -429,7 +429,7 @@ class TestTheorem2:
         # the full images localises to the common support).
         from ballobs.lattice import search_embedding_classes
         pr = build_problem([BallSpec(5, 2), BallSpec(5, 2)])
-        r1 = len(pr.components[0])
+        r1 = len(pr.c_lattice.chains[0])
         result = search_embedding_classes(pr.c_lattice, pr.ambient)
         assert result.classes
         for cls in result.classes:
@@ -704,8 +704,7 @@ class TestVerifyWitnessRejects:
         # No class the search finds has a primitive generator of norm m_norm
         # and a zero entry, so a hand-made problem stands in: every other
         # condition holds, but e_1 pairs to zero with the generator.
-        lat = GramLattice(((1, 0), (0, 2)))
-        pr = ObstructionProblem((), 2, (lat,), 3, lat)
+        pr = ObstructionProblem((), 2, 3, linear_lattice((1,), (2,)))
         with pytest.raises(InternalCheckError, match="unit-pairing"):
             verify_witness(pr, Witness(((1, 0, 0), (0, 1, 1)), (0, 1, -1)))
 
