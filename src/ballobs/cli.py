@@ -143,7 +143,8 @@ def cmd_cf_fib_identities(args) -> tuple[dict, list[str], int]:
 def cmd_lattice_classes(args) -> tuple[dict, list[str], int]:
     from . import obstruction
     weights = _int_list(args.weights, "weights")
-    return _classes_output(*_timed(args, obstruction.classify_chain, weights, args.ambient))
+    return _classes_output(args.limits,
+                           *_timed(args, obstruction.classify_chain, weights, args.ambient))
 
 
 def cmd_plumbing_reduce(args) -> tuple[dict, list[str], int]:
@@ -184,14 +185,22 @@ def _obstruction_output(report, elapsed_ms) -> tuple[dict, list[str], int]:
     return obstruction.report_to_doc(report, elapsed_ms), lines, code
 
 
-def _classes_output(report, elapsed_ms) -> tuple[dict, list[str], int]:
+def _classes_output(limits, report, elapsed_ms) -> tuple[dict, list[str], int]:
+    # A cut classification is not printed: it exits 2 on the budget that cut
+    # it.  The search tests the node budget before the time budget at each
+    # node, so a node count past the node budget names the budget that ran out.
+    s = report.statistics
+    if s.limit_hit:
+        raise LimitExceeded(f"node budget {limits.node_budget} exhausted"
+                            if s.nodes > limits.node_budget
+                            else f"time budget {limits.time_budget}s exhausted")
     doc = {
         "schema": "lattice-classes@1",
         "weights": report.weights,
         "ambient": report.ambient,
         "class_count": report.class_count,
-        "classes": [{"matrix": cls.matrix, **c._asdict()}
-                    for cls, c in zip(report.classes, report.summaries)],
+        "classes": [{"matrix": mat, **c._asdict()}
+                    for mat, c in zip(report.classes, report.summaries)],
     }
     if elapsed_ms is not None:
         doc["elapsed_ms"] = elapsed_ms
@@ -232,7 +241,7 @@ def cmd_verify_example_b31(args) -> tuple[dict, list[str], int]:
 def cmd_verify_lemma_cemb(args) -> tuple[dict, list[str], int]:
     from . import obstruction
     report, elapsed_ms = _timed(args, obstruction.lemma_cemb_report, args.n, args.m)
-    doc, lines, code = _classes_output(report, elapsed_ms)
+    doc, lines, code = _classes_output(args.limits, report, elapsed_ms)
     # lemma_cemb_report's promise: the three-support family, and at n = 2
     # no other class.
     n, r, summaries = args.n, 2 * args.n + 1, report.summaries

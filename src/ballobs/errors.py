@@ -23,23 +23,11 @@ class UsageError(ValueError):
     """A caller violated a documented precondition."""
 
 
-class DegenerateCaseError(UsageError):
-    """The requested quantity is undefined for this input; callers must special-case."""
-
-
 class LimitExceeded(RuntimeError):
-    """A budget ran out: a search's node or wall-clock budget, or the triple
-    cap of Markov enumeration.
-
-    From a search it carries the partial SearchStats and the classes found so
-    far, so callers can report an honest INCONCLUSIVE outcome instead of a
-    wrong verdict.  From the triple cap it carries neither: ``stats`` is None.
-    """
-
-    def __init__(self, message, stats=None, partial_classes=()):
-        super().__init__(message)
-        self.stats = stats
-        self.partial_classes = tuple(partial_classes)
+    """A budget ran out where no partial answer can be reported: the triple
+    cap of Markov enumeration, or a chain classification cut short, which
+    the CLI reports without printing it.  A search cut short by a budget
+    does not raise; it returns with ``limit_hit`` set."""
 
 
 class InternalCheckError(RuntimeError):
@@ -55,8 +43,8 @@ def checked_make(cls, iterable):
 
 class SearchLimits(namedtuple("SearchLimits", "node_budget time_budget")):
     """Budgets for a single enumeration, an int node budget and an optional
-    time budget in seconds; exceeding either aborts the search with a
-    LimitExceeded carrying partial statistics."""
+    time budget in seconds; exceeding either stops the search, which returns
+    what it found with ``limit_hit`` set."""
 
     __slots__ = ()
 

@@ -31,7 +31,7 @@ from itertools import accumulate
 
 # SearchLimits lives with the errors, so that commands which never search
 # validate budgets without loading this module.
-from .errors import InternalCheckError, LimitExceeded, SearchLimits, UsageError
+from .errors import InternalCheckError, SearchLimits, UsageError
 
 # int64 overflow in the kernel is impossible while diagonal norms stay small;
 # the rank cap bounds the Gram matrix, which grows as the rank squared.
@@ -240,20 +240,9 @@ class SearchStats(namedtuple("SearchStats", "nodes leaves classes limit_hit",
     __slots__ = ()
 
 
-class EmbeddingClass(namedtuple("EmbeddingClass", "matrix")):
-    """Canonical representative of an embedding orbit, its matrix a tuple of
-    row tuples."""
-
-    __slots__ = ()
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Indices (0-based) of the ambient coordinates the image touches."""
-        return tuple(j for j, col in enumerate(zip(*self.matrix)) if any(col))
-
-
 class EmbeddingSearchResult(namedtuple("EmbeddingSearchResult", "classes stats")):
-    """The classes a search found, in order, and its SearchStats."""
+    """The classes a search found, each the canonical matrix of its orbit as
+    a tuple of row tuples, in lexicographic order, and its SearchStats."""
 
     __slots__ = ()
 
@@ -305,9 +294,10 @@ def search_embedding_classes(l: ChainLattice, m: int,
                              limits: SearchLimits | None = None) -> EmbeddingSearchResult:
     """Exhaustively enumerate the embedding classes of ``l`` in Z^m.
 
-    Returns the classes in lexicographic order of their canonical matrices,
-    together with search statistics.  Raises LimitExceeded (carrying partial
-    statistics and the classes found so far) if a budget runs out.
+    Returns the canonical matrices of the classes in lexicographic order,
+    together with search statistics, however the search ends: if a budget
+    runs out, the walk stops there, the statistics have ``limit_hit`` set and
+    the classes are those found so far.
 
     Row i is placed on the ``used`` touched columns by the kernel and then
     padded with a positive, weakly decreasing block on fresh columns.  Two
@@ -375,18 +365,12 @@ def search_embedding_classes(l: ChainLattice, m: int,
     nodes = 0
     deadline = None if limits.time_budget is None else time.monotonic() + limits.time_budget
 
-    def stats(hit: bool) -> SearchStats:
-        # Leaves and classes correspond one to one, so both are len(found).
-        return SearchStats(nodes, len(found), len(found), hit)
-
-    def partial() -> tuple[EmbeddingClass, ...]:
-        return tuple(EmbeddingClass(mat) for mat in sorted(found))
-
     stack: list[_Frame] = []
 
-    def expand(rows, used: list[int]) -> None:
+    def expand(rows, used: list[int]) -> bool:
         # Place row i on every node of a chunk with one kernel call, count and
         # check each child, file the leaves and push the rest as a frame.
+        # True if a budget ran out at a child: the walk stops there.
         nonlocal nodes
         i = rows.shape[1]
         norm = int(gram[i, i])
@@ -398,12 +382,9 @@ def search_embedding_classes(l: ChainLattice, m: int,
             ub = used[b]
             for parts in _square_parts(leftover, m - ub, math.isqrt(leftover)):
                 nodes += 1
-                if nodes > limits.node_budget:
-                    raise LimitExceeded(f"node budget {limits.node_budget} exhausted",
-                                        stats(True), partial())
-                if deadline is not None and time.monotonic() > deadline:
-                    raise LimitExceeded(f"time budget {limits.time_budget}s exhausted",
-                                        stats(True), partial())
+                if nodes > limits.node_budget or (deadline is not None
+                                                  and time.monotonic() > deadline):
+                    return True
                 s = len(parts)
                 if i + 1 < k:
                     at += [len(src)] * s
@@ -427,17 +408,19 @@ def search_embedding_classes(l: ChainLattice, m: int,
             new[:, :u] = cands[src, :u]
             new[at, cols] = vals
             stack.append(_Frame(rows, owner[src], new, child_used))
+        return False
 
     # Depth-first over chunks: the top frame's next chunk is expanded, and
     # its children, one depth further down, become the new top frame.
-    expand(np.zeros((1, 0, m), dtype=_ROW_DTYPE), [0])
-    while stack:
+    hit = expand(np.zeros((1, 0, m), dtype=_ROW_DTYPE), [0])
+    while stack and not hit:
         frame = stack[-1]
         chunk = slice(frame.next, frame.next + _CHUNK)
         frame.next += _CHUNK
         if frame.next >= len(frame.used):
             stack.pop()
-        expand(np.concatenate([frame.rows[frame.parent[chunk]], frame.new[chunk, None, :]],
-                              axis=1), frame.used[chunk])
-    classes = tuple(EmbeddingClass(mat) for mat in sorted(found))
-    return EmbeddingSearchResult(classes, stats(False))
+        hit = expand(np.concatenate([frame.rows[frame.parent[chunk]], frame.new[chunk, None, :]],
+                                    axis=1), frame.used[chunk])
+    # Leaves and classes correspond one to one, so both are len(found).
+    return EmbeddingSearchResult(tuple(sorted(found)),
+                                 SearchStats(nodes, len(found), len(found), hit))

@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque, namedtuple
 
-from .errors import (DegenerateCaseError, InternalCheckError, LimitExceeded, UsageError,
-                     checked_make)
+from .errors import InternalCheckError, LimitExceeded, UsageError, checked_make
 
 # Cap on the number of triples a single enumeration may hold in memory.
 MAX_TRIPLES = 1_000_000
@@ -116,8 +115,7 @@ def characteristic_number(t: MarkovTriple) -> int:
     """
     p = t.c
     if p <= 2:
-        raise DegenerateCaseError(
-            f"characteristic number undefined for maximum {p} (needs p >= 3)")
+        raise UsageError(f"characteristic number undefined for maximum {p} (needs p >= 3)")
     u = (t.b * pow(t.a, -1, p)) % p
     u = min(u, p - u)
     if not (0 < 2 * u < p) or (u * u + 1) % p != 0:

@@ -29,10 +29,9 @@ import operator
 from collections import namedtuple
 
 from .contfrac import ball_boundary, lens_plumbing
-from .errors import (InternalCheckError, LimitExceeded, SearchLimits, UsageError,
-                     document_values)
-from .lattice import (MAX_AMBIENT, EmbeddingClass, SearchStats, is_isometric_embedding,
-                      linear_lattice, orthogonal_complement, search_embedding_classes)
+from .errors import InternalCheckError, SearchLimits, UsageError, document_values
+from .lattice import (MAX_AMBIENT, SearchStats, is_isometric_embedding, linear_lattice,
+                      orthogonal_complement, search_embedding_classes)
 from .markov import BallSpec
 
 REPORT_SCHEMA = "obstruction-report@3"
@@ -160,27 +159,23 @@ def check_obstruction(problem: ObstructionProblem,
     complement, which ``orthogonal_complement`` returns primitive and with
     its first nonzero entry positive.  Each class's ClassRecord decides it.
     """
-    try:
-        result = search_embedding_classes(problem.c_lattice, problem.ambient, limits=limits)
-        classes, stats = result.classes, result.stats
-    except LimitExceeded as exc:
-        # budget exhaustion still yields the classes found so far
-        classes, stats = exc.partial_classes, exc.stats
+    # A search cut short by a budget still yields the classes found so far.
+    classes, stats = search_embedding_classes(problem.c_lattice, problem.ambient, limits=limits)
     # Each class gives at most one witness, so the witnesses come out sorted
     # like the classes.
     records, witnesses = [], []
-    for cls in classes:
-        w = orthogonal_complement(cls.matrix, problem.ambient)
+    for mat in classes:
+        w = orthogonal_complement(mat, problem.ambient)
         norm = sum(x * x for x in w)
         # det Lambda_C = m_norm = s^2 w.w: anything else is a fault.
         s = math.isqrt(problem.m_norm // norm)
         if s * s * norm != problem.m_norm:
             raise InternalCheckError(f"w.w = {norm} times a square is not {problem.m_norm}")
         records.append(ClassRecord(s, tuple(j for j, x in enumerate(w, 1) if not x),
-                                   tuple(j for j, col in enumerate(zip(*cls.matrix), 1)
+                                   tuple(j for j, col in enumerate(zip(*mat), 1)
                                          if not any(col))))
         if records[-1].is_witness:
-            witness = Witness(cls.matrix, w)
+            witness = Witness(mat, w)
             verify_witness(problem, witness)
             witnesses.append(witness)
     return ObstructionReport(problem, _verdict(witnesses, stats), tuple(witnesses),
@@ -198,27 +193,29 @@ class ClassSummary(namedtuple("ClassSummary", "support complement_rank complemen
     __slots__ = ()
 
 
-def class_summary(cls: EmbeddingClass) -> ClassSummary:
-    """The support size of a class and its complement data inside the
-    coordinate sublattice spanned by the support: rank, and generator norm
-    when the rank is one.
+def class_summary(mat) -> ClassSummary:
+    """The support size of a class, given by its matrix, and its complement
+    data inside the coordinate sublattice spanned by the support (the
+    columns the image touches): rank, and generator norm when the rank is
+    one.
 
     The restricted rows keep the lattice's positive-definite Gram matrix, so
     they are independent and the rank is the support size minus theirs; the
     complement itself is taken only for its generator, at rank one."""
-    sup = cls.support
-    rank = len(sup) - len(cls.matrix)
+    sup = [j for j, col in enumerate(zip(*mat)) if any(col)]
+    rank = len(sup) - len(mat)
     norm1 = None
     if rank == 1:
-        restricted = tuple(tuple(row[j] for j in sup) for row in cls.matrix)
+        restricted = tuple(tuple(row[j] for j in sup) for row in mat)
         norm1 = sum(x * x for x in orthogonal_complement(restricted, len(sup)))
     return ClassSummary(len(sup), rank, norm1)
 
 
 class ChainClassificationReport(namedtuple(
         "ChainClassificationReport", "weights ambient classes summaries statistics")):
-    """The embedding classes of a chain lattice in Z^ambient, in search
-    order, the ClassSummary of each, and the SearchStats of their search."""
+    """The embedding classes of a chain lattice in Z^ambient, their
+    canonical matrices in search order, the ClassSummary of each, and the
+    SearchStats of their search."""
 
     __slots__ = ()
 
@@ -230,10 +227,12 @@ class ChainClassificationReport(namedtuple(
 def classify_chain(weights, m: int,
                    limits: SearchLimits | None = None) -> ChainClassificationReport:
     """Search the embedding classes of ``linear_lattice(weights)`` in Z^m and
-    take the :func:`class_summary` of each."""
-    result = search_embedding_classes(linear_lattice(weights), m, limits=limits)
-    return ChainClassificationReport(weights, m, result.classes,
-                                     tuple(map(class_summary, result.classes)), result.stats)
+    take the :func:`class_summary` of each.  A search cut short by a budget
+    gives a cut report: ``statistics.limit_hit`` is true, and the classes are
+    those found so far."""
+    classes, stats = search_embedding_classes(linear_lattice(weights), m, limits=limits)
+    return ChainClassificationReport(weights, m, classes, tuple(map(class_summary, classes)),
+                                     stats)
 
 
 def lemma_cemb_report(n: int, m: int,
@@ -244,7 +243,8 @@ def lemma_cemb_report(n: int, m: int,
     with complement rank 0, support r+1 with a rank-one complement of norm
     F(2n+1)^2, and support 4n.  For n = 2 there are no other classes; from
     n = 3 on, further classes appear alongside those three.  ``verify
-    lemma-cemb`` checks this.
+    lemma-cemb`` checks this.  Like :func:`classify_chain`, it returns a cut
+    report, with ``statistics.limit_hit`` true, if a budget runs out.
     """
     if any(not isinstance(x, int) or isinstance(x, bool) for x in (n, m)):
         raise UsageError(f"n and m must be integers, got {(n, m)!r}")

@@ -15,6 +15,7 @@ import pytest
 
 from ballobs import contfrac, markov, obstruction, plumbing
 from ballobs.lattice import linear_lattice, orthogonal_complement, search_embedding_classes
+from test_lattice import support
 from test_obstruction import fib_pair_report, full_embedding_classes
 from test_plumbing import abs_det
 
@@ -111,11 +112,11 @@ def test_criterion_6_chain_classification():
     for m in (4, 5, 6, 7):
         classes = search_embedding_classes(l222, m).classes
         ok &= len(classes) == 2
-        rank4 = [c for c in classes if len(c.support) == 4]
+        rank4 = [c for c in classes if len(support(c)) == 4]
         ok &= len(rank4) == 1
-        sup = rank4[0].support
+        sup = support(rank4[0])
         gen = orthogonal_complement(
-            tuple(tuple(row[j] for j in sup) for row in rank4[0].matrix), len(sup))
+            tuple(tuple(row[j] for j in sup) for row in rank4[0]), len(sup))
         ok &= sum(x * x for x in gen) == 4
     for m in (8, 9):
         rep = obstruction.lemma_cemb_report(2, m)
@@ -198,5 +199,5 @@ def test_criterion_9_strategy_equivalence():
         lat_full = linear_lattice((pr.m_norm,), *pr.c_lattice.chains)
         by_direct = search_embedding_classes(lat_full, pr.ambient).classes
         ok &= (full_embedding_classes(pr)
-               == tuple(cls.matrix for cls in by_direct))
+               == by_direct)
     assert _line(9, "complement route vs direct-sum enumeration", ok)

@@ -46,6 +46,18 @@ def test_perfbench_workload_pass(name, decided, total):
     assert sum(outcome.decided for outcome in outcomes) == decided
 
 
+def test_chain_ops_complete_under_their_budget():
+    # A chain classification cut by its budget returns a report that
+    # perfbench's chain op counts as decided, so every chain op must finish
+    # under the obstructed workload's budget with its recorded class count.
+    from ballobs import lattice, obstruction
+    workloads = load("perfbench/workloads.py", "perfbench_workloads")
+    limits = lattice.SearchLimits(node_budget=workloads.OBSTRUCTED_BUDGET)
+    for n, count in workloads.CHAIN_CLASS_COUNTS.items():
+        report = obstruction.lemma_cemb_report(n, 4 * n, limits=limits)
+        assert (report.statistics.limit_hit, report.class_count) == (False, count), n
+
+
 SMOKE_RUNGS = ("Fibonacci pair (1,2)", "Fibonacci pair (2,2)", "Fibonacci pair (2,3)",
                "Fibonacci pair (3,3)", "chain n=2 in Z^8", "chain n=3 in Z^12",
                "cold CLI markov list --max 1000", "cold CLI obstruct 3,1")

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import hashlib
 import json
 import os
@@ -361,6 +362,27 @@ class TestExitCodes:
                            "--weights", "3,2,2,3,2", "--ambient", "9")
         assert code == 2 and "limit" in err.lower()
 
+    # The n = 4 chain takes 54 nodes.  The time budget is checked at every
+    # node, the first one included, so 1e-9 s cuts whatever the node budget.
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    @pytest.mark.parametrize("budget, message", [
+        (("--node-budget", "1"), "node budget 1 exhausted"),
+        (("--node-budget", "50"), "node budget 50 exhausted"),
+        (("--node-budget", "53"), "node budget 53 exhausted"),
+        (("--time-budget", "1e-9"), "time budget 1e-09s exhausted"),
+        (("--node-budget", "50", "--time-budget", "1e-9"), "time budget 1e-09s exhausted"),
+    ], ids=["node-1", "node-50", "node-53", "time", "node-and-time"])
+    @pytest.mark.parametrize("argv", [
+        ("lattice", "classes", "--weights", "3,3,3,2,2,3,3,3,2", "--ambient", "16"),
+        ("verify", "lemma-cemb", "4", "16"),
+    ], ids=["lattice-classes", "lemma-cemb"])
+    def test_cut_classification_is_not_printed(self, capsys, argv, budget, message, fmt):
+        # A cut classification prints nothing, names the budget that cut it
+        # and exits 2, before the exit-3 check of verify lemma-cemb.
+        assert run(capsys, "--format", fmt, *budget, *argv) == (
+            2, "", f"limit exceeded: {message}\n")
+        assert run(capsys, "--format", fmt, "--node-budget", "54", *argv)[0] == 0
+
     @pytest.mark.parametrize("argv, message", [
         (("--node-budget", "0", "markov", "list", "--max", "30"),
          "node budget must be positive"),
@@ -666,15 +688,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Names the package once re-exported, by the module that defines them, which
 # is now their one home.
 MODULE_NAMES = {
-    "errors": ("DegenerateCaseError", "InternalCheckError", "LimitExceeded", "UsageError",
-               "SearchLimits"),
+    "errors": ("InternalCheckError", "LimitExceeded", "UsageError", "SearchLimits"),
     "markov": ("BallSpec", "MarkovTriple", "SymplecticVerdict", "ball_params",
                "characteristic_number", "classify_symplectic", "enumerate_triples",
                "fibonacci_ball", "is_markov", "odd_fibonacci", "triple", "vieta_neighbor"),
     "contfrac": ("ball_boundary", "ball_plumbing", "fibonacci_identities", "hj_eval",
                  "hj_expand", "lens_plumbing"),
     "plumbing": ("BlowdownCertificate", "rb_chain", "reduce", "simple_embedding_certificate"),
-    "lattice": ("ChainLattice", "EmbeddingClass", "EmbeddingSearchResult", "SearchLimits",
+    "lattice": ("ChainLattice", "EmbeddingSearchResult", "SearchLimits",
                 "SearchStats", "canonical_form", "integer_kernel", "is_isometric_embedding",
                 "is_positive_definite", "linear_lattice", "orthogonal_complement",
                 "search_embedding_classes"),
@@ -804,6 +825,24 @@ def _unread_names(wanted):
 
 
 class TestProductionCode:
+    def test_every_error_has_an_exit_code(self):
+        # The exception classes of ballobs.errors are exactly the ballobs
+        # errors that cli._run catches by name, one handler and one exit
+        # code each.
+        from ballobs import errors
+        defined = {name for name, value in vars(errors).items()
+                   if isinstance(value, type) and issubclass(value, Exception)
+                   and value.__module__ == errors.__name__}
+        run_def = next(node for node in ast.parse((SRC / "ballobs" / "cli.py").read_text()).body
+                       if isinstance(node, ast.FunctionDef) and node.name == "_run")
+        codes = {name.id: [ast.literal_eval(node.value) for node in handler.body
+                           if isinstance(node, ast.Return)]
+                 for handler in ast.walk(run_def) if isinstance(handler, ast.ExceptHandler)
+                 for name in ast.walk(handler.type)
+                 if isinstance(name, ast.Name) and not hasattr(builtins, name.id)}
+        assert set(codes) == defined
+        assert sorted(codes.values()) == [[1], [2], [3]]
+
     def test_every_public_name_has_a_caller(self):
         # A public function or class that only the tests call belongs in the
         # tests; UNREFERENCED_NAMES lists the exceptions.

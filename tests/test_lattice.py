@@ -7,8 +7,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
-from ballobs.lattice import (ChainLattice, EmbeddingClass, SearchLimits, _square_parts,
+from ballobs.errors import InternalCheckError, UsageError
+from ballobs.lattice import (ChainLattice, SearchLimits, _square_parts,
                              canonical_form, integer_kernel,
                              is_isometric_embedding, is_positive_definite, linear_lattice,
                              orthogonal_complement, search_embedding_classes)
@@ -18,6 +18,11 @@ from test_exact_oracles import matrix_determinant
 L222 = linear_lattice((2, 2, 2))
 L9 = linear_lattice((9,))
 CHAIN5 = linear_lattice((3, 2, 2, 3, 2))
+
+
+def support(mat):
+    """Indices (0-based) of the ambient coordinates the class ``mat`` touches."""
+    return tuple(j for j, col in enumerate(zip(*mat)) if any(col))
 
 
 def pad(rows, m):
@@ -286,7 +291,7 @@ class TestIntegerKernel:
         # not (1, -1), and the complement came out as (1, -2, 0)
         lambda: integer_kernel(((1.5, 1),), 2),
         lambda: orthogonal_complement(((2.9, 1, 0), (0, 0, 1)), 3),
-        lambda: class_summary(EmbeddingClass(((2.9, 1, 0), (0, 0, 1)))),
+        lambda: class_summary(((2.9, 1, 0), (0, 0, 1))),
         lambda: integer_kernel(((True, 1),), 2),
         lambda: integer_kernel([np.array([1.5, 1.0])], 2),
         lambda: integer_kernel((("1", 1),), 2),
@@ -354,7 +359,7 @@ class TestOrthogonalComplement:
         classes = search_embedding_classes(CHAIN5, 6).classes
         norms = []
         for cls in classes:
-            gen = orthogonal_complement(cls.matrix, 6)
+            gen = orthogonal_complement(cls, 6)
             norms.append(sum(x * x for x in gen))
             assert math.gcd(*gen) == 1
         assert matrix_determinant(CHAIN5.gram) == 25
@@ -403,13 +408,13 @@ class TestEnumeration:
     def test_chain222_two_classes(self, m):
         classes = search_embedding_classes(L222, m).classes
         assert len(classes) == 2
-        assert sorted(len(c.support) for c in classes) == [3, 4]
+        assert sorted(len(support(c)) for c in classes) == [3, 4]
 
     def test_chain222_rank4_complement(self):
         classes = search_embedding_classes(L222, 4).classes
-        rank4 = [c for c in classes if len(c.support) == 4]
+        rank4 = [c for c in classes if len(support(c)) == 4]
         assert len(rank4) == 1
-        gen = orthogonal_complement(rank4[0].matrix, 4)
+        gen = orthogonal_complement(rank4[0], 4)
         assert sum(x * x for x in gen) == 4
         assert sorted(abs(x) for x in gen) == [1, 1, 1, 1]
 
@@ -421,14 +426,14 @@ class TestEnumeration:
         explicit = ((3, 0, 0, 0, 0), (0, -1, 1, 0, 0), (0, 0, -1, 1, 0),
                     (0, 0, 0, -1, 1), (0, 1, 1, 1, 0))
         assert is_isometric_embedding(lat.gram, explicit)
-        assert canonical_form(explicit) == classes[0].matrix
+        assert canonical_form(explicit) == classes[0]
 
     def test_rank4_chain_contains_extending_classes(self):
         # The rank-4 chain (3,2,2,3) has five classes in Z^8, and these three
         # are among them.  The remaining two do not extend to the rank-5
         # chain, which the rank-5 counts below confirm independently.
         lat = linear_lattice((3, 2, 2, 3))
-        classes = {c.matrix for c in search_embedding_classes(lat, 8).classes}
+        classes = set(search_embedding_classes(lat, 8).classes)
         assert len(classes) == 5
         for rows in RANK4_EXTENDING_CLASSES:
             padded = pad(rows, 8)
@@ -439,10 +444,10 @@ class TestEnumeration:
     def test_rank5_chain_three_classes(self, m):
         classes = search_embedding_classes(CHAIN5, m).classes
         assert len(classes) == 3
-        assert sorted(len(c.support) for c in classes) == [5, 6, 8]
+        assert sorted(len(support(c)) for c in classes) == [5, 6, 8]
         for cls in classes:
-            sup = cls.support
-            restricted = tuple(tuple(row[j] for j in sup) for row in cls.matrix)
+            sup = support(cls)
+            restricted = tuple(tuple(row[j] for j in sup) for row in cls)
             basis = integer_kernel(restricted, len(sup))
             assert len(basis) == len(sup) - 5
             if len(sup) == 6:
@@ -450,10 +455,10 @@ class TestEnumeration:
 
     def test_rank5_chain_full_support_class_is_the_known_one(self):
         classes = search_embedding_classes(CHAIN5, 8).classes
-        full = [c for c in classes if len(c.support) == 8]
+        full = [c for c in classes if len(support(c)) == 8]
         assert len(full) == 1
         assert is_isometric_embedding(CHAIN5.gram, RANK5_FULL_SUPPORT_CLASS)
-        assert canonical_form(RANK5_FULL_SUPPORT_CLASS) == full[0].matrix
+        assert canonical_form(RANK5_FULL_SUPPORT_CLASS) == full[0]
 
     def test_rank7_chain_five_classes(self):
         # Searched truth for the n=3 chain: five classes, stabilising from
@@ -462,8 +467,8 @@ class TestEnumeration:
         lat = linear_lattice((3, 3, 2, 2, 3, 3, 2))
         classes = search_embedding_classes(lat, 12).classes
         assert len(classes) == 5
-        assert sorted(len(c.support) for c in classes) == [7, 8, 9, 11, 12]
-        class_set = {c.matrix for c in classes}
+        assert sorted(len(support(c)) for c in classes) == [7, 8, 9, 11, 12]
+        class_set = set(classes)
         for rows in (EXTRA_N3_SUPPORT9, EXTRA_N3_SUPPORT11):
             assert is_isometric_embedding(lat.gram, rows)
             assert canonical_form(rows) in class_set
@@ -472,12 +477,12 @@ class TestEnumeration:
         # arithmetic, and the five support sizes are pairwise distinct
         # ambient invariants, so there are at least five distinct classes.
         for cls in classes:
-            assert is_isometric_embedding(lat.gram, cls.matrix)
-            assert canonical_form(cls.matrix) == cls.matrix
-        assert len({len(c.support) for c in classes}) == 5
-        support8 = [c for c in classes if len(c.support) == 8]
+            assert is_isometric_embedding(lat.gram, cls)
+            assert canonical_form(cls) == cls
+        assert len({len(support(c)) for c in classes}) == 5
+        support8 = [c for c in classes if len(support(c)) == 8]
         gen = orthogonal_complement(
-            tuple(tuple(row[j] for j in support8[0].support) for row in support8[0].matrix), 8)
+            tuple(tuple(row[j] for j in support(support8[0])) for row in support8[0]), 8)
         assert sum(x * x for x in gen) == 169
 
     def test_counts_independent_of_vertex_order(self):
@@ -487,8 +492,8 @@ class TestEnumeration:
             fwd = search_embedding_classes(lat, m).classes
             rev = search_embedding_classes(reverse_basis(lat), m).classes
             assert len(fwd) == len(rev)
-            flipped = {canonical_form(tuple(reversed(c.matrix))) for c in rev}
-            assert flipped == {c.matrix for c in fwd}
+            flipped = {canonical_form(tuple(reversed(c))) for c in rev}
+            assert flipped == set(fwd)
 
     def test_empty_when_ambient_too_small(self):
         assert search_embedding_classes(L222, 2).classes == ()
@@ -500,20 +505,29 @@ class TestEnumeration:
     def test_every_class_is_isometric(self):
         for lat, m in [(CHAIN5, 9), (linear_lattice((2, 2, 2), (2, 2, 2)), 7)]:
             for cls in search_embedding_classes(lat, m).classes:
-                assert is_isometric_embedding(lat.gram, cls.matrix)
-                assert canonical_form(cls.matrix) == cls.matrix
+                assert is_isometric_embedding(lat.gram, cls)
+                assert canonical_form(cls) == cls
 
-    def test_node_budget_raises_with_partial_stats(self):
-        with pytest.raises(LimitExceeded) as info:
-            search_embedding_classes(CHAIN5, 9, limits=SearchLimits(node_budget=2))
-        assert info.value.stats.limit_hit
-        assert info.value.stats.nodes >= 2
+    def test_node_budget_returns_partial_stats(self):
+        # A budget stop is a result: the walk ends at the first node past
+        # the budget, with the classes found so far.
+        result = search_embedding_classes(CHAIN5, 9, limits=SearchLimits(node_budget=2))
+        assert result == ((), (3, 0, 0, True))
+        complete = search_embedding_classes(CHAIN5, 9)
+        assert not complete.stats.limit_hit and complete.stats.nodes > 3
+        for budget in range(1, complete.stats.nodes + 1):
+            cut = search_embedding_classes(CHAIN5, 9, limits=SearchLimits(node_budget=budget))
+            assert cut.stats.limit_hit == (budget < complete.stats.nodes)
+            assert cut.stats.nodes == min(budget + 1, complete.stats.nodes)
+            assert cut.stats.leaves == cut.stats.classes == len(cut.classes)
+            assert set(cut.classes) <= set(complete.classes)
+            assert list(cut.classes) == sorted(cut.classes)
 
-    def test_time_budget_raises(self):
+    def test_time_budget_returns_cut_result(self):
+        # The time budget is checked at every node, the first one included.
         lat = linear_lattice((3, 2, 2, 3, 2), (2, 3, 3, 2, 2, 3, 3))
-        with pytest.raises(LimitExceeded) as info:
-            search_embedding_classes(lat, 13, limits=SearchLimits(time_budget=1e-9))
-        assert info.value.stats.limit_hit
+        result = search_embedding_classes(lat, 13, limits=SearchLimits(time_budget=1e-9))
+        assert result == ((), (1, 0, 0, True))
 
     def test_invalid_limits_rejected(self):
         with pytest.raises(UsageError):
@@ -616,7 +630,7 @@ class TestBruteForceOracle:
             lat, m = random_small_lattice(rng)
             expected = brute_force_classes(lat, m)
             result = search_embedding_classes(lat, m)
-            assert {c.matrix for c in result.classes} == expected, (lat.gram, m)
+            assert set(result.classes) == expected, (lat.gram, m)
             assert result.stats.leaves == result.stats.classes
             nonempty += bool(expected)
         assert nonempty >= 20

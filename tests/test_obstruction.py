@@ -13,11 +13,11 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ballobs import kernels, lattice, obstruction
-from ballobs.errors import InternalCheckError, LimitExceeded, UsageError
+from ballobs.errors import InternalCheckError, UsageError
 from ballobs.contfrac import ball_boundary, ball_plumbing
 from ballobs.lattice import (MAX_AMBIENT, SearchLimits, canonical_form,
-                             integer_kernel, is_isometric_embedding, linear_lattice,
-                             orthogonal_complement, search_embedding_classes)
+                             integer_kernel, is_isometric_embedding, is_positive_definite,
+                             linear_lattice, orthogonal_complement, search_embedding_classes)
 from ballobs.markov import BallSpec, fibonacci_ball
 from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED, REPORT_SCHEMA,
                                  ClassRecord, ObstructionProblem, Witness, build_problem,
@@ -25,6 +25,7 @@ from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED, REPOR
                                  report_from_doc,
                                  report_to_doc, verify_witness)
 from test_exact_oracles import matrix_determinant
+from test_lattice import support
 
 
 def fib_pair_report(k, n, limits=None):
@@ -53,11 +54,11 @@ def full_embedding_classes(problem, limits=None):
     m = problem.ambient
     fulls = set()
     for cls in search_embedding_classes(problem.c_lattice, m, limits=limits).classes:
-        w = orthogonal_complement(cls.matrix, m)
+        w = orthogonal_complement(cls, m)
         norm = sum(x * x for x in w)
         c = math.isqrt(problem.m_norm // norm)
         if c * c * norm == problem.m_norm:
-            fulls.update(canonical_form((tuple(sign * c * x for x in w),) + cls.matrix)
+            fulls.update(canonical_form((tuple(sign * c * x for x in w),) + cls)
                          for sign in (1, -1))
     return tuple(sorted(fulls))
 
@@ -83,8 +84,8 @@ def direct_sum_witnesses(problem):
     m = problem.ambient
     witnesses = set()
     for cls in direct_sum_classes(problem):
-        w = cls.matrix[0]
-        c_rows = cls.matrix[1:]
+        w = cls[0]
+        c_rows = cls[1:]
         if not all(w):
             continue
         if not all(any(row[j] for row in c_rows) for j in range(m)):
@@ -322,11 +323,9 @@ class TestWalkCounts:
         # triple (2,29,169): every frontier node is a counted node, so the
         # walk holds no more than the node budget
         pr = build_problem([BallSpec(2, 1), BallSpec(29, 7), BallSpec(169, 41)])
-        with pytest.raises(LimitExceeded) as info:
-            search_embedding_classes(pr.c_lattice, pr.ambient,
-                                     limits=SearchLimits(node_budget=1000))
-        assert info.value.stats.limit_hit
-        assert info.value.stats.nodes == 1001
+        stats = search_embedding_classes(pr.c_lattice, pr.ambient,
+                                         limits=SearchLimits(node_budget=1000)).stats
+        assert (stats.nodes, stats.limit_hit) == (1001, True)
 
 
 class TestStrategyEquivalence:
@@ -335,7 +334,7 @@ class TestStrategyEquivalence:
     @pytest.mark.parametrize("balls", ORACLE_BALLS)
     def test_full_class_sets_match(self, balls):
         pr = build_problem(balls)
-        by_oracle = tuple(cls.matrix for cls in direct_sum_classes(pr))
+        by_oracle = direct_sum_classes(pr)
         assert full_embedding_classes(pr) == by_oracle
         assert len(by_oracle) >= 1
 
@@ -344,7 +343,7 @@ class TestStrategyEquivalence:
         # B(2,1)'s complement generators have norms 4 and 1: m_norm 16 admits
         # c = 2 and c = 4, m_norm 8 no c at all.
         pr = build_problem([BallSpec(2, 1)])._replace(m_norm=m_norm)
-        by_oracle = tuple(cls.matrix for cls in direct_sum_classes(pr))
+        by_oracle = direct_sum_classes(pr)
         assert full_embedding_classes(pr) == by_oracle
         assert len(by_oracle) == count
 
@@ -377,18 +376,18 @@ class TestPrimitivity:
         witnesses = []
         for cls, record in zip(classes, rep.records):
             # k x (k+1) matrix: its maximal minors delete one column each
-            minors = [matrix_determinant([row[:j] + row[j + 1:] for row in cls.matrix])
+            minors = [matrix_determinant([row[:j] + row[j + 1:] for row in cls])
                       for j in range(m)]
             index = math.gcd(*minors)
-            w = orthogonal_complement(cls.matrix, m)
+            w = orthogonal_complement(cls, m)
             norm = sum(x * x for x in w)
-            assert (index == 1) == (norm == pr.m_norm), cls.matrix
-            assert norm * index * index == pr.m_norm, cls.matrix
+            assert (index == 1) == (norm == pr.m_norm), cls
+            assert norm * index * index == pr.m_norm, cls
             assert record == ClassRecord(
                 index, tuple(j + 1 for j in range(m) if not w[j]),
-                tuple(j + 1 for j in range(m) if j not in cls.support)), cls.matrix
-            if index == 1 and all(w) and len(cls.support) == m:
-                witnesses.append(Witness(cls.matrix, w))
+                tuple(j + 1 for j in range(m) if j not in support(cls))), cls
+            if index == 1 and all(w) and len(support(cls)) == m:
+                witnesses.append(Witness(cls, w))
         assert rep.witnesses == tuple(witnesses)
         assert len(witnesses) == sum(r.index == 1 and r.generator_zeros == r.missed == ()
                                      for r in rep.records)
@@ -433,8 +432,8 @@ class TestTheorem2:
         result = search_embedding_classes(pr.c_lattice, pr.ambient)
         assert result.classes
         for cls in result.classes:
-            first = cls.matrix[:r1]
-            second = cls.matrix[r1:]
+            first = cls[:r1]
+            second = cls[r1:]
             sup1 = {j for j in range(pr.ambient) if any(row[j] for row in first)}
             sup2 = {j for j in range(pr.ambient) if any(row[j] for row in second)}
             shared = sorted(sup1 & sup2)
@@ -570,6 +569,17 @@ class TestLemmaCembReport:
         assert rep.class_count == len(rep.classes) == 3
         assert lemma_cemb_report(2, 9) == rep
 
+    def test_cut_report(self):
+        # A node budget cuts the n = 4 search (54 nodes, 12 classes) at its
+        # 51st node: the report holds the 8 classes found so far, each with
+        # the summary the complete search gives it.
+        complete = lemma_cemb_report(4, 16)
+        cut = lemma_cemb_report(4, 16, SearchLimits(node_budget=50))
+        assert cut.statistics == (51, 8, 8, True)
+        assert cut.class_count == 8
+        summaries = dict(zip(complete.classes, complete.summaries))
+        assert [summaries[mat] for mat in cut.classes] == list(cut.summaries)
+
     def test_preconditions(self):
         with pytest.raises(UsageError):
             lemma_cemb_report(1, 8)
@@ -587,8 +597,8 @@ class TestLemmaCembReport:
         # Oracle: the complement of the restricted rows, taken whatever its
         # rank, where class_summary counts the rank and takes it only at one.
         for cls in search_embedding_classes(linear_lattice(weights), m).classes:
-            sup = cls.support
-            basis = integer_kernel([[row[j] for j in sup] for row in cls.matrix], len(sup))
+            sup = support(cls)
+            basis = integer_kernel([[row[j] for j in sup] for row in cls], len(sup))
             norm = sum(x * x for x in basis[0]) if len(basis) == 1 else None
             assert obstruction.class_summary(cls) == (len(sup), len(basis), norm)
 
@@ -607,7 +617,7 @@ class TestClassRecords:
         # On B(2,1) the two signs of the generator canonicalise to different
         # classes.
         pr = build_problem([ball])
-        assert full_embedding_classes(pr) == tuple(cls.matrix for cls in direct_sum_classes(pr))
+        assert full_embedding_classes(pr) == direct_sum_classes(pr)
         assert len(direct_sum_classes(pr)) == count
 
     @pytest.mark.parametrize("balls, indices", [
@@ -1062,5 +1072,53 @@ class TestSearchBudgetProperties:
             for witness in rep.witnesses:
                 verify_witness(rep.problem, witness)
                 assert witness in complete.witnesses
+            if not stats.limit_hit:
+                assert rep == complete
+
+
+# Chains of one to eight weights in [1, 5], the definite ones searched in
+# Z^m for m from their rank to twice it.  Half the weights are drawn from
+# [2, 3], whose chains have many classes.  A chain whose complete search
+# passes REFERENCE_NODES is left out.
+CHAINS = st.lists(st.integers(1, 5) | st.integers(2, 3), min_size=1, max_size=8).flatmap(
+    lambda w: st.tuples(st.just(tuple(w)), st.integers(len(w), 2 * len(w))))
+
+
+@functools.lru_cache(maxsize=None)
+def _complete_chain(weights, m):
+    """The classification of a complete search of the chain, or None if it
+    takes more than REFERENCE_NODES nodes."""
+    rep = classify_chain(weights, m, SearchLimits(node_budget=REFERENCE_NODES))
+    return None if rep.statistics.limit_hit else rep
+
+
+class TestChainBudgetProperties:
+    """A node budget cuts a chain classification short and never changes a
+    class it reports: random positive-definite chains, each run under a
+    random budget against its complete search."""
+
+    @PROPERTY_SETTINGS
+    # Leaves come late in the walk: these cuts keep 2 of 5 and 3 of 4 classes.
+    @example(chain=((3, 3, 2, 2, 3, 3, 2), 12), share=90)
+    @example(chain=((3, 2, 2, 3, 3, 2), 9), share=97)
+    @given(chain=CHAINS, share=st.one_of(st.integers(0, 100), st.integers(85, 110)))
+    def test_cut_classes_are_complete_classes(self, chain, share):
+        # The budget is ``share`` percent of the complete search's nodes:
+        # anything up to all of them, or close to all.
+        weights, m = chain
+        assume(is_positive_definite(linear_lattice(weights)))
+        with _time_limit(10):
+            complete = _complete_chain(weights, m)
+            assume(complete is not None)
+            total = complete.statistics.nodes
+            budget = max(1, total * share // 100)
+            rep = classify_chain(weights, m, SearchLimits(node_budget=budget))
+            stats = rep.statistics
+            assert stats.nodes <= budget + 1
+            assert stats.limit_hit == (budget < total)
+            assert stats.leaves == stats.classes == rep.class_count
+            summaries = dict(zip(complete.classes, complete.summaries))
+            assert set(rep.classes) <= set(summaries)
+            assert [summaries[mat] for mat in rep.classes] == list(rep.summaries)
             if not stats.limit_hit:
                 assert rep == complete
