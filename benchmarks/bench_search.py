@@ -6,9 +6,11 @@ Rungs, each searched to completion (no budget):
 
 * Fibonacci pairs (1,2) ... (6,6) and (7,7): B(F(2k+1), F(2k-1)) +
   B(F(2n+1), F(2n-1)).  Theorem 2 makes every one OBSTRUCTED.
-* Markov triples with maximum <= 200: the ball set of each triple, including
-  the two rank-33 sets.  They embed disjointly (the P(a^2, b^2, c^2)
-  degeneration), so each is NOT_OBSTRUCTED.
+* Markov triples up to the rank cap: the ball set of each of the 23 triples
+  with maximum <= 28,657, which are exactly those of ambient rank <= 64.
+  They embed disjointly (the P(a^2, b^2, c^2) degeneration), so each is
+  NOT_OBSTRUCTED, with 14 classes for three balls, 5 for two and 2 for
+  B(2,1) alone.
 * Chains n = 2..5: the chain lattice (3^(n-1), 2, 2, 3^(n-1), 2) in Z^(4n),
   with 3, 5, 12 and 37 classes (docs/decisions.md).
 * Single Markov balls up to B(610, 89): the ball of the largest entry of each
@@ -72,10 +74,11 @@ from ballobs.lattice import SearchStats
 
 FIB_PAIRS = ((1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6), (6, 6),
              (7, 7))
-TRIPLE_MAX = 200
-# Markov triple -> class count of its ball set
-TRIPLE_CLASSES = {(1, 1, 2): 2, (1, 2, 5): 5, (1, 5, 13): 5, (1, 13, 34): 5, (1, 34, 89): 5,
-                  (2, 5, 29): 14, (2, 29, 169): 14, (5, 13, 194): 14}
+# Every Markov triple whose ball set fits the rank cap; the next triple on the
+# slowest-growing branch, (1, 28657, 75025), has ambient rank 70.
+TRIPLE_MAX = 28657
+# number of balls of a Markov triple -> class count of its ball set
+TRIPLE_CLASSES = {1: 2, 2: 5, 3: 14}
 CHAIN_CLASSES = {2: 3, 3: 5, 4: 12, 5: 37}
 SINGLE_BALL_MAX = 610
 SINGLE_BALL_CLASSES = 2
@@ -161,7 +164,7 @@ def ladder():
         if balls:
             rungs.append(obstruction_rung(f"Markov triple {t}", balls,
                                           obstruction.NOT_OBSTRUCTED,
-                                          TRIPLE_CLASSES[t.entries]))
+                                          TRIPLE_CLASSES[len(balls)]))
     rungs.extend(chain_rung(n) for n in CHAIN_CLASSES)
     singles = []
     for t in markov.enumerate_triples(SINGLE_BALL_MAX):

@@ -30,7 +30,8 @@ from collections import namedtuple
 
 from .contfrac import ball_boundary, lens_plumbing
 from .errors import InternalCheckError, SearchLimits, UsageError, document_values
-from .lattice import (MAX_AMBIENT, SearchStats, is_isometric_embedding, linear_lattice,
+from .lattice import (MAX_AMBIENT, ChainLattice, EmbeddingSearchResult, SearchStats,
+                      canonical_form, is_isometric_embedding, linear_lattice,
                       orthogonal_complement, search_embedding_classes)
 from .markov import BallSpec
 
@@ -148,6 +149,29 @@ def _verdict(witnesses, stats: SearchStats) -> str:
     return INCONCLUSIVE if stats.limit_hit else OBSTRUCTED
 
 
+def _search_fail_first(problem: ObstructionProblem,
+                       limits: SearchLimits | None) -> EmbeddingSearchResult:
+    # Search Lambda_C with its weight-2 vertices placed first, each group in
+    # basis order: their rows have two entries +-1, so they have the fewest
+    # candidates and pin the columns early (fail first; docs/decisions.md,
+    # "Fail-first vertex order").  A basis permutation is an isometry of
+    # Lambda_C, so classes correspond one to one: putting each class's rows
+    # back in basis order and taking its canonical form gives exactly the
+    # classes of the basis-order search.  Only node counts, and the classes
+    # a budget-cut search has found, depend on the order.
+    l = problem.c_lattice
+    order = sorted(range(l.rank), key=lambda i: l.gram[i][i] != 2)
+    gram = tuple(tuple(l.gram[i][j] for j in order) for i in order)
+    # The search reads the chains only for its positive-definiteness check
+    # and its MAX_DIAGONAL cap, and neither depends on the basis order.
+    found, stats = search_embedding_classes(ChainLattice(l.chains, gram), problem.ambient,
+                                            limits=limits)
+    # Permuted row j is the image of vertex order[j].
+    classes = sorted(canonical_form([row for _, row in sorted(zip(order, mat))])
+                     for mat in found)
+    return EmbeddingSearchResult(tuple(classes), stats)
+
+
 def check_obstruction(problem: ObstructionProblem,
                       limits: SearchLimits | None = None) -> ObstructionReport:
     """Decide the embedding obstruction for the given ball list.
@@ -158,9 +182,11 @@ def check_obstruction(problem: ObstructionProblem,
     is enumerated; Lambda_M is read off the generator of the rank-one
     complement, which ``orthogonal_complement`` returns primitive and with
     its first nonzero entry positive.  Each class's ClassRecord decides it.
+    The search places the weight-2 vertices first; its classes, and so the
+    records and witnesses, are those of a search in basis order.
     """
     # A search cut short by a budget still yields the classes found so far.
-    classes, stats = search_embedding_classes(problem.c_lattice, problem.ambient, limits=limits)
+    classes, stats = _search_fail_first(problem, limits)
     # Each class gives at most one witness, so the witnesses come out sorted
     # like the classes.
     records, witnesses = [], []

@@ -36,10 +36,10 @@ def test_tracer_hooks_resolve():
 
 
 @pytest.mark.parametrize("name, decided, total", [
-    ("obstructed", 11, 11), ("witness", 17, 19), ("cli-cold", 6, 6)])
+    ("obstructed", 11, 11), ("witness", 19, 19), ("cli-cold", 6, 6)])
 def test_perfbench_workload_pass(name, decided, total):
     # One untraced pass of every operation, checked as the benchmark checks
-    # it: two of the witness workload's ball sets run out of their budget.
+    # it: every operation decides within its budget.
     workloads = load("perfbench/workloads.py", "perfbench_workloads")
     outcomes = [op.run(False) for op in workloads.WORKLOADS[name].build()]
     assert [outcome.error for outcome in outcomes] == [None] * total

@@ -299,7 +299,7 @@ class TestVerifyCommands:
         code, out, _ = run(capsys, "verify", "theorem2", "1", "7")
         doc = json.loads(out)
         assert code == 0 and doc["verdict"] == "OBSTRUCTED"
-        assert doc["statistics"]["nodes"] == "319"
+        assert doc["statistics"]["nodes"] == "227"
 
     def test_theorem2_node_budget_bounds_the_largest_pair(self, capsys):
         # (15, 15), ambient 63, is the largest square pair within the rank cap.

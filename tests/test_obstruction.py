@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import itertools
 import json
 import math
 import operator
@@ -18,7 +19,7 @@ from ballobs.contfrac import ball_boundary, ball_plumbing
 from ballobs.lattice import (MAX_AMBIENT, SearchLimits, canonical_form,
                              integer_kernel, is_isometric_embedding, is_positive_definite,
                              linear_lattice, orthogonal_complement, search_embedding_classes)
-from ballobs.markov import BallSpec, fibonacci_ball
+from ballobs.markov import BallSpec, ball_params, enumerate_triples, fibonacci_ball
 from ballobs.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED, REPORT_SCHEMA,
                                  ClassRecord, ObstructionProblem, Witness, build_problem,
                                  check_obstruction, classify_chain, lemma_cemb_report,
@@ -279,13 +280,15 @@ CHUNK_PROBLEMS = [
 
 
 class TestWalkCounts:
-    """Node and leaf counts of completed searches, which the order of the
-    walk cannot change, and the node count at which a budget stops it."""
+    """Node and leaf counts of completed searches, which the chunk size of
+    the walk cannot change, and the node count at which a budget stops it.
+    ``check_obstruction`` places the weight-2 vertices first; the other
+    counts are of basis-order searches."""
 
     @pytest.mark.parametrize("balls, nodes, leaves", [
-        ([fibonacci_ball(4), fibonacci_ball(4)], 234, 3),
-        ([BallSpec(5, 2), BallSpec(13, 5), BallSpec(34, 13)], 404, 4),
-        ([BallSpec(2, 1), BallSpec(5, 1), BallSpec(29, 7)], 578, 14),  # triple (2,5,29)
+        ([fibonacci_ball(4), fibonacci_ball(4)], 118, 3),
+        ([BallSpec(5, 2), BallSpec(13, 5), BallSpec(34, 13)], 220, 4),
+        ([BallSpec(2, 1), BallSpec(5, 1), BallSpec(29, 7)], 102, 14),  # triple (2,5,29)
     ])
     def test_completed_counts(self, balls, nodes, leaves):
         stats = check_obstruction(build_problem(balls)).statistics
@@ -356,6 +359,98 @@ class TestStrategyEquivalence:
         assert rep.verdict == (NOT_OBSTRUCTED if oracle else OBSTRUCTED)
         key = tuple((b.p, b.q) for b in balls)
         assert (rep.verdict, len(rep.witnesses)) == ORACLE_PROBLEMS[key]
+
+
+# The p <= 13 census: the 29 balls B(p, q) with 2 <= p <= 13 and 2q <= p, one
+# at a time and in pairs of ambient rank at most 24, 455 sets in all.
+CENSUS_BALLS = [BallSpec(p, q) for p in range(2, 14) for q in range(1, p // 2 + 1)
+                if math.gcd(p, q) == 1]
+CENSUS_SETS = [[b] for b in CENSUS_BALLS] + [
+    list(pair) for pair in itertools.combinations_with_replacement(CENSUS_BALLS, 2)
+    if build_problem(pair).ambient <= 24]
+
+
+class TestFailFirstOrder:
+    """``check_obstruction`` searches with the weight-2 vertices of Lambda_C
+    placed first (docs/decisions.md, "Fail-first vertex order").  Its classes
+    are those of the basis-order search, and so are its verdict, witnesses
+    and class records, in the same order."""
+
+    @staticmethod
+    def assert_order_free(problem, monkeypatch):
+        basis = search_embedding_classes(problem.c_lattice, problem.ambient)
+        searched = []
+        fail_first = obstruction._search_fail_first
+
+        def spy(pr, limits):
+            searched.append(fail_first(pr, limits))
+            return searched[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(obstruction, "_search_fail_first", spy)
+            rep = check_obstruction(problem)
+        (got,) = searched
+        assert not got.stats.limit_hit and not basis.stats.limit_hit
+        assert set(got.classes) == set(basis.classes)
+        assert got.classes == basis.classes  # sorted canonical matrices
+        for mat in got.classes:
+            assert canonical_form(mat) == mat
+            assert is_isometric_embedding(problem.c_lattice.gram, mat)
+        with monkeypatch.context() as patch:
+            patch.setattr(obstruction, "_search_fail_first", lambda pr, limits: basis)
+            in_basis_order = check_obstruction(problem)
+        assert rep == in_basis_order._replace(statistics=rep.statistics)
+        assert_index_fact(rep)
+
+    @pytest.mark.parametrize("balls", ORACLE_BALLS + [
+        [fibonacci_ball(k), fibonacci_ball(n)] for k in range(1, 6) for n in range(k, 6)] + [
+        [BallSpec(5, 2), BallSpec(13, 5), BallSpec(34, 13)]])
+    def test_classes_match_basis_order(self, balls, monkeypatch):
+        self.assert_order_free(build_problem(balls), monkeypatch)
+
+    def test_census_matches_basis_order(self, monkeypatch):
+        assert len(CENSUS_SETS) == 455
+        for balls in CENSUS_SETS:
+            self.assert_order_free(build_problem(balls), monkeypatch)
+
+    def test_weight_two_vertices_first(self, monkeypatch):
+        # B(5,2) has the chain (2, 3, 2, 2, 3): the search sees vertices 1, 3
+        # and 4, of weight 2, first, then 2 and 5, each group in basis order.
+        seen = []
+
+        def spy(l, m, limits=None):
+            seen.append(l.gram)
+            return search_embedding_classes(l, m, limits=limits)
+
+        pr = build_problem([BallSpec(5, 2)])
+        monkeypatch.setattr(obstruction, "search_embedding_classes", spy)
+        check_obstruction(pr)
+        assert pr.c_lattice.chains == ((2, 3, 2, 2, 3),)
+        order = (0, 2, 3, 1, 4)
+        assert seen == [tuple(tuple(pr.c_lattice.gram[i][j] for j in order) for i in order)]
+
+
+class TestMarkovReach:
+    """The ball set of every Markov triple up to ambient rank 46 embeds
+    disjointly (the P(a^2, b^2, c^2) degeneration), and its search completes
+    without a budget: three balls give 14 classes and 4 witnesses, two balls
+    (the triples (1, b, c), b >= 2) give 5 and 2, and B(2,1) alone 2 and 1."""
+
+    CLASSES_AND_WITNESSES = {1: (2, 1), 2: (5, 2), 3: (14, 4)}
+    TRIPLES = [t for t in enumerate_triples(1597) if ball_params(t)
+               and build_problem(ball_params(t)).ambient <= 46]
+
+    def test_fourteen_triples(self):
+        assert len(self.TRIPLES) == 14
+
+    @pytest.mark.parametrize("t", TRIPLES, ids=str)
+    def test_not_obstructed(self, t):
+        balls = ball_params(t)
+        rep = check_obstruction(build_problem(balls))
+        assert rep.verdict == NOT_OBSTRUCTED and not rep.statistics.limit_hit
+        assert ((rep.statistics.classes, len(rep.witnesses))
+                == self.CLASSES_AND_WITNESSES[len(balls)])
+        assert_index_fact(rep)
 
 
 class TestPrimitivity:
@@ -633,10 +728,12 @@ class TestClassRecords:
 
     def test_partial_classes_recorded(self):
         # A budget that stops the search mid-way keeps a record per class
-        # found so far; so does the complete search.
-        pr = build_problem([BallSpec(2, 1), BallSpec(5, 1), BallSpec(29, 7)])
+        # found so far; so does the complete search.  Triple (2,29,169)
+        # completes at 316 nodes; 300 stop it with 5 of its 14 classes.
+        pr = build_problem([BallSpec(2, 1), BallSpec(29, 7), BallSpec(169, 41)])
         complete = check_obstruction(pr)
         starved = check_obstruction(pr, SearchLimits(node_budget=300))
+        assert complete.statistics.classes == 14
         assert starved.statistics.limit_hit and 0 < starved.statistics.classes < 14
         for rep in (complete, starved):
             assert len(rep.records) == rep.statistics.classes
